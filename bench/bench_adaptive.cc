@@ -45,15 +45,6 @@ constexpr double kRecoveryGatePct = 15.0;
 constexpr int kConvergenceGateQueries = 32;
 constexpr double kConvergedError = 0.1;
 
-double Percentile(std::vector<double> values, double p) {
-  if (values.empty()) return 0.0;
-  std::sort(values.begin(), values.end());
-  const double rank = p / 100.0 * static_cast<double>(values.size() - 1);
-  const std::size_t lo = static_cast<std::size_t>(rank);
-  const std::size_t hi = std::min(lo + 1, values.size() - 1);
-  return values[lo] + (values[hi] - values[lo]) * (rank - static_cast<double>(lo));
-}
-
 // The believed device/link: every throughput scaled by `factor` (2.0 =
 // optimistic, 0.5 = pessimistic). The executor always simulates the TRUE
 // device; only the calibrator's believed model is wrong.

@@ -1,6 +1,6 @@
 // Wall-clock microbenchmarks (google-benchmark) of the host-side functional
 // substrate on THIS machine: the staged SELECT kernels, fused vs unfused
-// chains, the CPU comparator, and the fused row pipeline. These are sanity
+// chains, the CPU comparator, and the fused pipeline. These are sanity
 // checks that the functional layer is itself reasonable code — the paper's
 // figures come from the simulated device, not from these timings.
 #include <benchmark/benchmark.h>

@@ -52,16 +52,6 @@ core::OpGraph Query(std::uint64_t rows, int index) {
   return g;
 }
 
-double Percentile(std::vector<double> values, double p) {
-  if (values.empty()) return 0.0;
-  std::sort(values.begin(), values.end());
-  const double rank = p / 100.0 * static_cast<double>(values.size() - 1);
-  const std::size_t lo = static_cast<std::size_t>(rank);
-  const std::size_t hi = std::min(lo + 1, values.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  return values[lo] + (values[hi] - values[lo]) * frac;
-}
-
 struct Arm {
   const char* name;
   core::IntegrityOptions integrity;

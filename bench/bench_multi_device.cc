@@ -33,15 +33,6 @@ using namespace kf;
 
 constexpr int kDeviceCounts[] = {1, 2, 4};
 
-double Percentile(std::vector<double> values, double p) {
-  if (values.empty()) return 0.0;
-  std::sort(values.begin(), values.end());
-  const double rank = p / 100.0 * static_cast<double>(values.size() - 1);
-  const std::size_t lo = static_cast<std::size_t>(rank);
-  const std::size_t hi = std::min(lo + 1, values.size() - 1);
-  return values[lo] + (values[hi] - values[lo]) * (rank - static_cast<double>(lo));
-}
-
 // Timing-only makespan of the paper's 4-step 50% SELECT chain on `devices`
 // devices (bytes-proportional split is identical to static on a homogeneous
 // group; static keeps the baseline independent of the weight model).

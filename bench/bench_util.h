@@ -17,11 +17,15 @@
 #define KF_BENCH_BENCH_UTIL_H_
 
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -63,33 +67,77 @@ inline Session& CurrentSession() {
   return session;
 }
 
-// Parses harness CLI flags. Unknown flags are an error so CI typos fail
-// loudly. Exits (success) on --help.
+// Largest accepted --scale: keeps every scaled sweep (at most 4e9 elements
+// at scale 1) far inside uint64_t.
+inline constexpr double kMaxScale = 1000.0;
+
+inline void PrintUsage(std::ostream& os, const std::string& benchmark) {
+  os << "usage: bench_" << benchmark << " [--json <path>] [--scale <factor>]\n"
+        "  --json <path>    write a kf-bench-v1 JSON document\n"
+        "  --scale <f>      scale element-count sweeps by f, 0 < f <= "
+     << kMaxScale << "\n";
+}
+
+// Strict --scale value: the whole text is one finite number in
+// (0, kMaxScale]. Anything else ("abc", "nan", "inf", "-1", "1e30", "1abc",
+// leading blanks) is nullopt.
+inline std::optional<double> ParseScale(const std::string& text) {
+  if (text.empty() || std::isspace(static_cast<unsigned char>(text[0])) != 0) {
+    return std::nullopt;
+  }
+  errno = 0;
+  char* end = nullptr;
+  const double value = std::strtod(text.c_str(), &end);
+  if (end != text.c_str() + text.size() || errno == ERANGE || !std::isfinite(value) ||
+      value <= 0.0 || value > kMaxScale) {
+    return std::nullopt;
+  }
+  return value;
+}
+
+// Parses harness CLI flags strictly. A malformed value, a flag missing its
+// value, or an unknown flag prints the usage text to stderr and exits 2, so
+// CI typos fail loudly. Exits (success) on --help.
 inline void Init(int argc, char** argv, const std::string& benchmark) {
   Session& session = CurrentSession();
   session.benchmark = benchmark;
+  const auto fail = [&](const std::string& why) {
+    std::cerr << "bench_" << benchmark << ": " << why << "\n";
+    PrintUsage(std::cerr, benchmark);
+    std::exit(2);
+  };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto value = [&](const char* flag) -> std::string {
-      KF_REQUIRE(i + 1 < argc) << flag << " requires a value";
-      return argv[++i];
-    };
-    if (arg == "--json") {
-      session.json_path = value("--json");
-    } else if (arg == "--scale") {
-      session.scale = std::stod(value("--scale"));
-      KF_REQUIRE(session.scale > 0) << "--scale must be positive";
+    if (arg == "--json" || arg == "--scale") {
+      if (i + 1 >= argc || std::string(argv[i + 1]).rfind("--", 0) == 0) {
+        fail(arg + " requires a value");
+      }
+      const std::string value = argv[++i];
+      if (arg == "--json") {
+        session.json_path = value;
+        continue;
+      }
+      const std::optional<double> scale = ParseScale(value);
+      if (!scale.has_value()) fail("invalid --scale '" + value + "'");
+      session.scale = *scale;
     } else if (arg == "--help" || arg == "-h") {
-      std::cout << "usage: bench_" << benchmark
-                << " [--json <path>] [--scale <factor>]\n"
-                   "  --json <path>    write a kf-bench-v1 JSON document\n"
-                   "  --scale <f>      scale element-count sweeps by f\n";
+      PrintUsage(std::cout, benchmark);
       std::exit(0);
     } else {
-      std::cerr << "unknown argument '" << arg << "' (try --help)\n";
-      std::exit(2);
+      fail("unknown argument '" + arg + "'");
     }
   }
+}
+
+// Linearly interpolated percentile (p in [0, 100]) of `values`; 0 when empty.
+inline double Percentile(std::vector<double> values, double p) {
+  if (values.empty()) return 0.0;
+  std::sort(values.begin(), values.end());
+  const double rank = p / 100.0 * static_cast<double>(values.size() - 1);
+  const std::size_t lo = static_cast<std::size_t>(rank);
+  const std::size_t hi = std::min(lo + 1, values.size() - 1);
+  const double frac = rank - static_cast<double>(lo);
+  return values[lo] + (values[hi] - values[lo]) * frac;
 }
 
 // Sweep scale factor set with --scale (1.0 by default).

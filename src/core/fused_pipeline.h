@@ -1,17 +1,30 @@
 // Functional execution of a fusion cluster as ONE staged kernel.
 //
 // This is the composed kernel the paper's fusion transformation produces
-// (Fig 6 / Section III-C): a single partition stage chunks the streamed
-// primary input; the compute stage pushes each element through every member
-// operator back-to-back while it lives in registers (here: a Row on the
-// stack), expanding through JOIN probes against pre-built hash tables and
-// folding into per-chunk partial aggregates; per-chunk buffers are finally
-// gathered once. No intermediate relation is materialized — that is the
-// entire point of kernel fusion.
+// (Fig 6 / Section III-C), run column-at-a-time on the host:
 //
-// The result is bit-identical to applying the member operators one after
-// another with ApplyOperator (tests assert this), while touching the
-// primary input exactly once.
+//   partition  the streamed primary input is cut into `chunk_count`
+//              contiguous chunks (one per simulated CTA), all run by one
+//              pool dispatch; empty chunks do nothing;
+//   compute    per chunk, every member runs back-to-back over column
+//              vectors held in per-worker arena scratch (the kernel's
+//              registers and shared memory): SELECT compacts a selection
+//              (typed FilterInt32 kernels for every predicate
+//              CompilePredicate lowers on an int32 column, EvalExpr over a
+//              reused scratch row otherwise), PROJECT remaps columns, ARITH
+//              appends a typed column, JOIN/PRODUCT expand probe/build
+//              row-id pairs against an index built once per cluster, and
+//              AGGREGATE folds into per-chunk partials;
+//   gather     each cluster output is materialized once, into typed
+//              columns, chunk after chunk; aggregate partials merge in
+//              chunk order.
+//
+// No intermediate relation leaves its chunk — that is the entire point of
+// kernel fusion. The result is what applying the member operators one after
+// another with ApplyOperator produces: the same rows in the same order
+// (chunk, then probe, then build order), the same value type tags, the same
+// aggregate group order. Float sums are the one difference a fused kernel
+// has: each chunk sums its rows, and the partials add up in chunk order.
 #ifndef KF_CORE_FUSED_PIPELINE_H_
 #define KF_CORE_FUSED_PIPELINE_H_
 
@@ -46,19 +59,13 @@ struct ClusterExecution {
 using TableLookup = std::function<const relational::Table&(NodeId)>;
 
 // Executes `cluster` over `graph`. `table_of` must resolve the cluster's
-// primary input and every build input. Throws kf::Error when the cluster
-// contains an operator the fused pipeline cannot stream (a planner bug).
-//
-// A cluster that is a linear SELECT chain over a single int32 column, with
-// every predicate expressible as a typed predicate kernel, bypasses the Row
-// machinery entirely: it runs through the staged typed-kernel substrate over
-// a pooled StagedBuffers workspace (from `arena` if given, else the calling
-// thread's scratch arena) and writes the output column directly. Results,
-// member row counts, and output tables are byte-identical to the generic
-// path; clusters that don't match the shape (or whose predicates need the
-// std::function fallback semantics of EvalExpr) take the generic path.
-// With `compute_checksums` set, every output table is additionally digested
-// into `output_checksums` (one streaming pass; used by audit sampling).
+// primary input and every build input. Chunks run on `pool` when given;
+// scratch comes from `arena` when given, else the calling thread's arena.
+// Throws kf::Error when the cluster contains an operator the fused pipeline
+// cannot stream (a planner bug), and rethrows an expression's kf::Error
+// (e.g. division by zero) from the lowest failing chunk. With
+// `compute_checksums` set, every output table is additionally digested into
+// `output_checksums` (one streaming pass; used by audit sampling).
 ClusterExecution ExecuteCluster(const OpGraph& graph, const FusionCluster& cluster,
                                 const TableLookup& table_of, int chunk_count = 448,
                                 ThreadPool* pool = nullptr,

@@ -31,6 +31,43 @@ std::size_t CountDense(std::span<const std::int32_t> input, P p) {
   return count;
 }
 
+// FilterDense with the element's position stored in place of its value.
+template <typename P>
+std::size_t FilterIdsDense(std::span<const std::int32_t> input, std::uint32_t* out,
+                           P p) {
+  std::size_t count = 0;
+  for (std::size_t i = 0; i < input.size(); ++i) {
+    out[count] = static_cast<std::uint32_t>(i);
+    count += static_cast<std::size_t>(p(input[i]));
+  }
+  return count;
+}
+
+// Dispatches ONCE on the predicate op and runs `kernel` with the matching
+// branch-free element test inlined into its loop.
+template <typename Kernel>
+std::size_t WithKernel(const TypedPredicate& pred, Kernel kernel) {
+  const std::int32_t a = pred.a;
+  const std::int32_t b = pred.b;
+  switch (pred.op) {
+    case PredOp::kAlwaysTrue: return kernel([](std::int32_t) { return true; });
+    case PredOp::kAlwaysFalse: return kernel([](std::int32_t) { return false; });
+    case PredOp::kLt: return kernel([a](std::int32_t v) { return v < a; });
+    case PredOp::kLe: return kernel([a](std::int32_t v) { return v <= a; });
+    case PredOp::kGt: return kernel([a](std::int32_t v) { return v > a; });
+    case PredOp::kGe: return kernel([a](std::int32_t v) { return v >= a; });
+    case PredOp::kEq: return kernel([a](std::int32_t v) { return v == a; });
+    case PredOp::kNe: return kernel([a](std::int32_t v) { return v != a; });
+    case PredOp::kInRange:
+      return kernel([a, b](std::int32_t v) { return v >= a && v <= b; });
+    case PredOp::kMaskEq:
+      return kernel([a, b](std::int32_t v) { return (v & a) == b; });
+    case PredOp::kFallback:
+      return kernel([f = pred.fallback](std::int32_t v) { return (*f)(v); });
+  }
+  return 0;
+}
+
 // Scalar evaluation of one predicate; the per-element cost of the generic
 // multi-predicate path and of Matches().
 inline bool EvalPred(const TypedPredicate& p, std::int32_t v) {
@@ -145,8 +182,6 @@ std::string TypedPredicate::ToString() const {
 
 std::size_t FilterInt32(std::span<const std::int32_t> input,
                         const TypedPredicate& pred, std::int32_t* out) {
-  const std::int32_t a = pred.a;
-  const std::int32_t b = pred.b;
   switch (pred.op) {
     case PredOp::kAlwaysTrue:
       if (!input.empty()) {
@@ -154,23 +189,14 @@ std::size_t FilterInt32(std::span<const std::int32_t> input,
       }
       return input.size();
     case PredOp::kAlwaysFalse: return 0;
-    case PredOp::kLt: return FilterDense(input, out, [a](std::int32_t v) { return v < a; });
-    case PredOp::kLe: return FilterDense(input, out, [a](std::int32_t v) { return v <= a; });
-    case PredOp::kGt: return FilterDense(input, out, [a](std::int32_t v) { return v > a; });
-    case PredOp::kGe: return FilterDense(input, out, [a](std::int32_t v) { return v >= a; });
-    case PredOp::kEq: return FilterDense(input, out, [a](std::int32_t v) { return v == a; });
-    case PredOp::kNe: return FilterDense(input, out, [a](std::int32_t v) { return v != a; });
-    case PredOp::kInRange:
-      return FilterDense(input, out,
-                         [a, b](std::int32_t v) { return v >= a && v <= b; });
-    case PredOp::kMaskEq:
-      return FilterDense(input, out,
-                         [a, b](std::int32_t v) { return (v & a) == b; });
-    case PredOp::kFallback:
-      return FilterDense(input, out,
-                         [f = pred.fallback](std::int32_t v) { return (*f)(v); });
+    default:
+      return WithKernel(pred, [&](auto p) { return FilterDense(input, out, p); });
   }
-  return 0;
+}
+
+std::size_t FilterInt32Ids(std::span<const std::int32_t> input,
+                           const TypedPredicate& pred, std::uint32_t* out) {
+  return WithKernel(pred, [&](auto p) { return FilterIdsDense(input, out, p); });
 }
 
 std::size_t FilterInt32All(std::span<const std::int32_t> input,
@@ -200,25 +226,7 @@ std::size_t FilterInt32All(std::span<const std::int32_t> input,
 
 std::size_t CountInt32(std::span<const std::int32_t> input,
                        const TypedPredicate& pred) {
-  const std::int32_t a = pred.a;
-  const std::int32_t b = pred.b;
-  switch (pred.op) {
-    case PredOp::kAlwaysTrue: return input.size();
-    case PredOp::kAlwaysFalse: return 0;
-    case PredOp::kLt: return CountDense(input, [a](std::int32_t v) { return v < a; });
-    case PredOp::kLe: return CountDense(input, [a](std::int32_t v) { return v <= a; });
-    case PredOp::kGt: return CountDense(input, [a](std::int32_t v) { return v > a; });
-    case PredOp::kGe: return CountDense(input, [a](std::int32_t v) { return v >= a; });
-    case PredOp::kEq: return CountDense(input, [a](std::int32_t v) { return v == a; });
-    case PredOp::kNe: return CountDense(input, [a](std::int32_t v) { return v != a; });
-    case PredOp::kInRange:
-      return CountDense(input, [a, b](std::int32_t v) { return v >= a && v <= b; });
-    case PredOp::kMaskEq:
-      return CountDense(input, [a, b](std::int32_t v) { return (v & a) == b; });
-    case PredOp::kFallback:
-      return CountDense(input, [f = pred.fallback](std::int32_t v) { return (*f)(v); });
-  }
-  return 0;
+  return WithKernel(pred, [&](auto p) { return CountDense(input, p); });
 }
 
 std::vector<TypedPredicate> FoldConjunction(

@@ -90,6 +90,13 @@ struct TypedPredicate {
 std::size_t FilterInt32(std::span<const std::int32_t> input,
                         const TypedPredicate& pred, std::int32_t* out);
 
+// Row ids (positions in `input`) of the elements matching `pred`, densely
+// packed into `out` (room for input.size() ids). Returns the match count.
+// The same branch-free kernel as FilterInt32: a multi-column relation
+// filters on one int32 column and gathers its other columns through the ids.
+std::size_t FilterInt32Ids(std::span<const std::int32_t> input,
+                           const TypedPredicate& pred, std::uint32_t* out);
+
 // Single-pass conjunction over a predicate chain — the fused filter stage:
 // every predicate is applied while the element is still in registers.
 std::size_t FilterInt32All(std::span<const std::int32_t> input,

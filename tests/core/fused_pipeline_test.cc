@@ -4,11 +4,16 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <map>
+#include <vector>
 
 #include "common/random.h"
 #include "core/fusion_planner.h"
+#include "core/integrity.h"
+#include "core/query_executor.h"
 #include "relational/operators.h"
+#include "tests/core/byte_identical.h"
 
 namespace kf::core {
 namespace {
@@ -32,13 +37,8 @@ Table RandomKV(std::size_t rows, std::uint64_t seed, int key_range = 50) {
   return t;
 }
 
-// Runs the graph unfused (operator at a time) and fused (cluster pipeline),
-// comparing every cluster output.
-void CheckFusionEquivalence(const OpGraph& g,
-                            const std::map<NodeId, Table>& sources,
-                            int chunk_count = 16) {
-  const FusionPlan plan = PlanFusion(g);
-  // Unfused reference.
+// Every node's output, operator at a time.
+std::map<NodeId, Table> Reference(const OpGraph& g, const std::map<NodeId, Table>& sources) {
   std::map<NodeId, Table> reference;
   for (NodeId id : g.TopologicalOrder()) {
     const OpNode& node = g.node(id);
@@ -50,20 +50,37 @@ void CheckFusionEquivalence(const OpGraph& g,
     const Table* right = node.inputs.size() > 1 ? &reference.at(node.inputs[1]) : nullptr;
     reference.emplace(id, ApplyOperator(node.desc, left, right));
   }
-  // Fused execution.
+  return reference;
+}
+
+// Every cluster output, through the fused pipeline.
+std::map<NodeId, Table> Fused(const OpGraph& g, const std::map<NodeId, Table>& sources,
+                              int chunk_count) {
   std::map<NodeId, Table> computed;
   auto lookup = [&](NodeId id) -> const Table& {
     auto it = sources.find(id);
     if (it != sources.end()) return it->second;
     return computed.at(id);
   };
-  for (const FusionCluster& cluster : plan.clusters) {
+  for (const FusionCluster& cluster : PlanFusion(g).clusters) {
     ClusterExecution exec = ExecuteCluster(g, cluster, lookup, chunk_count);
-    for (auto& [id, table] : exec.outputs) {
-      EXPECT_TRUE(ApproxSameRowMultiset(table, reference.at(id)))
-          << "node #" << id << " (" << g.node(id).name << ") differs";
-      computed.emplace(id, std::move(table));
-    }
+    for (auto& [id, table] : exec.outputs) computed.emplace(id, std::move(table));
+  }
+  return computed;
+}
+
+// Runs the graph unfused (operator at a time) and fused (cluster pipeline),
+// requiring every cluster output to be byte-identical: same rows in the same
+// order, same type tags and payloads. (Float sums, which a fused kernel takes
+// per chunk, are pinned separately in tests/tpch/checksum_pin_test.cc.)
+void CheckFusionEquivalence(const OpGraph& g,
+                            const std::map<NodeId, Table>& sources,
+                            int chunk_count = 16) {
+  const std::map<NodeId, Table> reference = Reference(g, sources);
+  for (const auto& [id, table] : Fused(g, sources, chunk_count)) {
+    EXPECT_TRUE(ByteIdentical(table, reference.at(id)))
+        << "node #" << id << " (" << g.node(id).name << ") differs, chunks="
+        << chunk_count;
   }
 }
 
@@ -172,8 +189,10 @@ TEST(FusedPipeline, ParallelChunksMatchSerial) {
   const ClusterExecution parallel =
       ExecuteCluster(g, plan.clusters[0], lookup, 32, &pool);
   for (const auto& [id, table] : serial.outputs) {
-    EXPECT_TRUE(relational::SameRowMultiset(table, parallel.outputs.at(id)));
+    EXPECT_TRUE(ByteIdentical(parallel.outputs.at(id), table)) << "node #" << id;
   }
+  EXPECT_EQ(parallel.member_rows, serial.member_rows);
+  EXPECT_EQ(parallel.output_rows, serial.output_rows);
 }
 
 TEST(FusedPipeline, MemberRowsTrackIntermediateCardinalities) {
@@ -203,6 +222,100 @@ TEST(FusedPipeline, RejectsBarrierMembers) {
   bogus.outputs = {sort};
   auto lookup = [&](NodeId) -> const Table& { return data; };
   EXPECT_THROW(ExecuteCluster(g, bogus, lookup, 4), kf::Error);
+}
+
+// Relation (k, v) with v == 0 on every third row.
+Table KVWithZeros(std::size_t rows) {
+  Table t(Schema{{"k", DataType::kInt64}, {"v", DataType::kInt64}});
+  for (std::size_t r = 0; r < rows; ++r) {
+    t.AppendRow({Value::Int64(static_cast<std::int64_t>(r % 50)),
+                 Value::Int64(static_cast<std::int64_t>(r % 3 == 0 ? 0 : r % 7 + 1))});
+  }
+  return t;
+}
+
+TEST(FusedPipeline, AndShortCircuitGuardsDivisionByZero) {
+  // EvalExpr never evaluates the right side of an AND on rows its left side
+  // rejects, so the division only ever sees non-zero divisors — in the fused
+  // pipeline exactly as in the operator-at-a-time reference.
+  OpGraph g;
+  const Table data = KVWithZeros(3000);
+  const NodeId src = g.AddSource("in", data.schema(), 0);
+  const NodeId guarded = g.AddOperator(
+      OperatorDesc::Select(
+          Expr::And(Expr::Ne(Expr::FieldRef(1), Expr::Lit(0)),
+                    Expr::Gt(Expr::Div(Expr::FieldRef(0), Expr::FieldRef(1)),
+                             Expr::Lit(3))),
+          "guarded"),
+      src);
+  g.AddOperator(OperatorDesc::Project({1, 0}), guarded);
+  for (int chunks : {1, 16, 448}) CheckFusionEquivalence(g, {{src, data}}, chunks);
+}
+
+TEST(FusedPipeline, UnguardedDivisionByZeroThrowsUnderEveryStrategy) {
+  OpGraph g;
+  const Table data = KVWithZeros(500);
+  const NodeId src = g.AddSource("in", data.schema(), data.row_count());
+  const NodeId ratio = g.AddOperator(
+      OperatorDesc::Select(
+          Expr::Gt(Expr::Div(Expr::FieldRef(0), Expr::FieldRef(1)), Expr::Lit(3)),
+          "ratio"),
+      src);
+  g.AddOperator(OperatorDesc::Select(Expr::Lt(Expr::FieldRef(0), Expr::Lit(40))),
+                ratio);
+  const std::map<NodeId, Table> sources{{src, data}};
+  sim::DeviceSimulator device;
+  ThreadPool pool(3);
+  for (ThreadPool* use_pool : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    QueryExecutor executor(device, OperatorCostModel{}, use_pool);
+    for (Strategy strategy : {Strategy::kSerial, Strategy::kFused, Strategy::kFission,
+                              Strategy::kFusedFission}) {
+      ExecutorOptions options;
+      options.strategy = strategy;
+      options.chunk_count = 16;
+      EXPECT_THROW((void)executor.Execute(g, sources, options), kf::Error)
+          << ToString(strategy) << " pool=" << (use_pool != nullptr);
+    }
+  }
+}
+
+TEST(FusedPipeline, FloatKeysGroupAndJoinAsTheReferenceDoes) {
+  // Group keys compare as the reference's row-key text: 0.0 and -0.0 are
+  // two groups, and all NaNs of one sign are one. Join keys compare with
+  // Value ==: 0.0 matches -0.0, and NaN matches nothing. Digests compare the
+  // bytes, NaN payloads included.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double keys[] = {0.0, -0.0, nan, -nan, 1.5, 2.0};
+  Table probe(Schema{{"f", DataType::kFloat64}, {"v", DataType::kInt64}});
+  for (int r = 0; r < 600; ++r) {
+    probe.AppendRow({Value::Float64(keys[r % 6]), Value::Int64(r % 11)});
+  }
+  Table build(Schema{{"k", DataType::kFloat64}, {"w", DataType::kInt64}});
+  for (int r = 0; r < 12; ++r) {
+    build.AppendRow({Value::Float64(keys[(r * 5) % 6]), Value::Int64(r)});
+  }
+  OpGraph g;
+  const NodeId src = g.AddSource("probe", probe.schema(), 0);
+  const NodeId b = g.AddSource("build", build.schema(), 0);
+  const NodeId joined = g.AddOperator(OperatorDesc::Join(0, 0, "join"), src, b);
+  const std::vector<AggregateSpec> aggregates = {
+      AggregateSpec{AggregateSpec::Func::kSum, 1, "sum"},
+      AggregateSpec{AggregateSpec::Func::kMin, 0, "min"},
+      AggregateSpec{AggregateSpec::Func::kMax, 1, "max"},
+      AggregateSpec{AggregateSpec::Func::kCount, 0, "n"}};
+  g.AddOperator(OperatorDesc::Aggregate({0}, aggregates, "by_probe_key"), src);
+  g.AddOperator(OperatorDesc::Aggregate({0, 2}, aggregates, "by_joined_key"), joined);
+  const std::map<NodeId, Table> sources{{src, probe}, {b, build}};
+  const std::map<NodeId, Table> reference = Reference(g, sources);
+  for (int chunks : {1, 7, 448}) {
+    const std::map<NodeId, Table> fused = Fused(g, sources, chunks);
+    for (NodeId sink : g.Sinks()) {
+      EXPECT_EQ(ChecksumTable(fused.at(sink)), ChecksumTable(reference.at(sink)))
+          << g.node(sink).name << " chunks=" << chunks;
+    }
+  }
+  // 0.0 and -0.0 group apart; the two NaN signs are two more groups.
+  EXPECT_EQ(reference.at(g.Sinks()[0]).row_count(), 6u);
 }
 
 }  // namespace

@@ -6,7 +6,10 @@
 // rows fails here even when the multiset still matches.
 #include <gtest/gtest.h>
 
+#include <atomic>
+
 #include "common/buffer_arena.h"
+#include "core/graph_merge.h"
 #include "core/query_executor.h"
 #include "core/select_chain.h"
 #include "server/query_scheduler.h"
@@ -78,18 +81,43 @@ TEST_P(StrategyDifferential, ArenaRunsByteIdenticalToScalarReference) {
   }
 }
 
-// Single-column int32 select chains: the shape the typed-predicate fast path
-// (TryTypedSelectChain) accepts. `compilable` picks expressions every one of
-// which CompilePredicate can lower; otherwise each chain gets at least one
-// uncompilable predicate so execution must stay on the generic Row path.
+// Single-column int32 select chains. `compilable` picks expressions every
+// one of which CompilePredicate can lower, so the fused pipeline filters with
+// the typed FilterInt32 kernels; otherwise each chain gets at least one
+// uncompilable predicate, which the pipeline evaluates with EvalExpr.
 struct Int32Chain {
   OpGraph graph;
   std::map<NodeId, Table> sources;
   NodeId source = 0;
 };
 
-Int32Chain MakeInt32Chain(std::uint64_t seed, bool compilable) {
+// A threshold predicate on int32 field `field`. Compilable shapes: a plain
+// compare, a range conjunction, a negation, a literal on the left. The
+// uncompilable one hides the same threshold behind arithmetic, which
+// CompilePredicate rejects but EvalExpr evaluates identically.
+relational::Expr Int32Predicate(Rng& rng, int field, bool compilable) {
   using relational::Expr;
+  const Expr v = Expr::FieldRef(field);
+  if (!compilable) {
+    return Expr::Lt(Expr::Add(v, Expr::Lit(0)), Expr::Lit(rng.UniformInt(0, 1 << 30)));
+  }
+  switch (rng.UniformInt(0, 3)) {
+    case 0:
+      return Expr::Lt(v, Expr::Lit(rng.UniformInt(0, 1 << 30)));
+    case 1: {
+      const std::int64_t lo = rng.UniformInt(0, 1 << 29);
+      return Expr::And(Expr::Ge(v, Expr::Lit(lo)),
+                       Expr::Le(v, Expr::Lit(rng.UniformInt(0, 1 << 30))));
+    }
+    case 2:
+      return Expr::Not(Expr::Ge(v, Expr::Lit(rng.UniformInt(0, 1 << 30))));
+    default:
+      // Literal on the left: still compilable via mirroring.
+      return Expr::Gt(Expr::Lit(rng.UniformInt(0, 1 << 30)), v);
+  }
+}
+
+Int32Chain MakeInt32Chain(std::uint64_t seed, bool compilable) {
   using relational::OperatorDesc;
   Rng rng(seed);
   Int32Chain q;
@@ -101,32 +129,10 @@ Int32Chain MakeInt32Chain(std::uint64_t seed, bool compilable) {
   NodeId prev = q.source;
   const int depth = static_cast<int>(rng.UniformInt(2, 5));
   for (int i = 0; i < depth; ++i) {
-    Expr expr = Expr::Lt(Expr::FieldRef(0), Expr::Lit(rng.UniformInt(0, 1 << 30)));
-    switch (rng.UniformInt(0, 3)) {
-      case 0:
-        break;  // plain v < lit
-      case 1:
-        expr = Expr::And(
-            Expr::Ge(Expr::FieldRef(0), Expr::Lit(rng.UniformInt(0, 1 << 29))),
-            Expr::Le(Expr::FieldRef(0), Expr::Lit(rng.UniformInt(0, 1 << 30))));
-        break;
-      case 2:
-        expr = Expr::Not(
-            Expr::Ge(Expr::FieldRef(0), Expr::Lit(rng.UniformInt(0, 1 << 30))));
-        break;
-      case 3:
-        // Literal on the left: still compilable via mirroring.
-        expr = Expr::Gt(Expr::Lit(rng.UniformInt(0, 1 << 30)), Expr::FieldRef(0));
-        break;
-    }
-    if (!compilable && i == depth / 2) {
-      // Arithmetic inside the comparison defeats CompilePredicate but is
-      // semantically equivalent to a plain threshold for EvalExpr.
-      expr = Expr::Lt(Expr::Add(Expr::FieldRef(0), Expr::Lit(0)),
-                      Expr::Lit(rng.UniformInt(0, 1 << 30)));
-    }
-    prev = q.graph.AddOperator(OperatorDesc::Select(expr, "sel" + std::to_string(i)),
-                               prev);
+    prev = q.graph.AddOperator(
+        OperatorDesc::Select(Int32Predicate(rng, 0, compilable || i != depth / 2),
+                             "sel" + std::to_string(i)),
+        prev);
   }
   return q;
 }
@@ -182,6 +188,102 @@ TEST_P(StrategyDifferential, TypedSelectChainByteIdenticalToScalarReference) {
   // The compilable chains must actually have exercised typed kernels.
   EXPECT_GT(kf::HostPerfCounters::Global().typed_predicates.load(),
             typed_before);
+}
+
+// SELECT trees: k chains over one source, each built as its own query and
+// spliced in with MergeGraphs, as cross-query merging does, so pattern (c)
+// fuses them into one multi-output cluster. The source is one int32 column,
+// or a table (k i64, v i32, w i64) whose int32 predicates read field 1.
+RandomQuery MakeSelectTree(std::uint64_t seed, bool multi_column, bool compilable) {
+  using relational::DataType;
+  using relational::OperatorDesc;
+  using relational::Value;
+  Rng rng(seed);
+  const std::size_t rows = static_cast<std::size_t>(rng.UniformInt(200, 2000));
+  Table data = MakeUniformInt32Table(rows, seed);
+  if (multi_column) {
+    Table wide(relational::Schema{
+        {"k", DataType::kInt64}, {"v", DataType::kInt32}, {"w", DataType::kInt64}});
+    for (std::size_t r = 0; r < rows; ++r) {
+      wide.AppendRow({Value::Int64(static_cast<std::int64_t>(r % 17)),
+                      data.column(0).Get(r), Value::Int64(rng.UniformInt(-9, 9))});
+    }
+    data = std::move(wide);
+  }
+  const int field = multi_column ? 1 : 0;
+
+  RandomQuery q;
+  const int chains = static_cast<int>(rng.UniformInt(2, 6));
+  for (int c = 0; c < chains; ++c) {
+    OpGraph chain;
+    NodeId prev = chain.AddSource("tree_src", data.schema(), rows);
+    const int depth = static_cast<int>(rng.UniformInt(1, 3));
+    for (int d = 0; d < depth; ++d) {
+      prev = chain.AddOperator(
+          OperatorDesc::Select(Int32Predicate(rng, field, compilable || d != 0),
+                               "c" + std::to_string(c) + "s" + std::to_string(d)),
+          prev);
+    }
+    q.graph = c == 0 ? std::move(chain) : MergeGraphs(q.graph, chain).graph;
+  }
+  q.sources.emplace(q.graph.Sources().at(0), std::move(data));
+  return q;
+}
+
+TEST_P(StrategyDifferential, TypedSelectTreeByteIdenticalToScalarReference) {
+  const std::atomic<std::uint64_t>& typed = kf::HostPerfCounters::Global().typed_predicates;
+  ThreadPool pool(3);
+  FusionOptions split;
+  split.register_budget = 14;  // a couple of SELECTs per kernel at most
+  bool budget_split_a_tree = false;
+  for (bool multi_column : {false, true}) {
+    for (bool compilable : {true, false}) {
+      for (int trial = 0; trial < 2; ++trial) {
+        const RandomQuery q = MakeSelectTree(
+            static_cast<std::uint64_t>(GetParam()) * 613 + trial * 29 +
+                (multi_column ? 7 : 0) + (compilable ? 3 : 0),
+            multi_column, compilable);
+        const std::map<NodeId, Table> truth = ReferenceResults(q);
+        const std::uint64_t typed_before = typed.load();
+        budget_split_a_tree = budget_split_a_tree ||
+                              PlanFusion(q.graph, split).clusters.size() >
+                                  PlanFusion(q.graph).clusters.size();
+        sim::DeviceSimulator device;
+        for (ThreadPool* use_pool : {static_cast<ThreadPool*>(nullptr), &pool}) {
+          QueryExecutor executor(device, OperatorCostModel{}, use_pool);
+          for (Strategy strategy : {Strategy::kSerial, Strategy::kFused,
+                                    Strategy::kFission, Strategy::kFusedFission}) {
+            for (int chunks : {1, 4, 448}) {
+              for (int budget : {FusionOptions{}.register_budget, split.register_budget}) {
+                ExecutorOptions options;
+                options.strategy = strategy;
+                options.chunk_count = chunks;
+                options.fusion.register_budget = budget;
+                const ExecutionReport report =
+                    executor.Execute(q.graph, q.sources, options);
+                for (NodeId sink : q.graph.Sinks()) {
+                  ASSERT_EQ(report.sink_results.count(sink), 1u);
+                  EXPECT_TRUE(
+                      ByteIdentical(report.sink_results.at(sink), truth.at(sink)))
+                      << ToString(strategy) << " chunks=" << chunks
+                      << " budget=" << budget << " pool=" << (use_pool != nullptr)
+                      << " multi_column=" << multi_column
+                      << " compilable=" << compilable << " sink " << sink
+                      << "\ngraph:\n" << q.graph.ToString();
+                }
+              }
+            }
+          }
+        }
+        // Compilable trees filter on one column or on field 1 of three, and
+        // the fused strategies run those predicates on the typed kernels.
+        if (compilable) {
+          EXPECT_GT(typed.load(), typed_before) << "multi_column=" << multi_column;
+        }
+      }
+    }
+  }
+  EXPECT_TRUE(budget_split_a_tree) << "no tree exceeded the small register budget";
 }
 
 TEST_P(StrategyDifferential, SchedulerPathByteIdenticalToScalarReference) {

@@ -9,6 +9,8 @@
 #include <vector>
 
 #include "common/buffer_arena.h"
+#include "core/fused_pipeline.h"
+#include "core/fusion_planner.h"
 #include "core/query_executor.h"
 #include "core/select_chain.h"
 #include "relational/operators.h"
@@ -152,6 +154,43 @@ TEST_F(AllocationRegressionTest, ExecutorReachesAllocationSteadyState) {
     prev = delta;
   }
   EXPECT_TRUE(steady) << "executor allocations still drifting after warmup";
+}
+
+TEST_F(AllocationRegressionTest, WarmFusedClusterAllocationsIgnoreChunkCount) {
+  // A 64-row query in the default 448 chunks leaves most chunks empty. Warm,
+  // the fused pipeline allocates per cluster (its plan and output tables),
+  // never per chunk or per member: 448 chunks cost exactly what 4 cost.
+  using relational::DataType;
+  using relational::Expr;
+  using relational::OperatorDesc;
+  relational::Table data(relational::Schema{{"k", DataType::kInt64},
+                                            {"v", DataType::kInt64}});
+  for (std::int64_t r = 0; r < 64; ++r) {
+    data.AppendRow({relational::Value::Int64(r % 9), relational::Value::Int64(r)});
+  }
+  core::OpGraph graph;
+  const core::NodeId src = graph.AddSource("src", data.schema(), 64);
+  const core::NodeId sel = graph.AddOperator(
+      OperatorDesc::Select(Expr::Lt(Expr::FieldRef(0), Expr::Lit(6))), src);
+  const core::NodeId calc = graph.AddOperator(
+      OperatorDesc::Arith(Expr::Add(Expr::FieldRef(0), Expr::FieldRef(1)), "sum",
+                          DataType::kInt64),
+      sel);
+  const core::NodeId keep = graph.AddOperator(
+      OperatorDesc::Select(Expr::Ge(Expr::FieldRef(2), Expr::Lit(4))), calc);
+  graph.AddOperator(OperatorDesc::Project({2, 0}), keep);
+  const core::FusionPlan plan = core::PlanFusion(graph);
+  ASSERT_EQ(plan.clusters.size(), 1u);
+  auto lookup = [&](core::NodeId) -> const relational::Table& { return data; };
+  BufferArena arena;
+  auto measure = [&](int chunks) {
+    AllocationScope scope;
+    (void)core::ExecuteCluster(graph, plan.clusters[0], lookup, chunks, nullptr, &arena);
+    return scope.delta();
+  };
+  (void)measure(4);
+  (void)measure(448);
+  EXPECT_EQ(measure(448), measure(4));
 }
 
 }  // namespace

@@ -1,8 +1,11 @@
 // Property-based differential fuzzer for the execution stack.
 //
-// Each iteration draws a seeded random operator DAG (tests/core/random_graph.h
-// — the same generator the property suites use), computes the scalar
-// operator-at-a-time reference, then sweeps the executor configuration space:
+// Each iteration draws two seeded random operator DAGs from
+// tests/core/random_graph.h: one from MakeRandomQuery (the generator the
+// property suites use) and one from MakeRandomFusedQuery (PROJECT, PRODUCT,
+// terminal AGGREGATE, int32 SELECT trees, AND/OR/NOT and guarded-division
+// predicates). For each it computes the scalar operator-at-a-time
+// reference, then sweeps the executor configuration space:
 //
 //   * all four ExecutionStrategies, cold and with a shared BufferArena,
 //   * adaptive calibration on and off (a learning CostModelCalibrator is
@@ -177,14 +180,13 @@ bool CheckSinks(const core::ExecutionReport& report,
   return true;
 }
 
-// One fuzz iteration: the full configuration sweep over one random graph.
+// The full configuration sweep over one random graph `q` drawn for `seed`.
 // Returns false and fills `why` on the first oracle violation. When `tracer`
 // is set (KF_TRACE_DIR configured) every run is traced; the violating run's
 // span tree is dumped and its path returned in `trace_path`.
-bool RunIteration(std::uint64_t seed, const FaultProfile& profile,
-                  obs::Tracer* tracer, FuzzStats* stats, std::string* why,
-                  std::string* trace_path) {
-  const core::RandomQuery q = core::MakeRandomQuery(seed);
+bool RunGraph(const core::RandomQuery& q, std::uint64_t seed,
+              const FaultProfile& profile, obs::Tracer* tracer, FuzzStats* stats,
+              std::string* why, std::string* trace_path) {
   const std::map<core::NodeId, Table> truth = core::ReferenceResults(q);
   const bool faults = profile.config.AnyEnabled();
   // Unverified corruption runs are allowed to return wrong bytes — but only
@@ -391,19 +393,29 @@ int main(int argc, char** argv) {
     tracer = std::make_unique<obs::Tracer>();
   }
 
+  struct Generator {
+    const char* name;
+    core::RandomQuery (*make)(std::uint64_t);
+  };
+  const Generator generators[] = {{"MakeRandomQuery", core::MakeRandomQuery},
+                                  {"MakeRandomFusedQuery", core::MakeRandomFusedQuery}};
+
   FuzzStats stats;
   for (std::uint64_t i = 0; i < iters; ++i) {
     const std::uint64_t seed = base_seed + i;
     const FaultProfile& profile = profiles[i % profiles.size()];
-    std::string why;
-    std::string trace_path;
-    if (!RunIteration(seed, profile, tracer.get(), &stats, &why, &trace_path)) {
-      std::cerr << "FINDING: " << why << "\n"
-                << "graph:\n" << core::MakeRandomQuery(seed).graph.ToString()
-                << "REPRO: graph_fuzz --seed=" << seed
-                << " --iters=1 --profile=" << profile.name << "\n";
-      if (!trace_path.empty()) std::cerr << "TRACE: " << trace_path << "\n";
-      return 1;
+    for (const Generator& generator : generators) {
+      const core::RandomQuery q = generator.make(seed);
+      std::string why;
+      std::string trace_path;
+      if (!RunGraph(q, seed, profile, tracer.get(), &stats, &why, &trace_path)) {
+        std::cerr << "FINDING (" << generator.name << "): " << why << "\n"
+                  << "graph:\n" << q.graph.ToString()
+                  << "REPRO: graph_fuzz --seed=" << seed
+                  << " --iters=1 --profile=" << profile.name << "\n";
+        if (!trace_path.empty()) std::cerr << "TRACE: " << trace_path << "\n";
+        return 1;
+      }
     }
     if ((i + 1) % 100 == 0) {
       std::cout << "... " << (i + 1) << "/" << iters << " iterations, "
@@ -411,7 +423,8 @@ int main(int argc, char** argv) {
                 << " typed errors, " << stats.sharded_runs << " sharded\n";
     }
   }
-  std::cout << "OK: " << iters << " graphs, " << stats.runs << " runs ("
+  std::cout << "OK: " << iters << " iterations (" << 2 * iters << " graphs), "
+            << stats.runs << " runs ("
             << stats.sharded_runs << " sharded, " << stats.typed_errors
             << " typed errors under faults, " << stats.host_placed
             << " host-placed clusters, " << stats.corrupted_commands
