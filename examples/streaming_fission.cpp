@@ -7,11 +7,14 @@
 // Build & run:  ./build/examples/streaming_fission
 #include <fstream>
 #include <iostream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/table_printer.h"
 #include "core/query_executor.h"
 #include "core/select_chain.h"
-#include "sim/trace_export.h"
+#include "obs/tracer.h"
 #include "stream/stream_pool.h"
 
 int main() {
@@ -23,32 +26,43 @@ int main() {
   const int segments = 9;
   const std::uint64_t segment_bytes = MiB(256);
   std::vector<stream::StreamHandle> handles;
-  std::vector<sim::TraceCommand> trace_meta;
   for (int s = 0; s < 3; ++s) handles.push_back(pool.GetAvailableStream());
+
+  // Trace the pool: one leaf span per command under a root span.
+  obs::Tracer tracer;
+  obs::TraceContext trace;
+  trace.query_id = tracer.NextQueryId();
+  const obs::SpanId root =
+      tracer.BeginSpan(trace, 0, "fig13 pipeline", "host", 0.0);
+  stream::PoolTraceSink sink;
+  sink.tracer = &tracer;
+  sink.context = trace;
+  sink.parent = root;
+  pool.set_trace(std::move(sink));
 
   for (int s = 0; s < segments; ++s) {
     const stream::StreamHandle h = handles[static_cast<std::size_t>(s) % 3];
+    const std::string segment = "[" + std::to_string(s) + "]";
     pool.SetStreamCommand(
         h, {device.MakeCopy(segment_bytes, sim::CopyDirection::kHostToDevice,
-                            sim::HostMemoryKind::kPinned, "h2d"),
+                            sim::HostMemoryKind::kPinned, "h2d" + segment),
             {}});
-    trace_meta.push_back({sim::CommandKind::kCopyH2D, "h2d[" + std::to_string(s) + "]"});
     sim::KernelProfile kernel;
-    kernel.label = "select";
+    kernel.label = "select" + segment;
     kernel.elements = segment_bytes / 4;
     kernel.global_bytes_read = segment_bytes;
     kernel.global_bytes_written = segment_bytes / 2;
     kernel.memory_access_efficiency = 0.55;
     pool.SetStreamCommand(h, {device.MakeKernel(kernel), {}});
-    trace_meta.push_back({sim::CommandKind::kKernel, "select[" + std::to_string(s) + "]"});
     pool.SetStreamCommand(
         h, {device.MakeCopy(segment_bytes / 2, sim::CopyDirection::kDeviceToHost,
-                            sim::HostMemoryKind::kPinned, "d2h"),
+                            sim::HostMemoryKind::kPinned, "d2h" + segment),
             {}});
-    trace_meta.push_back({sim::CommandKind::kCopyD2H, "d2h[" + std::to_string(s) + "]"});
   }
   pool.StartStreams();
   const sim::TimelineStats& stats = pool.WaitAll();
+  tracer.EndSpan(trace, root, stats.makespan);
+  tracer.FinishQuery(trace, /*failed=*/false, "");
 
   // What serial execution of the same commands would cost.
   SimTime serial = 0;
@@ -71,10 +85,10 @@ int main() {
 
   // Export the schedule for chrome://tracing / ui.perfetto.dev.
   {
-    std::ofstream trace("fission_pipeline_trace.json");
-    trace << sim::ToChromeTrace(stats, trace_meta);
+    std::ofstream out("fission_pipeline_trace.json");
+    out << obs::ToSessionTrace(tracer);
   }
-  std::cout << "wrote fission_pipeline_trace.json (open in chrome://tracing)\n\n";
+  std::cout << "wrote fission_pipeline_trace.json (open in ui.perfetto.dev)\n\n";
 
   // --- 2. The executor's automatic fission on out-of-core data. --------------
   core::QueryExecutor executor(device);

@@ -222,7 +222,11 @@ MultiDeviceReport MultiDeviceExecutor::Run(
       fallback.host_fallback = true;
       return fallback;
     }
+    // The sink tables move to `combined` (only the sharded combine reads
+    // per-shard sink results); every other field is copied.
+    auto sink_results = std::exchange(shard.report.sink_results, {});
     out.combined = shard.report;
+    out.combined.sink_results = std::move(sink_results);
     shard.rows = 0;
     out.shards.push_back(std::move(shard));
     out.devices_used = 1;

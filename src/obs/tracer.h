@@ -14,8 +14,9 @@
 //   * ToSessionTrace() renders every recorded query into one Chrome
 //     trace-event JSON document (pid = device, tid = lane, flow events
 //     linking a query's spans across retries and shards) that loads directly
-//     in ui.perfetto.dev — the session-wide generalization of
-//     sim::ToChromeTrace's single-timeline view.
+//     in ui.perfetto.dev. It is the only Chrome exporter: a bare StreamPool
+//     run is exported by attaching a stream::PoolTraceSink (see
+//     examples/streaming_fission.cpp).
 //   * A bounded flight recorder retains the last N finished query trees; any
 //     query finishing with a typed failure dumps its full tree as JSON into
 //     `KF_TRACE_DIR` (or TracerOptions::trace_dir), so fuzz/soak/CI failures

@@ -46,51 +46,99 @@ std::string ExecOptionsKey(const core::ExecutorOptions& options) {
   return os.str();
 }
 
+// A one-device group mirroring `device`, so a standalone device serves
+// exactly as the only member of its group.
+std::unique_ptr<const sim::DeviceGroup> GroupOfOne(
+    const sim::DeviceSimulator& device) {
+  auto group = std::make_unique<sim::DeviceGroup>(
+      std::vector<sim::DeviceSpec>{device.spec()}, device.pcie().config(),
+      sim::RootComplexConfig{}, &device.metrics());
+  group->device(0).set_instance_label(device.instance_label());
+  return group;
+}
+
 }  // namespace
+
+QueryScheduler::DeviceHealth::Admission QueryScheduler::DeviceHealth::Admit() {
+  if (!open) return Admission::kAdmit;
+  ++open_batches;
+  return probe_interval > 0 && open_batches % probe_interval == 0
+             ? Admission::kProbe
+             : Admission::kDrain;
+}
+
+bool QueryScheduler::DeviceHealth::RecordBad() {
+  ++score;
+  if (open || threshold == 0 || score < threshold) return false;
+  open = true;
+  open_batches = 0;
+  return true;
+}
+
+bool QueryScheduler::DeviceHealth::RecordGood() {
+  if (open) {
+    open = false;
+    score = 0;
+    return true;
+  }
+  score = decay == Decay::kHalve ? score / 2 : 0;
+  return false;
+}
 
 QueryScheduler::QueryScheduler(const sim::DeviceSimulator& device,
                                SchedulerOptions options)
-    : device_(device),
+    : QueryScheduler(GroupOfOne(device), nullptr, std::move(options)) {}
+
+QueryScheduler::QueryScheduler(const sim::DeviceGroup& group,
+                               SchedulerOptions options)
+    : QueryScheduler(nullptr, &group, std::move(options)) {}
+
+QueryScheduler::QueryScheduler(std::unique_ptr<const sim::DeviceGroup> owned_group,
+                               const sim::DeviceGroup* group,
+                               SchedulerOptions options)
+    : owned_group_(std::move(owned_group)),
+      group_(owned_group_ != nullptr ? *owned_group_ : *group),
       options_(std::move(options)),
-      executor_(device_, options_.cost_model, options_.execution_pool),
+      runner_(group_, options_.cost_model, options_.execution_pool),
       plan_cache_(options_.plan_cache_capacity, options_.metrics),
       started_(!options_.start_paused) {
   if (options_.worker_count == 0) options_.worker_count = 1;
   if (options_.max_batch == 0) options_.max_batch = 1;
   if (options_.max_queue_depth == 0) options_.max_queue_depth = 1;
-  if (options_.device_group != nullptr) {
-    group_executor_ = std::make_unique<core::MultiDeviceExecutor>(
-        *options_.device_group, options_.cost_model, options_.execution_pool);
-    device_states_.resize(
-        static_cast<std::size_t>(options_.device_group->device_count()));
-  }
+  // Quarantine drains a device to its siblings; a lone device has none, so
+  // it is never quarantined (its corrupt batches still heal by verified
+  // re-execution).
+  const std::size_t quarantine_threshold =
+      group_.device_count() > 1 ? options_.quarantine_threshold : 0;
+  devices_.assign(static_cast<std::size_t>(group_.device_count()),
+                  DeviceState{0.0,
+                              {options_.breaker_threshold,
+                               options_.breaker_probe_interval,
+                               DeviceHealth::Decay::kReset},
+                              {quarantine_threshold,
+                               options_.quarantine_probe_interval,
+                               DeviceHealth::Decay::kHalve}});
   workers_.reserve(options_.worker_count);
   for (std::size_t i = 0; i < options_.worker_count; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
   }
 }
 
-namespace {
-SchedulerOptions WithGroup(SchedulerOptions options, const sim::DeviceGroup* group) {
-  options.device_group = group;
-  return options;
-}
-}  // namespace
-
-QueryScheduler::QueryScheduler(const sim::DeviceGroup& group,
-                               SchedulerOptions options)
-    : QueryScheduler(group.device(0), WithGroup(std::move(options), &group)) {}
-
 QueryScheduler::~QueryScheduler() { Shutdown(); }
 
-void QueryScheduler::BeginJobTrace(Job& job) {
-  if (options_.tracer == nullptr) return;
-  job.trace.query_id = options_.tracer->NextQueryId();
-  job.root_span =
-      options_.tracer->BeginSpan(job.trace, 0, "query", "scheduler", job.sim_submit);
-  job.queue_span = options_.tracer->BeginSpan(job.trace, job.root_span,
-                                              "queue wait", "scheduler",
-                                              job.sim_submit);
+void QueryScheduler::Enqueue(JobPtr job) {
+  job->sim_submit = sim_clock_;
+  job->wall_submit = std::chrono::steady_clock::now();
+  if (options_.tracer != nullptr) {
+    job->trace.query_id = options_.tracer->NextQueryId();
+    job->root_span = options_.tracer->BeginSpan(job->trace, 0, "query",
+                                                "scheduler", job->sim_submit);
+    job->queue_span = options_.tracer->BeginSpan(
+        job->trace, job->root_span, "queue wait", "scheduler", job->sim_submit);
+  }
+  queue_.push_back(std::move(job));
+  metrics().GetCounter("server.submitted").Increment();
+  metrics().GetGauge("server.queue_depth").Set(static_cast<double>(queue_.size()));
 }
 
 std::future<QueryResult> QueryScheduler::Submit(QueryRequest request) {
@@ -103,12 +151,7 @@ std::future<QueryResult> QueryScheduler::Submit(QueryRequest request) {
       return stopping_ || queue_.size() < options_.max_queue_depth;
     });
     KF_REQUIRE_AS(::kf::Cancelled, !stopping_) << "QueryScheduler is shut down";
-    job->sim_submit = sim_clock_;
-    job->wall_submit = std::chrono::steady_clock::now();
-    BeginJobTrace(*job);
-    queue_.push_back(std::move(job));
-    metrics().GetCounter("server.submitted").Increment();
-    metrics().GetGauge("server.queue_depth").Set(static_cast<double>(queue_.size()));
+    Enqueue(std::move(job));
   }
   work_available_.notify_one();
   return future;
@@ -125,12 +168,7 @@ std::optional<std::future<QueryResult>> QueryScheduler::TrySubmit(
       metrics().GetCounter("server.rejected").Increment();
       return std::nullopt;
     }
-    job->sim_submit = sim_clock_;
-    job->wall_submit = std::chrono::steady_clock::now();
-    BeginJobTrace(*job);
-    queue_.push_back(std::move(job));
-    metrics().GetCounter("server.submitted").Increment();
-    metrics().GetGauge("server.queue_depth").Set(static_cast<double>(queue_.size()));
+    Enqueue(std::move(job));
   }
   work_available_.notify_one();
   return future;
@@ -195,75 +233,38 @@ std::size_t QueryScheduler::queue_depth() const {
 
 bool QueryScheduler::breaker_open() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return breaker_open_;
+  return std::all_of(devices_.begin(), devices_.end(),
+                     [](const DeviceState& state) { return state.breaker.open; });
 }
 
 bool QueryScheduler::breaker_open(int device) const {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (device < 0 || device >= static_cast<int>(device_states_.size())) return false;
-  return device_states_[static_cast<std::size_t>(device)].breaker_open;
+  if (device < 0 || device >= static_cast<int>(devices_.size())) return false;
+  return devices_[static_cast<std::size_t>(device)].breaker.open;
 }
 
 bool QueryScheduler::quarantined(int device) const {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (device < 0 || device >= static_cast<int>(device_states_.size())) return false;
-  return device_states_[static_cast<std::size_t>(device)].quarantined;
+  if (device < 0 || device >= static_cast<int>(devices_.size())) return false;
+  return devices_[static_cast<std::size_t>(device)].quarantine.open;
 }
 
 std::size_t QueryScheduler::corruption_score(int device) const {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (device < 0 || device >= static_cast<int>(device_states_.size())) return 0;
-  return device_states_[static_cast<std::size_t>(device)].corruption_score;
-}
-
-bool QueryScheduler::RecordDeviceFault() {
-  bool opened = false;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++consecutive_faults_;
-    if (!breaker_open_ && options_.breaker_threshold > 0 &&
-        consecutive_faults_ >= options_.breaker_threshold) {
-      breaker_open_ = true;
-      breaker_batches_ = 0;
-      opened = true;
-    }
-  }
-  if (opened) metrics().GetCounter("resilience.breaker_opened").Increment();
-  return opened;
-}
-
-bool QueryScheduler::RecordDeviceSuccess() {
-  bool closed = false;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    consecutive_faults_ = 0;
-    if (breaker_open_) {
-      breaker_open_ = false;
-      closed = true;
-    }
-  }
-  if (closed) metrics().GetCounter("resilience.breaker_closed").Increment();
-  return closed;
+  if (device < 0 || device >= static_cast<int>(devices_.size())) return 0;
+  return devices_[static_cast<std::size_t>(device)].quarantine.score;
 }
 
 bool QueryScheduler::RecordDeviceFault(int device) {
   bool opened = false;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    DeviceState& state = device_states_.at(static_cast<std::size_t>(device));
-    ++state.consecutive_faults;
-    if (!state.breaker_open && options_.breaker_threshold > 0 &&
-        state.consecutive_faults >= options_.breaker_threshold) {
-      state.breaker_open = true;
-      state.breaker_batches = 0;
-      opened = true;
-    }
+    opened = devices_.at(static_cast<std::size_t>(device)).breaker.RecordBad();
   }
   if (opened) {
-    const std::string& label =
-        options_.device_group->device(device).instance_label();
     metrics().GetCounter("resilience.breaker_opened").Increment();
-    metrics().GetCounter("server.device.breaker_opened", {{"device", label}})
+    metrics()
+        .GetCounter("server.device.breaker_opened", {{"device", DeviceLabel(device)}})
         .Increment();
   }
   return opened;
@@ -273,18 +274,12 @@ bool QueryScheduler::RecordDeviceSuccess(int device) {
   bool closed = false;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    DeviceState& state = device_states_.at(static_cast<std::size_t>(device));
-    state.consecutive_faults = 0;
-    if (state.breaker_open) {
-      state.breaker_open = false;
-      closed = true;
-    }
+    closed = devices_.at(static_cast<std::size_t>(device)).breaker.RecordGood();
   }
   if (closed) {
-    const std::string& label =
-        options_.device_group->device(device).instance_label();
     metrics().GetCounter("resilience.breaker_closed").Increment();
-    metrics().GetCounter("server.device.breaker_closed", {{"device", label}})
+    metrics()
+        .GetCounter("server.device.breaker_closed", {{"device", DeviceLabel(device)}})
         .Increment();
   }
   return closed;
@@ -294,17 +289,9 @@ bool QueryScheduler::RecordDeviceCorruption(int device, std::size_t detected) {
   bool opened = false;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    DeviceState& state = device_states_.at(static_cast<std::size_t>(device));
-    ++state.corruption_score;
-    if (!state.quarantined && options_.quarantine_threshold > 0 &&
-        state.corruption_score >= options_.quarantine_threshold) {
-      state.quarantined = true;
-      state.quarantine_batches = 0;
-      opened = true;
-    }
+    opened = devices_.at(static_cast<std::size_t>(device)).quarantine.RecordBad();
   }
-  const std::string& label =
-      options_.device_group->device(device).instance_label();
+  const std::string& label = DeviceLabel(device);
   metrics().GetCounter("server.device.corrupt_batches", {{"device", label}})
       .Increment();
   metrics()
@@ -322,21 +309,14 @@ bool QueryScheduler::RecordDeviceClean(int device) {
   bool closed = false;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    DeviceState& state = device_states_.at(static_cast<std::size_t>(device));
-    state.corruption_score /= 2;
-    if (state.quarantined) {
-      // A clean batch while quarantined is necessarily a probe (nothing else
-      // lands here) — the device is delivering honest bytes again.
-      state.quarantined = false;
-      state.corruption_score = 0;
-      closed = true;
-    }
+    // A clean batch while quarantined is necessarily a probe (nothing else
+    // lands there): the device delivers honest bytes again.
+    closed = devices_.at(static_cast<std::size_t>(device)).quarantine.RecordGood();
   }
   if (closed) {
-    const std::string& label =
-        options_.device_group->device(device).instance_label();
     metrics().GetCounter("integrity.quarantine_closed").Increment();
-    metrics().GetCounter("server.device.unquarantined", {{"device", label}})
+    metrics()
+        .GetCounter("server.device.unquarantined", {{"device", DeviceLabel(device)}})
         .Increment();
   }
   return closed;
@@ -394,6 +374,7 @@ void QueryScheduler::WorkerLoop() {
   for (;;) {
     std::vector<JobPtr> batch;
     std::uint64_t batch_bytes = 0;
+    double pickup_sim = 0.0;
     {
       std::unique_lock<std::mutex> lock(mutex_);
       work_available_.wait(
@@ -415,17 +396,14 @@ void QueryScheduler::WorkerLoop() {
       }
       metrics().GetGauge("server.queue_depth").Set(static_cast<double>(queue_.size()));
 
-      // Admission control: concurrent batches share the device's memory; a
+      // Admission control: concurrent batches share the group's memory; a
       // batch whose estimated footprint does not fit waits until enough
       // in-flight work retires (an oversized batch runs when nothing else
       // is executing, so progress is guaranteed).
       batch_bytes = EstimateBytes(batch);
-      std::uint64_t capacity = device_.spec().mem_capacity_bytes;
-      if (options_.device_group != nullptr) {
-        capacity = 0;  // group mode: batches share the fleet's memory
-        for (int d = 0; d < options_.device_group->device_count(); ++d) {
-          capacity += options_.device_group->device(d).spec().mem_capacity_bytes;
-        }
+      std::uint64_t capacity = 0;
+      for (int d = 0; d < group_.device_count(); ++d) {
+        capacity += group_.device(d).spec().mem_capacity_bytes;
       }
       const auto allowance = static_cast<std::uint64_t>(
           static_cast<double>(capacity) * options_.admission_memory_fraction);
@@ -436,8 +414,21 @@ void QueryScheduler::WorkerLoop() {
       ++executing_;
       metrics().GetGauge("server.inflight_bytes")
           .Set(static_cast<double>(inflight_bytes_));
+      pickup_sim = sim_clock_;
     }
     space_available_.notify_all();
+
+    // Pickup ends every job's queue wait, once: a merged batch's solo
+    // fallback reruns do not pass through here.
+    const auto pickup = std::chrono::steady_clock::now();
+    for (const JobPtr& job : batch) {
+      job->queue_wait =
+          std::chrono::duration<double>(pickup - job->wall_submit).count();
+      metrics().GetHistogram("server.queue_wait_seconds").Record(job->queue_wait);
+      if (job->queue_span != 0) {
+        options_.tracer->EndSpan(job->trace, job->queue_span, pickup_sim);
+      }
+    }
 
     ExecuteBatch(std::move(batch), &arena);
 
@@ -455,26 +446,72 @@ void QueryScheduler::WorkerLoop() {
   }
 }
 
-void QueryScheduler::ExecuteBatch(std::vector<JobPtr> batch,
-                                  kf::BufferArena* arena) {
-  const auto pickup = std::chrono::steady_clock::now();
+QueryScheduler::Placement QueryScheduler::Place(const std::vector<JobPtr>& batch,
+                                                bool shard) {
+  // Predicted start on the virtual clocks: no earlier than any member's
+  // submit nor any placed device's busy-until time. Exact with one worker;
+  // an estimate when workers race.
+  Placement placement;
   for (const JobPtr& job : batch) {
-    const double wait =
-        std::chrono::duration<double>(pickup - job->wall_submit).count();
-    job->queue_wait = wait;
-    metrics().GetHistogram("server.queue_wait_seconds").Record(wait);
+    placement.start = std::max(placement.start, job->sim_submit);
   }
-
-  obs::Tracer* const tracer = options_.tracer;
-  const double pickup_sim = sim_clock();
-  if (tracer != nullptr) {
-    for (const JobPtr& job : batch) {
-      if (job->queue_span != 0) {
-        tracer->EndSpan(job->trace, job->queue_span, pickup_sim);
-        job->queue_span = 0;  // merge-fallback solo reruns must not re-end it
+  std::vector<int> breaker_probes;
+  std::vector<int> quarantine_probes;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    using Admission = DeviceHealth::Admission;
+    std::vector<int> available;
+    std::size_t least_loaded = 0;
+    std::size_t best = devices_.size();  // least-loaded available device
+    for (std::size_t d = 0; d < devices_.size(); ++d) {
+      DeviceState& state = devices_[d];
+      if (state.clock < devices_[least_loaded].clock) least_loaded = d;
+      // Both policies see every placement round (their probe cadences count
+      // rounds independently); a device is usable when neither drains it.
+      const Admission breaker = state.breaker.Admit();
+      const Admission quarantine = state.quarantine.Admit();
+      if (breaker == Admission::kProbe) breaker_probes.push_back(static_cast<int>(d));
+      if (quarantine == Admission::kProbe) {
+        quarantine_probes.push_back(static_cast<int>(d));
       }
+      if (breaker == Admission::kDrain || quarantine == Admission::kDrain) continue;
+      available.push_back(static_cast<int>(d));
+      if (best == devices_.size() || state.clock < devices_[best].clock) best = d;
+    }
+    if (available.empty()) {
+      placement.host_route = true;
+      placement.devices.push_back(static_cast<int>(least_loaded));
+    } else if (shard && available.size() > 1) {
+      placement.devices = std::move(available);
+    } else {
+      placement.devices.push_back(static_cast<int>(best));
+    }
+    for (int d : placement.devices) {
+      placement.start =
+          std::max(placement.start, devices_[static_cast<std::size_t>(d)].clock);
     }
   }
+  for (int d : breaker_probes) {
+    metrics().GetCounter("resilience.breaker_probes").Increment();
+    metrics()
+        .GetCounter("server.device.breaker_probes", {{"device", DeviceLabel(d)}})
+        .Increment();
+  }
+  for (int d : quarantine_probes) {
+    metrics()
+        .GetCounter("server.device.quarantine_probes", {{"device", DeviceLabel(d)}})
+        .Increment();
+  }
+  if (placement.host_route) {
+    metrics().GetCounter("resilience.breaker_rerouted").Increment();
+  }
+  return placement;
+}
+
+void QueryScheduler::ExecuteBatch(std::vector<JobPtr> batch,
+                                  kf::BufferArena* arena) {
+  obs::Tracer* const tracer = options_.tracer;
+  const double pickup_sim = sim_clock();
   Job& leader = *batch.front();
   // The scheduler only wires executor tracing when the request left
   // ExecutorOptions::tracer unset (per-query settings always win).
@@ -550,40 +587,16 @@ void QueryScheduler::ExecuteBatch(std::vector<JobPtr> batch,
         *exec_graph, core::EffectiveFusionOptions(options), &cache_hit,
         plan_version);
     options.plan = &plan;
-
-    const bool group_mode = group_executor_ != nullptr;
-
-    // Circuit breaker (single-device mode): while open, batches run
-    // host-side except for the periodic probe that tests whether the device
-    // recovered. Group mode does per-device breakers inside the placement
-    // step below instead.
-    bool probing = false;
-    if (!group_mode) {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (breaker_open_) {
-        ++breaker_batches_;
-        if (options_.breaker_probe_interval > 0 &&
-            breaker_batches_ % options_.breaker_probe_interval == 0) {
-          probing = true;
-        } else {
-          options.force_host = true;
-        }
-      }
-    }
-    if (options.force_host && !batch.front()->request.options.force_host) {
-      metrics().GetCounter("resilience.breaker_rerouted").Increment();
-    }
-    if (probing) metrics().GetCounter("resilience.breaker_probes").Increment();
+    const bool shardable = batch.front()->request.allow_sharding &&
+                           core::MultiDeviceExecutor::Shardable(*exec_graph);
 
     // Whole-query retry: a device fault thrown before the executor could
     // recover internally (e.g. an injected reservation failure) re-runs the
-    // batch up to query_retry_limit times. In group mode placement runs
-    // inside the loop, so a retried batch can land on a different (healthy)
-    // device than the one that faulted.
-    core::ExecutionReport report;
-    core::MultiDeviceReport group_report;
-    std::vector<int> placement;
-    bool host_route = false;
+    // batch up to query_retry_limit times. Placement runs inside the loop,
+    // so a retried batch can land on a different (healthy) device than the
+    // one that faulted.
+    core::MultiDeviceReport run;
+    Placement placement;
     std::size_t device_retries = 0;
     for (;;) {
       attempt_start = pickup_sim;
@@ -607,134 +620,30 @@ void QueryScheduler::ExecuteBatch(std::vector<JobPtr> batch,
         }
       }
       try {
-        if (!group_mode) {
-          if (sched_trace) {
-            options.tracer = tracer;
-            options.trace = leader.trace;
-            options.trace.sim_offset = attempt_start;
-            options.trace_parent = attempt_span;
-          }
-          report = executor_.Execute(*exec_graph, *exec_sources, options);
-          break;
-        }
-
-        // Placement: healthy devices (breaker closed, not quarantined) plus
-        // any unhealthy device whose probe is due; least-loaded device for
-        // whole queries, every available device for sharding opt-ins. No
-        // device available routes the batch host-side (accounted on the
-        // least-loaded device).
-        placement.clear();
-        host_route = false;
-        std::vector<int> probes;
-        std::vector<int> quarantine_probes;
-        // Predicted batch start on the group's virtual clocks: no earlier
-        // than any member's submit nor any placed device's busy-until time.
-        // Exact with one worker; an estimate when workers race.
-        double group_start = 0.0;
-        for (const JobPtr& job : batch) {
-          group_start = std::max(group_start, job->sim_submit);
-        }
-        {
-          std::lock_guard<std::mutex> lock(mutex_);
-          std::vector<int> available;
-          int least_loaded_any = 0;
-          for (int d = 0; d < static_cast<int>(device_states_.size()); ++d) {
-            DeviceState& state = device_states_[static_cast<std::size_t>(d)];
-            if (state.clock <
-                device_states_[static_cast<std::size_t>(least_loaded_any)].clock) {
-              least_loaded_any = d;
-            }
-            bool usable = true;
-            if (state.breaker_open) {
-              usable = false;
-              ++state.breaker_batches;
-              if (options_.breaker_probe_interval > 0 &&
-                  state.breaker_batches % options_.breaker_probe_interval == 0) {
-                usable = true;  // probe: one batch tries the device
-                probes.push_back(d);
-              }
-            }
-            if (state.quarantined) {
-              // A persistent corrupter drains to its siblings; every
-              // `quarantine_probe_interval`-th batch sends it one probe whose
-              // verified result decides re-admission.
-              bool probe_due = false;
-              ++state.quarantine_batches;
-              if (options_.quarantine_probe_interval > 0 &&
-                  state.quarantine_batches %
-                          options_.quarantine_probe_interval == 0) {
-                probe_due = true;
-                quarantine_probes.push_back(d);
-              }
-              usable = usable && probe_due;
-            }
-            if (usable) available.push_back(d);
-          }
-          if (available.empty()) {
-            host_route = true;
-            placement.push_back(least_loaded_any);
-          } else if (batch.front()->request.allow_sharding &&
-                     available.size() > 1 &&
-                     core::MultiDeviceExecutor::Shardable(*exec_graph)) {
-            placement = available;
-          } else {
-            int best = available.front();
-            for (int d : available) {
-              if (device_states_[static_cast<std::size_t>(d)].clock <
-                  device_states_[static_cast<std::size_t>(best)].clock) {
-                best = d;
-              }
-            }
-            placement.push_back(best);
-          }
-          for (int d : placement) {
-            group_start = std::max(
-                group_start, device_states_[static_cast<std::size_t>(d)].clock);
-          }
-        }
-        for (int d : probes) {
-          metrics()
-              .GetCounter(
-                  "server.device.breaker_probes",
-                  {{"device", options_.device_group->device(d).instance_label()}})
-              .Increment();
-        }
-        for (int d : quarantine_probes) {
-          metrics()
-              .GetCounter(
-                  "server.device.quarantine_probes",
-                  {{"device", options_.device_group->device(d).instance_label()}})
-              .Increment();
-        }
-        if (host_route) {
-          metrics().GetCounter("resilience.breaker_rerouted").Increment();
-        }
-
+        placement = Place(batch, shardable);
         if (sched_trace) {
-          attempt_start = group_start;
+          attempt_start = placement.start;
           std::ostringstream os;
-          os << (host_route ? "host route, accounted on device"
-                            : "placed on device");
-          for (int d : placement) os << ' ' << d;
+          os << (placement.host_route ? "host route, accounted on device"
+                                      : "placed on device");
+          for (int d : placement.devices) os << ' ' << d;
           tracer->Annotate(leader.trace, attempt_span,
                            obs::SpanAnnotationKind::kPlacement, os.str(),
-                           group_start);
+                           placement.start);
           options.tracer = tracer;
           options.trace = leader.trace;
-          options.trace.sim_offset = group_start;
+          options.trace.sim_offset = placement.start;
           options.trace_parent = attempt_span;
         }
 
         core::MultiDeviceOptions group_options;
         group_options.base = options;
-        group_options.base.force_host = options.force_host || host_route;
+        group_options.base.force_host = options.force_host || placement.host_route;
         group_options.split = options_.shard_split;
         group_options.per_device_injectors = options_.device_injectors;
         group_options.per_device_calibrations = options_.device_calibrations;
-        group_options.devices = placement;
-        group_report =
-            group_executor_->Execute(*exec_graph, *exec_sources, group_options);
-        report = group_report.combined;
+        group_options.devices = placement.devices;
+        run = runner_.Execute(*exec_graph, *exec_sources, group_options);
         break;
       } catch (const ::kf::Error& e) {
         if (e.code() != ::kf::ErrorCode::kDeviceFault) throw;
@@ -746,11 +655,7 @@ void QueryScheduler::ExecuteBatch(std::vector<JobPtr> batch,
           attempt_span = 0;
         }
         bool opened = false;
-        if (!group_mode) {
-          opened = RecordDeviceFault();
-        } else {
-          for (int d : placement) opened = RecordDeviceFault(d) || opened;
-        }
+        for (int d : placement.devices) opened = RecordDeviceFault(d) || opened;
         if (sched_trace && opened) {
           tracer->Annotate(leader.trace, leader.root_span,
                            obs::SpanAnnotationKind::kBreakerOpen,
@@ -778,29 +683,13 @@ void QueryScheduler::ExecuteBatch(std::vector<JobPtr> batch,
                          attempt_start);
       }
     };
-    if (!group_mode) {
-      if (!options.force_host) {
-        // A degraded run means the device kept failing (the executor gave up
-        // and reran clusters on the host) — that feeds the breaker; a clean
-        // or internally-recovered run closes it.
-        if (report.degraded) {
-          if (RecordDeviceFault()) {
-            annotate_root(obs::SpanAnnotationKind::kBreakerOpen,
-                          "circuit breaker opened");
-          }
-        } else if (RecordDeviceSuccess()) {
-          annotate_root(obs::SpanAnnotationKind::kBreakerClose,
-                        "circuit breaker closed");
-        }
-      }
-    } else if (!host_route && !options.force_host &&
-               !group_report.host_fallback) {
-      // Per-shard breaker feed: only the device whose shard degraded takes
+    if (!placement.host_route && !options.force_host && !run.host_fallback) {
+      // Per-shard health feed: only the device whose shard degraded takes
       // the fault; its siblings' clean shards close their breakers. The same
       // shard reports feed the corruption scores: a shard whose verification
       // caught wrong bytes marks its device as a corrupter, a clean shard
       // decays the score (and re-admits a quarantined device it probed).
-      for (const core::ShardReport& shard : group_report.shards) {
+      for (const core::ShardReport& shard : run.shards) {
         if (shard.report.ran_on_host) continue;
         const std::string dev = std::to_string(shard.device);
         if (shard.report.degraded) {
@@ -825,39 +714,33 @@ void QueryScheduler::ExecuteBatch(std::vector<JobPtr> batch,
       }
     }
 
+    // The batch starts when every involved device is free and no earlier
+    // than its latest member's submit time; all involved device clocks
+    // advance to the shared completion time.
+    const core::ExecutionReport& report = run.combined;
     double complete = 0.0;
-    if (!group_mode) {
-      std::lock_guard<std::mutex> lock(mutex_);
-      sim_clock_ += report.makespan;
-      complete = sim_clock_;
-    } else {
-      // The batch starts when every involved device is free and no earlier
-      // than its latest member's submit time; all involved device clocks
-      // advance to the shared completion time.
+    {
       std::lock_guard<std::mutex> lock(mutex_);
       double start = 0.0;
       for (const JobPtr& job : batch) start = std::max(start, job->sim_submit);
-      for (int d : placement) {
-        start = std::max(start, device_states_[static_cast<std::size_t>(d)].clock);
+      for (int d : placement.devices) {
+        start = std::max(start, devices_[static_cast<std::size_t>(d)].clock);
       }
       complete = start + report.makespan;
-      for (int d : placement) {
-        device_states_[static_cast<std::size_t>(d)].clock = complete;
+      for (int d : placement.devices) {
+        devices_[static_cast<std::size_t>(d)].clock = complete;
       }
       sim_clock_ = std::max(sim_clock_, complete);
     }
-    if (group_mode) {
-      for (int d : placement) {
-        const std::string& label =
-            options_.device_group->device(d).instance_label();
-        metrics().GetCounter("server.device.batches", {{"device", label}})
-            .Increment();
-        metrics().GetGauge("server.device.sim_seconds", {{"device", label}})
-            .Set(complete);
-      }
-      if (group_report.sharded) {
-        metrics().GetCounter("server.device.sharded_batches").Increment();
-      }
+    for (int d : placement.devices) {
+      const std::string& label = DeviceLabel(d);
+      metrics().GetCounter("server.device.batches", {{"device", label}})
+          .Increment();
+      metrics().GetGauge("server.device.sim_seconds", {{"device", label}})
+          .Set(complete);
+    }
+    if (run.sharded) {
+      metrics().GetCounter("server.device.sharded_batches").Increment();
     }
     metrics().GetCounter("server.batches").Increment();
     metrics().GetHistogram("server.batch_size")
@@ -873,32 +756,31 @@ void QueryScheduler::ExecuteBatch(std::vector<JobPtr> batch,
       attempt_span = 0;
     }
 
-    core::ExecutionReport shared = report;
-    shared.sink_results.clear();
+    // Every query gets the run's report without the sink tables, which are
+    // taken out first and routed per query below.
+    const std::map<NodeId, Table> sinks =
+        std::exchange(run.combined.sink_results, {});
     for (std::size_t j = 0; j < batch.size(); ++j) {
       JobPtr& job = batch[j];
       QueryResult result;
-      result.report = shared;
+      result.report = report;
       result.batch_size = batch.size();
       result.merged = merged;
       result.plan_cache_hit = cache_hit;
       result.degraded = report.degraded;
       result.ran_on_host = report.ran_on_host;
       result.device_retries = device_retries;
-      if (group_mode) {
-        result.device = !group_report.shards.empty()
-                            ? group_report.shards.front().device
-                            : (placement.empty() ? 0 : placement.front());
-        result.devices_used = group_report.devices_used;
-        result.sharded = group_report.sharded;
-      }
+      result.device = !run.shards.empty() ? run.shards.front().device
+                                          : placement.devices.front();
+      result.devices_used = run.devices_used;
+      result.sharded = run.sharded;
       result.sim_submit = job->sim_submit;
       result.sim_complete = complete;
       result.queue_wait_seconds = job->queue_wait;
       for (NodeId sink : job->request.graph.Sinks()) {
         const NodeId mapped = merged ? mappings[j].at(sink) : sink;
-        auto it = report.sink_results.find(mapped);
-        if (it != report.sink_results.end()) {
+        auto it = sinks.find(mapped);
+        if (it != sinks.end()) {
           result.results.emplace(sink, it->second);
         } else if (job->request.graph.node(sink).is_source) {
           // A bare source "query" — in a merged graph another query's
@@ -906,6 +788,11 @@ void QueryScheduler::ExecuteBatch(std::vector<JobPtr> batch,
           result.results.emplace(sink, job->request.sources.at(sink));
         }
       }
+      // Free the request (graph and source tables) before fulfilling its
+      // promise: a caller woken by the result then never races this
+      // thread's frees, so where its next allocations land in the heap does
+      // not depend on thread timing.
+      job->request = QueryRequest{};
       result.wall_latency_seconds = SecondsSince(job->wall_submit);
       result.trace_query_id = job->trace.query_id;
       metrics().GetHistogram("server.query_latency_seconds")

@@ -11,13 +11,23 @@
 // controller arbitrates the simulated device's 6 GB memory across
 // concurrent batches.
 //
-// Device-time accounting: the simulated device is one shared resource, so
-// the scheduler keeps a virtual device clock — each executed batch advances
-// it by the batch's simulated makespan, and every query records its
-// simulated submit/complete times against that clock. Batching helps
+// One serving path: every scheduler serves a `sim::DeviceGroup` through
+// `core::MultiDeviceExecutor`; a standalone device is served as a group of
+// one that mirrors it.
+//
+// Device-time accounting: each device is one shared resource, so the
+// scheduler keeps a virtual clock per device — a batch starts when its
+// devices are free (and no earlier than its latest member's submit) and
+// advances them by its simulated makespan, and every query records its
+// simulated submit/complete times against those clocks. Batching helps
 // because a merged batch's makespan is far less than the sum of its members'
 // solo makespans (shared scans amortize PCIe transfers); wall-clock
 // concurrency additionally overlaps the host-side functional execution.
+//
+// Device health: each device runs a circuit breaker (fed by loud faults) and
+// a corruption quarantine (fed by detected corruption), two instances of one
+// DeviceHealth policy. A drained device's batches go to its siblings, or
+// host-side when every device is drained.
 //
 // Determinism: with `worker_count = 1` and paused start (submit everything,
 // then Start()), batching, plan-cache hits, and all simulated times are
@@ -46,7 +56,6 @@
 #include "obs/metrics_registry.h"
 #include "obs/tracer.h"
 #include "server/plan_cache.h"
-#include "sim/device_group.h"
 #include "sim/device_simulator.h"
 
 namespace kf::server {
@@ -63,10 +72,10 @@ struct QueryRequest {
   core::ExecutorOptions options;
   std::string merge_class;
 
-  // Group mode only: allow this query to be sharded across every healthy
-  // device of the group (when its graph is shardable — see
-  // core::MultiDeviceExecutor::Shardable). Off, the query runs whole on the
-  // least-loaded device. Part of batch compatibility.
+  // Allow this query to be sharded across every healthy device of the group
+  // (when its graph is shardable — see core::MultiDeviceExecutor::Shardable).
+  // Off, the query runs whole on the least-loaded device. Part of batch
+  // compatibility.
   bool allow_sharding = false;
 };
 
@@ -90,8 +99,9 @@ struct QueryResult {
   bool ran_on_host = false;       // circuit breaker routed the run host-side
   std::size_t device_retries = 0; // whole-query re-runs after kf::DeviceFault
 
-  // Where the run landed (group mode; single-device schedulers report
-  // device 0). For sharded runs `device` is the first shard's device.
+  // Group index of the device the run landed on (a standalone device is
+  // device 0 of its group of one). For sharded runs `device` is the first
+  // shard's device.
   int device = 0;
   int devices_used = 1;
   bool sharded = false;
@@ -161,10 +171,12 @@ struct SchedulerOptions {
   // injected reservation fault) before the error reaches the futures.
   std::size_t query_retry_limit = 2;
 
-  // Circuit breaker: after `breaker_threshold` consecutive device faults the
-  // breaker opens and new batches run host-side (force_host); every
-  // `breaker_probe_interval`-th batch while open probes the device, and a
-  // successful probe closes the breaker. A threshold of 0 disables it.
+  // Per-device circuit breaker: after `breaker_threshold` consecutive device
+  // faults (thrown kf::DeviceFault or degraded runs) on a device its breaker
+  // opens and new batches drain to its siblings — host-side (force_host)
+  // when every breaker is open; every `breaker_probe_interval`-th batch while
+  // open probes the device, and a successful probe closes the breaker. A
+  // threshold of 0 disables it.
   std::size_t breaker_threshold = 4;
   std::size_t breaker_probe_interval = 4;
 
@@ -172,13 +184,15 @@ struct SchedulerOptions {
   // integrity fully off (per-query `ExecutorOptions::integrity` wins).
   core::IntegrityOptions integrity;
 
-  // Device quarantine (group mode): every batch with detected corruption on
-  // a device adds 1 to that device's corruption score, every clean batch
-  // halves it; at `quarantine_threshold` the device is quarantined — new
-  // batches drain to its siblings (or host when none are left) — and every
+  // Device quarantine: every batch with detected corruption on a device adds
+  // 1 to that device's corruption score, every clean batch halves it; at
+  // `quarantine_threshold` the device is quarantined — new batches drain to
+  // its siblings (or host when none are left) — and every
   // `quarantine_probe_interval`-th batch while quarantined probes it, a
-  // clean probe re-admitting it. 0 disables quarantine. Mirrors the circuit
-  // breaker, but keyed on *corruption* (wrong bytes) instead of loud faults.
+  // clean probe re-admitting it. 0 disables quarantine. The breaker's policy,
+  // keyed on *corruption* (wrong bytes) instead of loud faults. A lone device
+  // has no sibling to drain to, so it is never quarantined; its corrupt
+  // batches still heal by verified re-execution.
   std::size_t quarantine_threshold = 3;
   std::size_t quarantine_probe_interval = 4;
 
@@ -186,21 +200,11 @@ struct SchedulerOptions {
   // draining them (in-flight batches always complete).
   bool cancel_pending_on_shutdown = false;
 
-  // --- Group mode (multi-device serving). --------------------------------
-  // When set, batches are placed on the group's least-loaded healthy device
-  // (per-device virtual clocks), queries opting in via `allow_sharding` are
-  // sharded across every healthy device, and each device gets its own
-  // circuit breaker / fault domain (`breaker_threshold` and
-  // `breaker_probe_interval` apply per device). The constructor-passed
-  // DeviceSimulator is ignored for execution; prefer the DeviceGroup
-  // constructor. The group must outlive the scheduler.
-  const sim::DeviceGroup* device_group = nullptr;
-
   // Per-device fault injectors, indexed by group device index (nullptr
-  // entries fall back to `fault_injector`). Group mode only.
+  // entries fall back to `fault_injector`).
   std::vector<const sim::FaultInjector*> device_injectors;
 
-  // How sharded queries split rows across devices. Group mode only.
+  // How sharded queries split rows across devices.
   core::ShardSplit shard_split = core::ShardSplit::kStatic;
 
   // --- Adaptive calibration (core/calibration.h). ------------------------
@@ -212,8 +216,8 @@ struct SchedulerOptions {
   // outlive the scheduler; nullptr keeps serving fully static.
   core::CostModelCalibrator* calibration = nullptr;
 
-  // Group mode: per-device calibrators, indexed by group device index
-  // (nullptr entries fall back to `calibration`). Each device learns its own
+  // Per-device calibrators, indexed by group device index (nullptr entries
+  // fall back to `calibration`). Each device learns its own
   // corrections — a degraded device's placement shifts without polluting its
   // healthy siblings' models.
   std::vector<core::CostModelCalibrator*> device_calibrations;
@@ -221,11 +225,14 @@ struct SchedulerOptions {
 
 class QueryScheduler {
  public:
+  // Serves a standalone device as a group of one: an owned one-device group
+  // with `device`'s spec, PCIe link, metrics registry and instance label.
   explicit QueryScheduler(const sim::DeviceSimulator& device,
                           SchedulerOptions options = SchedulerOptions());
 
-  // Group-mode convenience: serve across `group` (equivalent to passing
-  // `group.device(0)` with `options.device_group = &group`).
+  // Serves across `group`, placing batches on its least-loaded healthy
+  // device and sharding opted-in queries across every healthy device. The
+  // group must outlive the scheduler.
   explicit QueryScheduler(const sim::DeviceGroup& group,
                           SchedulerOptions options = SchedulerOptions());
 
@@ -254,22 +261,24 @@ class QueryScheduler {
   // also run by the destructor).
   void Shutdown();
 
-  // Simulated device time consumed so far (sum of executed batch makespans).
+  // Latest simulated completion time over every device (for one device: the
+  // sum of executed batch makespans).
   double sim_clock() const;
 
   std::size_t queue_depth() const;
   const FusionPlanCache& plan_cache() const { return plan_cache_; }
 
-  // Circuit-breaker state (true: new batches are routed host-side).
+  // True when every device's circuit breaker is open, i.e. new batches are
+  // routed host-side (except the periodic probes).
   bool breaker_open() const;
 
-  // Per-device breaker state (group mode; false for single-device use).
+  // Per-device breaker state (false for an out-of-range index).
   bool breaker_open(int device) const;
 
-  // Per-device quarantine state (group mode; false for single-device use).
+  // Per-device quarantine state (false for an out-of-range index).
   bool quarantined(int device) const;
 
-  // Per-device corruption score (group mode; 0 for single-device use).
+  // Per-device corruption score (0 for an out-of-range index).
   std::size_t corruption_score(int device) const;
 
  private:
@@ -286,10 +295,43 @@ class QueryScheduler {
   };
   using JobPtr = std::unique_ptr<Job>;
 
+  // One "score -> threshold -> drain -> probe -> readmit" policy. A bad
+  // outcome adds 1 to the score and opens (drains) the device at `threshold`
+  // (0 disables the policy); while open, every `probe_interval`-th placement
+  // admits it as a probe (0: never). A good outcome closes an open device
+  // and zeroes the score, and decays a closed device's score. Guarded by
+  // mutex_.
+  struct DeviceHealth {
+    enum class Decay { kReset, kHalve };
+    enum class Admission { kAdmit, kProbe, kDrain };
+
+    std::size_t threshold = 0;
+    std::size_t probe_interval = 0;
+    Decay decay = Decay::kReset;
+    std::size_t score = 0;
+    bool open = false;
+    std::size_t open_batches = 0;  // batches seen while open (probe cadence)
+
+    Admission Admit();   // once per placement
+    bool RecordBad();    // true when it opened the device
+    bool RecordGood();   // true when it closed the device
+  };
+
+  // Where one attempt of a batch runs.
+  struct Placement {
+    std::vector<int> devices;  // group indices; shard order when sharded
+    bool host_route = false;   // every device drained: force_host, accounted
+                               // on the least-loaded device
+    double start = 0.0;        // predicted start on the virtual clocks
+  };
+
+  // `owned_group` is a standalone device's group of one, else null.
+  QueryScheduler(std::unique_ptr<const sim::DeviceGroup> owned_group,
+                 const sim::DeviceGroup* group, SchedulerOptions options);
+
   void WorkerLoop();
-  // Assigns a tracer query id and opens the root + queue-wait spans for a
-  // freshly admitted job (no-op when no tracer is configured).
-  void BeginJobTrace(Job& job);
+  // Stamps, traces and enqueues an admitted job; called with mutex_ held.
+  void Enqueue(JobPtr job);
   // True when `candidate` can join a batch led by `leader`.
   static bool Compatible(const QueryRequest& leader, const QueryRequest& candidate);
   // Executes `batch` as one (possibly merged) run and fulfills its promises.
@@ -301,30 +343,32 @@ class QueryScheduler {
   // shared sources by name).
   static std::uint64_t EstimateBytes(const std::vector<JobPtr>& batch);
 
-  // Circuit-breaker bookkeeping: every device-facing outcome feeds the
-  // consecutive-fault counter (global breaker; legacy single-device mode).
-  // Each returns true when the call transitioned the breaker/quarantine
-  // state, so the caller can annotate the triggering query's trace.
-  bool RecordDeviceFault();
-  bool RecordDeviceSuccess();
-  // Per-device breakers (group mode).
+  // Picks from the healthy devices plus any drained device whose probe is
+  // due: the least-loaded one, or every one when `shard`.
+  Placement Place(const std::vector<JobPtr>& batch, bool shard);
+
+  // A fault (thrown kf::DeviceFault or degraded shard) or success feeds
+  // `device`'s breaker; a shard with detected corruption or a clean one
+  // feeds its quarantine. Each returns true when it transitioned the policy,
+  // so the caller can annotate the triggering query's trace.
   bool RecordDeviceFault(int device);
   bool RecordDeviceSuccess(int device);
-  // Per-device corruption scores / quarantine (group mode). A batch with
-  // detected corruption on `device` feeds Corruption, a clean one Clean.
   bool RecordDeviceCorruption(int device, std::size_t detected);
   bool RecordDeviceClean(int device);
+
+  const std::string& DeviceLabel(int device) const {
+    return group_.device(device).instance_label();
+  }
 
   obs::MetricsRegistry& metrics() const {
     return options_.metrics != nullptr ? *options_.metrics
                                        : obs::MetricsRegistry::Default();
   }
 
-  const sim::DeviceSimulator& device_;
+  std::unique_ptr<const sim::DeviceGroup> owned_group_;
+  const sim::DeviceGroup& group_;
   SchedulerOptions options_;
-  core::QueryExecutor executor_;
-  // Group mode only (nullptr otherwise).
-  std::unique_ptr<core::MultiDeviceExecutor> group_executor_;
+  core::MultiDeviceExecutor runner_;
   FusionPlanCache plan_cache_;
 
   mutable std::mutex mutex_;
@@ -339,25 +383,14 @@ class QueryScheduler {
   std::uint64_t inflight_bytes_ = 0;   // admission-controller ledger
   double sim_clock_ = 0.0;
 
-  // Circuit breaker (guarded by mutex_).
-  std::size_t consecutive_faults_ = 0;
-  bool breaker_open_ = false;
-  std::size_t breaker_batches_ = 0;  // batches seen while open (probe cadence)
-
-  // Group mode: per-device virtual clock and circuit breaker (guarded by
-  // mutex_; sized to the group's device count).
+  // Per-device virtual clock and health, indexed like the group (guarded by
+  // mutex_).
   struct DeviceState {
-    double clock = 0.0;                  // simulated busy-until time
-    std::size_t consecutive_faults = 0;
-    bool breaker_open = false;
-    std::size_t breaker_batches = 0;     // batches seen while open
-    // Quarantine (corruption) state: score +1 per corrupt batch, halved per
-    // clean batch; quarantined at quarantine_threshold.
-    std::size_t corruption_score = 0;
-    bool quarantined = false;
-    std::size_t quarantine_batches = 0;  // batches seen while quarantined
+    double clock = 0.0;  // simulated busy-until time
+    DeviceHealth breaker;
+    DeviceHealth quarantine;
   };
-  std::vector<DeviceState> device_states_;
+  std::vector<DeviceState> devices_;
 
   std::vector<std::thread> workers_;
 };

@@ -266,6 +266,9 @@ TEST(QueryScheduler, MergedBatchFallsBackWhenOneQueryIsBroken) {
   EXPECT_EQ(good.get().results.size(), 1u);
   EXPECT_THROW(bad.get(), kf::Error);
   EXPECT_EQ(registry.GetCounter("server.merge_fallbacks").value(), 1u);
+  // Each query's queue wait is recorded once, at first pickup; the solo
+  // reruns do not record it again.
+  EXPECT_EQ(registry.GetHistogram("server.queue_wait_seconds").count(), 2u);
 }
 
 TEST(QueryScheduler, RepeatedTemplateHitsPlanCache) {

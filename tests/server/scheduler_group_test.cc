@@ -6,9 +6,11 @@
 #include <algorithm>
 #include <future>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "common/error.h"
 #include "common/random.h"
 #include "core/multi_device.h"
 #include "obs/metrics_registry.h"
@@ -207,7 +209,119 @@ TEST(SchedulerGroupTest, AllBreakersOpenRoutesHostSide) {
   }
   EXPECT_TRUE(scheduler.breaker_open(0));
   EXPECT_TRUE(scheduler.breaker_open(1));
+  EXPECT_TRUE(scheduler.breaker_open());
   EXPECT_TRUE(saw_host_run);
+}
+
+TEST(SchedulerGroupTest, GroupOfOneServesLikeAStandaloneDevice) {
+  // A standalone device is served as a group of one, so one seeded workload
+  // under loud faults and 5% silent corruption comes out of both
+  // constructors identically: bytes, virtual-clock times, recovery outcomes
+  // and breaker counters. A lone device has no sibling to drain to, so it
+  // is never quarantined; its corrupt batches heal by re-execution.
+  sim::FaultConfig config;
+  config.seed = 2024;
+  config.copy_fault_rate = 0.05;
+  config.kernel_fault_rate = 0.05;
+  config.oom_rate = 0.05;
+  config.corrupt_h2d_rate = 0.05;
+  config.corrupt_d2h_rate = 0.05;
+  config.corrupt_kernel_rate = 0.05;
+
+  std::vector<core::RandomQuery> queries;
+  for (std::uint64_t seed = 0; seed < 24; ++seed) {
+    queries.push_back(core::MakeRandomQuery(3000 + seed));
+  }
+
+  struct Served {
+    std::vector<QueryResult> results;
+    std::vector<std::string> errors;  // typed error code of a failed query
+    std::map<std::string, std::uint64_t> counters;
+    bool quarantined = false;
+  };
+  const std::vector<std::string> breaker_counters = {
+      "resilience.breaker_opened", "resilience.breaker_closed",
+      "resilience.breaker_probes", "resilience.breaker_rerouted"};
+
+  // Serves the workload through a scheduler from `make` (one paused worker,
+  // solo batches, its own injector with the same seed).
+  auto serve = [&](const auto& make) {
+    obs::MetricsRegistry registry;
+    const sim::FaultInjector injector(config, &registry);
+    SchedulerOptions options;
+    options.worker_count = 1;
+    options.start_paused = true;
+    options.max_batch = 1;
+    options.metrics = &registry;
+    options.fault_injector = &injector;
+    options.integrity.verify_transfers = true;
+    options.integrity.audit_fraction = 0.5;
+    options.breaker_threshold = 2;
+    options.breaker_probe_interval = 2;
+    options.quarantine_threshold = 1;  // a device with a sibling would go
+                                       // at its first corrupt batch
+    std::unique_ptr<QueryScheduler> scheduler = make(options);
+    std::vector<std::future<QueryResult>> futures;
+    for (const core::RandomQuery& q : queries) {
+      futures.push_back(scheduler->Submit(MakeRequest(q)));
+    }
+    scheduler->Start();
+    Served served;
+    for (std::future<QueryResult>& future : futures) {
+      QueryResult result;
+      std::string error;
+      try {
+        result = future.get();
+      } catch (const kf::Error& e) {
+        error = kf::ToString(e.code());
+      }
+      served.results.push_back(std::move(result));
+      served.errors.push_back(error);
+    }
+    for (const std::string& name : breaker_counters) {
+      served.counters[name] = registry.GetCounter(name).value();
+    }
+    served.quarantined = scheduler->quarantined(0);
+    return served;
+  };
+
+  sim::DeviceSimulator device;
+  const Served standalone = serve([&](const SchedulerOptions& options) {
+    return std::make_unique<QueryScheduler>(device, options);
+  });
+  sim::DeviceGroup group = sim::DeviceGroup::Homogeneous(1);
+  const Served grouped = serve([&](const SchedulerOptions& options) {
+    return std::make_unique<QueryScheduler>(group, options);
+  });
+
+  std::size_t corrupt_batches = 0;
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    EXPECT_EQ(standalone.errors[i], grouped.errors[i]) << "query " << i;
+    const QueryResult& a = standalone.results[i];
+    const QueryResult& b = grouped.results[i];
+    ASSERT_EQ(a.results.size(), b.results.size()) << "query " << i;
+    for (const auto& [sink, table] : a.results) {
+      ASSERT_EQ(b.results.count(sink), 1u) << "query " << i;
+      EXPECT_TRUE(core::ByteIdentical(table, b.results.at(sink)))
+          << "query " << i << " sink " << sink;
+    }
+    EXPECT_EQ(a.sim_submit, b.sim_submit) << "query " << i;
+    EXPECT_EQ(a.sim_complete, b.sim_complete) << "query " << i;
+    EXPECT_EQ(a.degraded, b.degraded) << "query " << i;
+    EXPECT_EQ(a.ran_on_host, b.ran_on_host) << "query " << i;
+    EXPECT_EQ(a.device_retries, b.device_retries) << "query " << i;
+    EXPECT_EQ(a.report.corruption_detected, b.report.corruption_detected)
+        << "query " << i;
+    if (a.report.corruption_detected > 0) ++corrupt_batches;
+  }
+  for (const std::string& name : breaker_counters) {
+    EXPECT_EQ(standalone.counters.at(name), grouped.counters.at(name)) << name;
+  }
+  // The workload reaches every path the equivalence covers.
+  EXPECT_GT(standalone.counters.at("resilience.breaker_probes"), 0u);
+  EXPECT_GT(corrupt_batches, 0u);
+  EXPECT_FALSE(standalone.quarantined);
+  EXPECT_FALSE(grouped.quarantined);
 }
 
 }  // namespace

@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "common/error.h"
 #include "obs/metrics_registry.h"
+#include "obs/tracer.h"
 #include "sim/fault_injector.h"
 
 namespace kf::stream {
@@ -197,6 +203,89 @@ TEST_F(StreamPoolTest, DeviceInstanceLabelSeparatesMetrics) {
             1u);
   // The labeled run did not touch the unlabeled series.
   EXPECT_EQ(registry.GetCounter("stream_pool.runs").value(), 1u);
+}
+
+TEST_F(StreamPoolTest, TraceSinkAnnotatesEveryCommandOutcome) {
+  // A traced pool records one leaf span per command, carrying its simulated
+  // interval and its injected stall / fault / corruption outcome, and the
+  // session exporter renders one slice per leaf.
+  obs::MetricsRegistry registry;
+  sim::FaultConfig config;
+  config.seed = 17;
+  config.stall_rate = 0.3;
+  config.copy_fault_rate = 0.2;
+  config.kernel_fault_rate = 0.2;
+  config.corrupt_h2d_rate = 0.3;
+  config.corrupt_d2h_rate = 0.3;
+  config.corrupt_kernel_rate = 0.3;
+  const sim::FaultInjector injector(config, &registry);
+  StreamPool pool(device_, 3, &registry, &injector);
+
+  obs::Tracer tracer;
+  obs::TraceContext trace;
+  trace.query_id = tracer.NextQueryId();
+  const obs::SpanId root = tracer.BeginSpan(trace, 0, "pool run", "host", 0.0);
+  PoolTraceSink sink;
+  sink.tracer = &tracer;
+  sink.context = trace;
+  sink.parent = root;
+  pool.set_trace(std::move(sink));
+
+  const std::size_t commands = 36;
+  for (std::size_t i = 0; i < commands; ++i) {
+    sim::CommandSpec spec = Kernel(0.001);
+    if (i % 3 != 1) {
+      spec.kind = i % 3 == 0 ? sim::CommandKind::kCopyH2D
+                             : sim::CommandKind::kCopyD2H;
+      spec.duration = 0.002;
+    }
+    spec.label = "cmd" + std::to_string(i);
+    pool.SetStreamCommand(static_cast<StreamHandle>(i / 3 % 3),
+                          PoolCommand{spec, {}});
+  }
+  pool.StartStreams();
+  const sim::TimelineStats& stats = pool.WaitAll();
+  tracer.EndSpan(trace, root, stats.makespan);
+  tracer.FinishQuery(trace, /*failed=*/false, "");
+
+  const obs::QueryTrace tree = tracer.Snapshot(trace.query_id);
+  ASSERT_EQ(tree.spans.size(), commands + 1);
+  using Kind = obs::SpanAnnotationKind;
+  std::vector<Kind> seen;
+  for (std::size_t i = 0; i < commands; ++i) {
+    const obs::Span& leaf = tree.spans[i + 1];
+    const sim::CommandTiming& timing = stats.commands[i];
+    EXPECT_EQ(leaf.parent, root);
+    EXPECT_EQ(leaf.name, "cmd" + std::to_string(i));
+    EXPECT_EQ(leaf.sim_start, timing.start);
+    EXPECT_EQ(leaf.sim_end, timing.end);
+    std::vector<Kind> expected;
+    if (timing.fault == sim::FaultKind::kStreamStall) {
+      expected.push_back(Kind::kStall);
+    } else if (timing.fault != sim::FaultKind::kNone) {
+      expected.push_back(Kind::kFault);
+    }
+    if (timing.corrupted) expected.push_back(Kind::kCorruption);
+    std::vector<Kind> annotated;
+    for (const obs::SpanAnnotation& note : leaf.annotations) {
+      annotated.push_back(note.kind);
+    }
+    EXPECT_EQ(annotated, expected) << "command " << i;
+    seen.insert(seen.end(), expected.begin(), expected.end());
+  }
+  for (Kind kind : {Kind::kStall, Kind::kFault, Kind::kCorruption}) {
+    EXPECT_NE(std::find(seen.begin(), seen.end(), kind), seen.end())
+        << obs::ToString(kind) << " never drawn";
+  }
+
+  std::size_t leaf_slices = 0;
+  const obs::Json session = obs::ToSessionTraceJson(tracer, false);
+  for (const obs::Json& event : session.at("traceEvents").array()) {
+    if (event.at("ph").str() == "X" && event.at("name").str() != "pool run") {
+      ++leaf_slices;
+    }
+  }
+  EXPECT_EQ(leaf_slices, commands);
 }
 
 }  // namespace
