@@ -16,6 +16,7 @@
 #include "relational/operators.h"
 #include "relational/predicate.h"
 #include "relational/staged_kernel.h"
+#include "relational/staged_sort.h"
 
 namespace kf::core {
 
@@ -672,30 +673,190 @@ void RunChunk(const ClusterPlan& plan, std::size_t c, ChunkScratch& s,
   }
 }
 
-}  // namespace
+// --- Barrier kernels ---------------------------------------------------------
 
-ClusterExecution ExecuteCluster(const OpGraph& graph, const FusionCluster& cluster,
-                                const TableLookup& table_of, int chunk_count,
-                                ThreadPool* pool, kf::BufferArena* arena,
-                                bool compute_checksums) {
-  KF_REQUIRE(!cluster.nodes.empty()) << "empty fusion cluster";
-  KF_REQUIRE_AS(::kf::InvalidArgument, chunk_count > 0) << "chunk count must be positive";
+// Appends src[ids[k]] for every k, converting like Column::Append when the
+// column's type differs from the source's.
+void GatherRows(Column& column, const Column& src, std::span<const std::uint32_t> ids) {
+  const ColRef in = RefOf(src);
+  if (column.type() != src.type()) {
+    for (std::uint32_t id : ids) column.Append(ValueAt(in, id));
+    return;
+  }
+  VisitType(src.type(), [&](auto tag) {
+    using T = decltype(tag);
+    auto& values = Storage<T>(column);
+    const std::size_t base = values.size();
+    values.resize(base + ids.size());
+    for (std::size_t k = 0; k < ids.size(); ++k) values[base + k] = Typed<T>(in)[ids[k]];
+  });
+}
 
-  // --- Validate that the planner gave us a streamable cluster. -------------
-  for (NodeId id : cluster.nodes) {
-    const FusionClass c = Classify(graph.node(id).desc.kind);
-    KF_REQUIRE(c != FusionClass::kBarrier)
-        << "barrier operator '" << graph.node(id).name << "' inside a fused kernel";
-    if (c == FusionClass::kReduction) {
-      for (NodeId member : cluster.nodes) {
-        for (NodeId input : graph.node(member).inputs) {
-          KF_REQUIRE(input != id)
-              << "reduction '" << graph.node(id).name << "' has in-cluster consumers";
+// SORT's row order. One int32 key takes the staged radix argsort; any other
+// key set a stable sort whose comparator answers exactly as Value::operator<
+// did: a column has one type, so its typed compare is that answer, NaN
+// (never less, never greater) included.
+std::vector<std::uint32_t> SortOrder(const std::vector<int>& sort_keys, const Table& in,
+                                     int chunk_count, ThreadPool* pool) {
+  std::vector<ColRef> keys;
+  for (int k : sort_keys) {
+    KF_REQUIRE(k >= 0 && static_cast<std::size_t>(k) < in.column_count())
+        << "SORT field " << k << " out of range for schema " << in.schema().ToString();
+    keys.push_back(RefOf(in.column(static_cast<std::size_t>(k))));
+  }
+  if (keys.size() == 1 && keys[0].type == DataType::kInt32) {
+    return relational::StagedRadixArgsort({Typed<std::int32_t>(keys[0]), in.row_count()},
+                                          chunk_count, pool);
+  }
+  std::vector<std::uint32_t> order(in.row_count());
+  std::iota(order.begin(), order.end(), 0u);
+  std::stable_sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
+    for (const ColRef& key : keys) {
+      const int sign = VisitType(key.type, [&](auto tag) {
+        const auto* v = Typed<decltype(tag)>(key);
+        return v[a] < v[b] ? -1 : v[b] < v[a] ? 1 : 0;
+      });
+      if (sign != 0) return sign < 0;
+    }
+    return false;
+  });
+  return order;
+}
+
+// Whole-row keys for UNIQUE and the set operators, equal exactly when the
+// operator-at-a-time row-key texts are: one canonical word per column (ints
+// by value, doubles by bits with NaNs canonical per sign), then a side word.
+// The side word is 1 only for right rows whose int/float column classes
+// differ from the left's, since an int never equals a float.
+class RowKeys {
+ public:
+  RowKeys(const Table& table, std::uint64_t side) : side_(side) {
+    for (std::size_t c = 0; c < table.column_count(); ++c) {
+      cols_.push_back(RefOf(table.column(c)));
+    }
+    words_.resize(cols_.size() + 1);
+  }
+
+  std::size_t width() const { return words_.size(); }
+
+  const std::uint64_t* Of(std::size_t row) {
+    for (std::size_t c = 0; c < cols_.size(); ++c) {
+      words_[c] = CanonicalBits(cols_[c].type, RawBits(cols_[c], row));
+    }
+    words_.back() = side_;
+    return words_.data();
+  }
+
+ private:
+  std::vector<ColRef> cols_;
+  std::uint64_t side_;
+  std::vector<std::uint64_t> words_;
+};
+
+// The input rows a barrier emits, in output order: left rows, then (UNION
+// only) right rows.
+struct BarrierRows {
+  std::vector<std::uint32_t> left, right;
+};
+
+// UNIQUE and the set operators: first-seen rows.
+BarrierRows SelectSetRows(OpKind kind, const Table& left, const Table* right) {
+  std::uint64_t side = 0;
+  if (right != nullptr) {
+    KF_REQUIRE(right->column_count() == left.column_count())
+        << relational::ToString(kind) << ": schemas differ: " << left.schema().ToString()
+        << " vs " << right->schema().ToString();
+    for (std::size_t c = 0; c < left.column_count(); ++c) {
+      const bool left_float = left.column(c).type() == DataType::kFloat64;
+      if (left_float != (right->column(c).type() == DataType::kFloat64)) side = 1;
+    }
+  }
+  RowKeys left_keys(left, 0);
+  GroupTable seen;
+  seen.Reset(left_keys.width(), 0, left.row_count());
+  const auto first_seen = [&](const std::uint64_t* key) {
+    const std::size_t groups = seen.groups();
+    return seen.FindOrInsert(key, key) == groups;
+  };
+
+  BarrierRows rows;
+  if (kind == OpKind::kUnique || kind == OpKind::kUnion) {
+    for (std::size_t r = 0; r < left.row_count(); ++r) {
+      if (first_seen(left_keys.Of(r))) {
+        rows.left.push_back(static_cast<std::uint32_t>(r));
+      }
+    }
+    if (kind == OpKind::kUnion) {
+      RowKeys right_keys(*right, side);
+      for (std::size_t r = 0; r < right->row_count(); ++r) {
+        if (first_seen(right_keys.Of(r))) {
+          rows.right.push_back(static_cast<std::uint32_t>(r));
         }
       }
     }
+    return rows;
   }
+  // INTERSECT keeps the left rows the right input holds, DIFFERENCE the rest.
+  RowKeys right_keys(*right, side);
+  GroupTable right_set;
+  right_set.Reset(right_keys.width(), 0, right->row_count());
+  for (std::size_t r = 0; r < right->row_count(); ++r) {
+    const std::uint64_t* key = right_keys.Of(r);
+    right_set.FindOrInsert(key, key);
+  }
+  const bool keep_matches = kind == OpKind::kIntersect;
+  for (std::size_t r = 0; r < left.row_count(); ++r) {
+    const std::uint64_t* key = left_keys.Of(r);
+    const bool matched = right_set.Find(key) != right_set.groups();
+    if (matched == keep_matches && first_seen(key)) {
+      rows.left.push_back(static_cast<std::uint32_t>(r));
+    }
+  }
+  return rows;
+}
 
+// A singleton barrier cluster: the operator picks input row ids over its
+// whole input, then every output column is gathered once, by type.
+ClusterExecution ExecuteBarrier(const OpGraph& graph, NodeId id,
+                                const TableLookup& table_of, int chunk_count,
+                                ThreadPool* pool) {
+  const OpNode& node = graph.node(id);
+  const Table& left = table_of(node.inputs[0]);
+  const Table* right = node.inputs.size() > 1 ? &table_of(node.inputs[1]) : nullptr;
+  Table out(node.schema);
+  KF_REQUIRE(left.column_count() == out.column_count())
+      << "row has " << left.column_count() << " values, schema "
+      << node.schema.ToString();
+
+  BarrierRows rows;
+  if (node.desc.kind == OpKind::kSort) {
+    rows.left = SortOrder(node.desc.sort_keys, left, chunk_count, pool);
+  } else {
+    rows = SelectSetRows(node.desc.kind, left, right);
+  }
+  for (std::size_t c = 0; c < out.column_count(); ++c) {
+    Column& column = out.column(c);
+    column.Reserve(rows.left.size() + rows.right.size());
+    GatherRows(column, left.column(c), rows.left);
+    if (!rows.right.empty()) GatherRows(column, right->column(c), rows.right);
+  }
+  out.SyncRowCountFromColumns();
+
+  ClusterExecution result;
+  result.primary_rows = left.row_count();
+  result.chunk_count = chunk_count;
+  result.member_rows[id] = out.row_count();
+  result.output_rows[id] = out.row_count();
+  result.outputs.emplace(id, std::move(out));
+  return result;
+}
+
+// --- The streamed cluster ----------------------------------------------------
+
+// Partition, compute and gather stages of a cluster without barriers.
+ClusterExecution ExecuteStreamed(const OpGraph& graph, const FusionCluster& cluster,
+                                 const TableLookup& table_of, int chunk_count,
+                                 ThreadPool* pool, kf::BufferArena* arena) {
   const Table& primary = table_of(cluster.primary_input);
   const ClusterPlan plan = CompilePlan(graph, cluster, primary, table_of);
   if (plan.typed_selects > 0) {
@@ -806,6 +967,39 @@ ClusterExecution ExecuteCluster(const OpGraph& graph, const FusionCluster& clust
     result.output_rows[out] = table.row_count();
     result.outputs.emplace(out, std::move(table));
   }
+  return result;
+}
+
+}  // namespace
+
+ClusterExecution ExecuteCluster(const OpGraph& graph, const FusionCluster& cluster,
+                                const TableLookup& table_of, int chunk_count,
+                                ThreadPool* pool, kf::BufferArena* arena,
+                                bool compute_checksums) {
+  KF_REQUIRE(!cluster.nodes.empty()) << "empty fusion cluster";
+  KF_REQUIRE_AS(::kf::InvalidArgument, chunk_count > 0) << "chunk count must be positive";
+
+  // --- Validate the planner's cluster: a barrier runs alone, and nothing in
+  // the cluster consumes a reduction. -----------------------------------------
+  bool barrier = false;
+  for (NodeId id : cluster.nodes) {
+    const FusionClass c = Classify(graph.node(id).desc.kind);
+    barrier = barrier || c == FusionClass::kBarrier;
+    KF_REQUIRE(c != FusionClass::kBarrier || cluster.nodes.size() == 1)
+        << "barrier operator '" << graph.node(id).name << "' shares its cluster";
+    if (c == FusionClass::kReduction) {
+      for (NodeId member : cluster.nodes) {
+        for (NodeId input : graph.node(member).inputs) {
+          KF_REQUIRE(input != id)
+              << "reduction '" << graph.node(id).name << "' has in-cluster consumers";
+        }
+      }
+    }
+  }
+
+  ClusterExecution result =
+      barrier ? ExecuteBarrier(graph, cluster.nodes[0], table_of, chunk_count, pool)
+              : ExecuteStreamed(graph, cluster, table_of, chunk_count, pool, arena);
   if (compute_checksums) {
     for (const auto& [id, table] : result.outputs) {
       result.output_checksums[id] = ChecksumTable(table);

@@ -1,7 +1,9 @@
-// Functional execution of a fusion cluster as ONE staged kernel.
+// Functional execution of a fusion cluster as ONE staged kernel — the only
+// functional path the executor has, for every cluster of every strategy.
 //
-// This is the composed kernel the paper's fusion transformation produces
-// (Fig 6 / Section III-C), run column-at-a-time on the host:
+// A cluster without barriers is the composed kernel the paper's fusion
+// transformation produces (Fig 6 / Section III-C), run column-at-a-time on
+// the host (a singleton cluster is the same kernel with one member):
 //
 //   partition  the streamed primary input is cut into `chunk_count`
 //              contiguous chunks (one per simulated CTA), all run by one
@@ -20,11 +22,22 @@
 //              chunk order.
 //
 // No intermediate relation leaves its chunk — that is the entire point of
-// kernel fusion. The result is what applying the member operators one after
-// another with ApplyOperator produces: the same rows in the same order
-// (chunk, then probe, then build order), the same value type tags, the same
-// aggregate group order. Float sums are the one difference a fused kernel
-// has: each chunk sums its rows, and the partials add up in chunk order.
+// kernel fusion.
+//
+// A barrier (SORT, UNIQUE, UNION, INTERSECTION, DIFFERENCE) needs its whole
+// input, so it is always alone in its cluster: SORT orders row ids (the
+// staged radix argsort for one int32 key, else a stable sort with typed
+// compares), UNIQUE and the set operators keep first-seen rows through a
+// hash table of canonical key words, and every output column is gathered
+// once, by type.
+//
+// relational::ApplyOperator is the reference this must match: the same rows
+// in the same order (chunk, then probe, then build order), the same value
+// type tags, the same aggregate group order. Float aggregates are the one
+// difference: each chunk folds its rows, and the partials merge in chunk
+// order, as a reduction partitioned across CTAs does. Float sums may differ
+// in their last bits, and MIN/MAX over a column holding NaN may differ too
+// (the fold order decides which values a NaN shadows).
 #ifndef KF_CORE_FUSED_PIPELINE_H_
 #define KF_CORE_FUSED_PIPELINE_H_
 
@@ -61,9 +74,10 @@ using TableLookup = std::function<const relational::Table&(NodeId)>;
 // Executes `cluster` over `graph`. `table_of` must resolve the cluster's
 // primary input and every build input. Chunks run on `pool` when given;
 // scratch comes from `arena` when given, else the calling thread's arena.
-// Throws kf::Error when the cluster contains an operator the fused pipeline
-// cannot stream (a planner bug), and rethrows an expression's kf::Error
-// (e.g. division by zero) from the lowest failing chunk. With
+// Throws kf::Error when a barrier shares its cluster or a reduction feeds a
+// member (planner bugs), throws kf::InvalidArgument when `chunk_count` is
+// not positive, and rethrows an expression's kf::Error (e.g. division by
+// zero) from the lowest failing chunk. With
 // `compute_checksums` set, every output table is additionally digested into
 // `output_checksums` (one streaming pass; used by audit sampling).
 ClusterExecution ExecuteCluster(const OpGraph& graph, const FusionCluster& cluster,

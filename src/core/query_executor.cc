@@ -104,6 +104,8 @@ FusionOptions EffectiveFusionOptions(const ExecutorOptions& options) {
 ExecutionReport QueryExecutor::Execute(const OpGraph& graph,
                                        const std::map<NodeId, Table>& sources,
                                        const ExecutorOptions& options) const {
+  KF_REQUIRE_AS(::kf::InvalidArgument, options.chunk_count > 0)
+      << "chunk_count must be positive, got " << options.chunk_count;
   return Run(graph, &sources, {}, options);
 }
 
@@ -192,7 +194,7 @@ ExecutionReport QueryExecutor::Run(const OpGraph& graph,
 
   // --- Functional pass: materialize source/cluster-output tables and record
   // realized row counts. -------------------------------------------------------
-  std::map<NodeId, Table> computed;  // cluster outputs / per-node outputs
+  std::map<NodeId, Table> computed;  // cluster outputs
   auto lookup = [&](NodeId id) -> const Table& {
     if (sources != nullptr) {
       auto it = sources->find(id);
@@ -216,41 +218,21 @@ ExecutionReport QueryExecutor::Run(const OpGraph& graph,
           << "source '" << graph.node(src).name << "' not bound";
       rows[src] = sources->at(src).row_count();
     }
+    // Every cluster of every strategy runs as one staged kernel (fused or a
+    // singleton); the strategy changes only the simulated schedule below.
     for (std::size_t ci = 0; ci < plan.clusters.size(); ++ci) {
-      const FusionCluster& cluster = plan.clusters[ci];
-      const bool cluster_audited = audited[ci] != 0;
-      const bool barrier_cluster =
-          cluster.nodes.size() == 1 &&
-          Classify(graph.node(cluster.nodes[0]).desc.kind) == FusionClass::kBarrier;
-      if (fuse && !barrier_cluster) {
-        ClusterExecution exec =
-            ExecuteCluster(graph, cluster, lookup, options.chunk_count, pool_,
-                           options.arena, cluster_audited);
-        for (const auto& [id, digest] : exec.output_checksums) {
-          report.audit_checksums[id] = digest;
-        }
-        for (auto& [id, table] : exec.outputs) {
-          rows[id] = table.row_count();
-          computed.emplace(id, std::move(table));
-        }
-        for (const auto& [id, count] : exec.member_rows) {
-          if (rows.count(id) == 0) rows[id] = count;
-        }
-      } else {
-        for (NodeId id : cluster.nodes) {
-          const OpNode& node = graph.node(id);
-          const Table& left = lookup(node.inputs[0]);
-          const Table* right =
-              node.inputs.size() > 1 ? &lookup(node.inputs[1]) : nullptr;
-          Table out = relational::ApplyOperator(node.desc, left, right);
-          rows[id] = out.row_count();
-          computed.emplace(id, std::move(out));
-        }
-        if (cluster_audited) {
-          for (NodeId out : cluster.outputs) {
-            report.audit_checksums[out] = ChecksumTable(lookup(out));
-          }
-        }
+      ClusterExecution exec =
+          ExecuteCluster(graph, plan.clusters[ci], lookup, options.chunk_count, pool_,
+                         options.arena, audited[ci] != 0);
+      for (const auto& [id, digest] : exec.output_checksums) {
+        report.audit_checksums[id] = digest;
+      }
+      for (auto& [id, table] : exec.outputs) {
+        rows[id] = table.row_count();
+        computed.emplace(id, std::move(table));
+      }
+      for (const auto& [id, count] : exec.member_rows) {
+        if (rows.count(id) == 0) rows[id] = count;
       }
     }
   } else {
@@ -1328,7 +1310,7 @@ ExecutionReport QueryExecutor::Run(const OpGraph& graph,
     for (NodeId sink : sinks) {
       auto it = computed.find(sink);
       if (it != computed.end()) {
-        report.sink_results.emplace(sink, it->second);
+        report.sink_results.emplace(sink, std::move(it->second));
       } else if (sources->count(sink) != 0) {
         report.sink_results.emplace(sink, sources->at(sink));
       }
@@ -1336,8 +1318,8 @@ ExecutionReport QueryExecutor::Run(const OpGraph& graph,
 
     // Undetected corruption becomes real wrong answers: flip a deterministic
     // bit in every sink table downstream-reachable from a silently-corrupted
-    // cluster. Only the returned copies are touched, never `computed` — the
-    // ground truth stays available to callers that re-run with verification.
+    // cluster. Only this run's returned tables change; a re-run with
+    // verification recomputes the true bytes from the sources.
     for (std::size_t c : silent_clusters) {
       std::set<NodeId> reached;
       std::vector<NodeId> frontier(plan.clusters[c].outputs.begin(),

@@ -91,7 +91,11 @@ struct ExecutorOptions {
   int fission_segments = 12;
   int stream_count = 3;
 
-  // Simulated-CTA chunking of the functional staged kernels.
+  // Simulated CTAs per cluster kernel in the functional pass, whatever the
+  // strategy: every cluster's primary input is cut into this many chunks,
+  // and float SUM/AVG add up per chunk, so the sink bytes depend on it (not
+  // on the strategy). Must be positive; Execute throws kf::InvalidArgument
+  // otherwise.
   int chunk_count = 64;
 
   // Fraction of device memory a single resident working set may use before
@@ -120,9 +124,9 @@ struct ExecutorOptions {
   // explicit CPU run). No device commands are issued at all.
   bool force_host = false;
 
-  // Workspace pool for the functional staged kernels (typed SELECT-chain
-  // clusters check StagedBuffers out of it, so repeated queries hit warm
-  // buffers). nullptr uses the executing thread's scratch arena. The arena
+  // Workspace pool for the functional pass (cluster kernels check their
+  // chunk scratch out of it, so repeated queries hit warm buffers). nullptr
+  // uses the executing thread's scratch arena. The arena
   // only affects allocation behavior, never results — it is deliberately NOT
   // part of any execution-compatibility key.
   kf::BufferArena* arena = nullptr;

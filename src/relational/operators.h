@@ -3,9 +3,11 @@
 // Every operator of paper Table I is here (SELECT, PROJECT, PRODUCT, JOIN,
 // UNION, INTERSECTION, DIFFERENCE), plus the auxiliary operators the TPC-H
 // queries need (ARITH maps, AGGREGATION, SORT, UNIQUE). `ApplyOperator` is
-// the executable semantics: it is what the staged kernels must compute, what
-// fused kernels must preserve, and what the TPC-H validation compares
-// against. Set operators use set semantics (distinct rows); JOIN is an
+// the executable semantics, one row at a time: the reference the executor's
+// column-at-a-time kernels (core/fused_pipeline.h) must match byte for byte
+// (float sums aside, which those kernels add per chunk), and what tests, the
+// graph fuzzer and the benchmark oracles compare against. The executor never
+// calls it. Set operators use set semantics (distinct rows); JOIN is an
 // equi-join on one key field per side, emitting the left row plus the right
 // row's non-key fields (Table I's convention, key = field 0 by default).
 #ifndef KF_RELATIONAL_OPERATORS_H_

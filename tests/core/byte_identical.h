@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "relational/table.h"
 
 namespace kf::core {
@@ -29,8 +32,10 @@ inline ::testing::AssertionResult ByteIdentical(const relational::Table& actual,
     for (std::size_t f = 0; f < a[r].size(); ++f) {
       const relational::Value& va = a[r][f];
       const relational::Value& vb = b[r][f];
-      // Require the same type tag and the same stored payload.
-      if (va.type != vb.type || va.i != vb.i || va.f != vb.f) {
+      // Require the same type tag and the same stored payload, bit for bit
+      // (so -0.0 differs from 0.0, and a NaN matches only its own payload).
+      if (va.type != vb.type || va.i != vb.i ||
+          std::bit_cast<std::uint64_t>(va.f) != std::bit_cast<std::uint64_t>(vb.f)) {
         return ::testing::AssertionFailure()
                << "row " << r << " field " << f << ": " << va.ToString()
                << " vs " << vb.ToString();

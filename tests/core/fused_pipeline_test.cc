@@ -212,16 +212,27 @@ TEST(FusedPipeline, MemberRowsTrackIntermediateCardinalities) {
 }
 
 TEST(FusedPipeline, RejectsBarrierMembers) {
+  // A barrier runs alone in its cluster; one that shares it is a planner bug.
   OpGraph g;
   const Table data = RandomKV(10, 13);
   const NodeId src = g.AddSource("in", data.schema(), 0);
   const NodeId sort = g.AddOperator(OperatorDesc::Sort({0}), src);
-  FusionCluster bogus;
-  bogus.nodes = {sort};
-  bogus.primary_input = src;
-  bogus.outputs = {sort};
+  const NodeId sel = g.AddOperator(
+      OperatorDesc::Select(Expr::Lt(Expr::FieldRef(0), Expr::Lit(25))), sort);
   auto lookup = [&](NodeId) -> const Table& { return data; };
+  FusionCluster bogus;
+  bogus.nodes = {sort, sel};
+  bogus.primary_input = src;
+  bogus.outputs = {sel};
   EXPECT_THROW(ExecuteCluster(g, bogus, lookup, 4), kf::Error);
+
+  FusionCluster alone;
+  alone.nodes = {sort};
+  alone.primary_input = src;
+  alone.outputs = {sort};
+  const ClusterExecution exec = ExecuteCluster(g, alone, lookup, 4);
+  EXPECT_TRUE(
+      ByteIdentical(exec.outputs.at(sort), ApplyOperator(OperatorDesc::Sort({0}), data)));
 }
 
 // Relation (k, v) with v == 0 on every third row.

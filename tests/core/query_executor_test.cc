@@ -157,6 +157,20 @@ TEST_F(QueryExecutorTest, MissingSourceBindingThrows) {
                kf::Error);
 }
 
+TEST_F(QueryExecutorTest, NonPositiveChunkCountIsRejectedByEveryStrategy) {
+  SelectChain chain = MakeSelectChain(100, std::vector<double>{0.5});
+  const std::map<NodeId, Table> sources{{chain.source, MakeUniformInt32Table(100)}};
+  for (Strategy s : {Strategy::kSerial, Strategy::kFused, Strategy::kFission,
+                     Strategy::kFusedFission}) {
+    for (int chunks : {0, -1}) {
+      ExecutorOptions options = Options(s);
+      options.chunk_count = chunks;
+      EXPECT_THROW(executor_.Execute(chain.graph, sources, options), kf::InvalidArgument)
+          << ToString(s) << " chunks=" << chunks;
+    }
+  }
+}
+
 TEST_F(QueryExecutorTest, EstimateOnlyUsesRowHintsWhenNoOverrides) {
   SelectChain chain = MakeSelectChain(1000000, std::vector<double>{0.5});
   // No override for the select: the estimator falls back to its input count

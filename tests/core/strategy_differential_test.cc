@@ -286,6 +286,38 @@ TEST_P(StrategyDifferential, TypedSelectTreeByteIdenticalToScalarReference) {
   EXPECT_TRUE(budget_split_a_tree) << "no tree exceeded the small register budget";
 }
 
+TEST_P(StrategyDifferential, BarrierGraphsByteIdenticalToScalarReference) {
+  // Multi-key SORT, UNIQUE and set operators over int32/int64/float64
+  // relations with NaN, ±0.0 and ±inf run as singleton clusters under every
+  // strategy, at any chunk count, pooled or not.
+  ThreadPool pool(3);
+  for (int trial = 0; trial < 3; ++trial) {
+    const RandomQuery q =
+        MakeRandomBarrierQuery(static_cast<std::uint64_t>(GetParam()) * 433 + trial + 1);
+    const std::map<NodeId, Table> truth = ReferenceResults(q);
+    sim::DeviceSimulator device;
+    for (ThreadPool* use_pool : {static_cast<ThreadPool*>(nullptr), &pool}) {
+      QueryExecutor executor(device, OperatorCostModel{}, use_pool);
+      for (Strategy strategy : {Strategy::kSerial, Strategy::kFused, Strategy::kFission,
+                                Strategy::kFusedFission}) {
+        for (int chunks : {1, 4, 448}) {
+          ExecutorOptions options;
+          options.strategy = strategy;
+          options.chunk_count = chunks;
+          const ExecutionReport report = executor.Execute(q.graph, q.sources, options);
+          for (NodeId sink : q.graph.Sinks()) {
+            ASSERT_EQ(report.sink_results.count(sink), 1u);
+            EXPECT_TRUE(ByteIdentical(report.sink_results.at(sink), truth.at(sink)))
+                << ToString(strategy) << " chunks=" << chunks
+                << " pool=" << (use_pool != nullptr) << " trial " << trial << " sink "
+                << sink << "\ngraph:\n" << q.graph.ToString();
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST_P(StrategyDifferential, SchedulerPathByteIdenticalToScalarReference) {
   const RandomQuery q =
       MakeRandomQuery(static_cast<std::uint64_t>(GetParam()) * 389 + 11);

@@ -1,13 +1,15 @@
-// Pins the exact bytes of the TPC-H sinks under the fused strategies.
+// Pins the exact bytes of the TPC-H sinks under every strategy.
 //
 // The scalar-reference tests compare float aggregates with a tolerance,
-// because a fused kernel sums floats per chunk and merges the partials in
-// chunk order. These digests of core::ChecksumTable catch what that tolerance
-// lets through: any change in summation order, in aggregate group order, or
-// in row order changes a digest.
+// because every cluster's kernel sums floats per chunk and merges the
+// partials in chunk order. These digests of core::ChecksumTable catch what
+// that tolerance lets through: any change in summation order, in aggregate
+// group order, or in row order changes a digest. The strategy changes only
+// the simulated schedule, so all four share one digest per chunk count.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <initializer_list>
 #include <ios>
 #include <map>
 #include <string>
@@ -25,27 +27,18 @@ using core::Strategy;
 
 struct Pin {
   const char* query;
-  Strategy strategy;
   int chunk_count;
   std::uint64_t checksum;
 };
 
 constexpr Pin kPins[] = {
-    {"Q1", Strategy::kFused, 8, 0x21dce96b17d21eacull},
-    {"Q1", Strategy::kFusedFission, 8, 0x21dce96b17d21eacull},
-    {"Q1", Strategy::kFused, 448, 0xc059e1efa6e517dbull},
-    {"Q1", Strategy::kFusedFission, 448, 0xc059e1efa6e517dbull},
-    {"Q21", Strategy::kFused, 8, 0x32cd4f32a371d3f2ull},
-    {"Q21", Strategy::kFusedFission, 8, 0x32cd4f32a371d3f2ull},
-    {"Q21", Strategy::kFused, 448, 0x32cd4f32a371d3f2ull},
-    {"Q21", Strategy::kFusedFission, 448, 0x32cd4f32a371d3f2ull},
-    {"Q6", Strategy::kFused, 8, 0x5986fc933ea3d17dull},
-    {"Q6", Strategy::kFusedFission, 8, 0x5986fc933ea3d17dull},
-    {"Q6", Strategy::kFused, 448, 0x76da22907460bb33ull},
-    {"Q6", Strategy::kFusedFission, 448, 0x76da22907460bb33ull},
+    {"Q1", 8, 0x21dce96b17d21eacull},  {"Q1", 448, 0xc059e1efa6e517dbull},
+    {"Q21", 8, 0x32cd4f32a371d3f2ull}, {"Q21", 448, 0x32cd4f32a371d3f2ull},
+    {"Q6", 8, 0x5986fc933ea3d17dull},  {"Q6", 448, 0x76da22907460bb33ull},
 };
 
-TEST(TpchChecksumPins, FusedSinksAreByteStable) {
+// Runs every pin under each of `strategies`.
+void ExpectPinnedSinks(std::initializer_list<Strategy> strategies) {
   TpchConfig config;
   config.order_count = 400;
   config.supplier_count = 40;
@@ -59,18 +52,28 @@ TEST(TpchChecksumPins, FusedSinksAreByteStable) {
   core::QueryExecutor executor(device);
   for (const Pin& pin : kPins) {
     const QueryPlan& plan = plans.at(pin.query);
-    core::ExecutorOptions options;
-    options.strategy = pin.strategy;
-    options.chunk_count = pin.chunk_count;
-    options.fusion.register_budget = 63;
-    const core::ExecutionReport report =
-        executor.Execute(plan.graph, plan.sources, options);
-    ASSERT_EQ(report.sink_results.count(plan.sink), 1u) << pin.query;
-    EXPECT_EQ(core::ChecksumTable(report.sink_results.at(plan.sink)), pin.checksum)
-        << pin.query << " " << ToString(pin.strategy) << " chunks=" << pin.chunk_count
-        << " got 0x" << std::hex
-        << core::ChecksumTable(report.sink_results.at(plan.sink));
+    for (Strategy strategy : strategies) {
+      core::ExecutorOptions options;
+      options.strategy = strategy;
+      options.chunk_count = pin.chunk_count;
+      options.fusion.register_budget = 63;
+      const core::ExecutionReport report =
+          executor.Execute(plan.graph, plan.sources, options);
+      ASSERT_EQ(report.sink_results.count(plan.sink), 1u) << pin.query;
+      EXPECT_EQ(core::ChecksumTable(report.sink_results.at(plan.sink)), pin.checksum)
+          << pin.query << " " << ToString(strategy) << " chunks=" << pin.chunk_count
+          << " got 0x" << std::hex
+          << core::ChecksumTable(report.sink_results.at(plan.sink));
+    }
   }
+}
+
+TEST(TpchChecksumPins, FusedSinksAreByteStable) {
+  ExpectPinnedSinks({Strategy::kFused, Strategy::kFusedFission});
+}
+
+TEST(TpchChecksumPins, SerialAndFissionSinksMatchTheFusedPins) {
+  ExpectPinnedSinks({Strategy::kSerial, Strategy::kFission});
 }
 
 }  // namespace

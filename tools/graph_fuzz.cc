@@ -1,10 +1,12 @@
 // Property-based differential fuzzer for the execution stack.
 //
-// Each iteration draws two seeded random operator DAGs from
+// Each iteration draws three seeded random operator DAGs from
 // tests/core/random_graph.h: one from MakeRandomQuery (the generator the
-// property suites use) and one from MakeRandomFusedQuery (PROJECT, PRODUCT,
+// property suites use), one from MakeRandomFusedQuery (PROJECT, PRODUCT,
 // terminal AGGREGATE, int32 SELECT trees, AND/OR/NOT and guarded-division
-// predicates). For each it computes the scalar operator-at-a-time
+// predicates) and one from MakeRandomBarrierQuery (multi-key SORT, UNIQUE
+// and set operators over int32/int64/float64 relations with NaN, ±0.0 and
+// ±inf). For each it computes the scalar operator-at-a-time
 // reference, then sweeps the executor configuration space:
 //
 //   * all four ExecutionStrategies, cold and with a shared BufferArena,
@@ -35,9 +37,11 @@
 // small --iters smoke per PR and a 10k-iteration nightly sweep
 // (.github/workflows/{ci,nightly}.yml); confirmed findings get pinned as
 // regression tests in tests/core/fuzz_regressions_test.cc.
+#include <bit>
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -115,7 +119,7 @@ std::vector<FaultProfile> AllProfiles() {
 }
 
 // gtest-free twin of tests/core/byte_identical.h: same schema string, same
-// row count, same type tag and stored payload per value.
+// row count, same type tag and stored payload bits per value.
 bool TablesByteIdentical(const Table& actual, const Table& expected,
                          std::string* why) {
   std::ostringstream oss;
@@ -137,7 +141,8 @@ bool TablesByteIdentical(const Table& actual, const Table& expected,
     for (std::size_t f = 0; f < a[r].size(); ++f) {
       const relational::Value& va = a[r][f];
       const relational::Value& vb = b[r][f];
-      if (va.type != vb.type || va.i != vb.i || va.f != vb.f) {
+      if (va.type != vb.type || va.i != vb.i ||
+          std::bit_cast<std::uint64_t>(va.f) != std::bit_cast<std::uint64_t>(vb.f)) {
         oss << "row " << r << " field " << f << ": " << va.ToString() << " vs "
             << vb.ToString();
         *why = oss.str();
@@ -397,8 +402,10 @@ int main(int argc, char** argv) {
     const char* name;
     core::RandomQuery (*make)(std::uint64_t);
   };
-  const Generator generators[] = {{"MakeRandomQuery", core::MakeRandomQuery},
-                                  {"MakeRandomFusedQuery", core::MakeRandomFusedQuery}};
+  const Generator generators[] = {
+      {"MakeRandomQuery", core::MakeRandomQuery},
+      {"MakeRandomFusedQuery", core::MakeRandomFusedQuery},
+      {"MakeRandomBarrierQuery", core::MakeRandomBarrierQuery}};
 
   FuzzStats stats;
   for (std::uint64_t i = 0; i < iters; ++i) {
@@ -423,7 +430,8 @@ int main(int argc, char** argv) {
                 << " typed errors, " << stats.sharded_runs << " sharded\n";
     }
   }
-  std::cout << "OK: " << iters << " iterations (" << 2 * iters << " graphs), "
+  std::cout << "OK: " << iters << " iterations (" << std::size(generators) * iters
+            << " graphs), "
             << stats.runs << " runs ("
             << stats.sharded_runs << " sharded, " << stats.typed_errors
             << " typed errors under faults, " << stats.host_placed
