@@ -357,7 +357,7 @@ MultiDeviceReport MultiDeviceExecutor::Run(
   combined.peak_device_bytes = combined.leaked_device_bytes = 0;
   combined.kernel_launches = combined.spill_count = 0;
   combined.fault_count = combined.retried_units = combined.retry_attempts = 0;
-  combined.degraded_clusters = 0;
+  combined.degraded_clusters = combined.host_placed_clusters = 0;
   combined.degraded = combined.ran_on_host = false;
   combined.corrupted_commands = combined.corruption_detected = 0;
   combined.corruption_undetected = combined.corruption_reexecutions = 0;
@@ -383,6 +383,7 @@ MultiDeviceReport MultiDeviceExecutor::Run(
     combined.retried_units += r.retried_units;
     combined.retry_attempts += r.retry_attempts;
     combined.degraded_clusters += r.degraded_clusters;
+    combined.host_placed_clusters += r.host_placed_clusters;
     combined.degraded = combined.degraded || r.degraded;
     combined.ran_on_host = combined.ran_on_host || r.ran_on_host;
     combined.corrupted_commands += r.corrupted_commands;

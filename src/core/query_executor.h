@@ -116,7 +116,8 @@ struct ExecutorOptions {
 
   // Fault injection + recovery. With an injector attached the executor
   // checks per-command outcomes after every simulated run and applies
-  // `resilience`; nullptr executes the legacy always-succeeds path.
+  // `resilience`. nullptr injects nothing: every command succeeds, so no
+  // unit retries or degrades.
   const sim::FaultInjector* fault_injector = nullptr;
   ResilienceOptions resilience;
 
@@ -139,14 +140,16 @@ struct ExecutorOptions {
   //     first, so placement never changes results),
   //   * feeds the finished timeline's per-command outcomes back into the
   //     calibrator and records `calib.*` metrics.
-  // nullptr keeps the exact static behavior of every previous PR. The
+  // nullptr uses `fission_segments` and `stream_count` as given and places
+  // no cluster on the host by itself (only `force_host` does). The
   // calibrator must outlive the executor call and may be shared across
   // threads (it locks internally).
   CostModelCalibrator* calibration = nullptr;
 
   // Data-integrity verification (core/integrity.h): checksummed transfers
   // and sampled host audits, with detected mismatches healed through the
-  // retry-unit machinery. Disabled by default — the legacy trusting path.
+  // retry-unit machinery. Off by default: transfers and kernels are trusted,
+  // so injected corruption goes unnoticed.
   IntegrityOptions integrity;
 
   // End-to-end tracing (obs/tracer.h). When set, the run records a span tree
@@ -222,15 +225,6 @@ struct ExecutionReport {
   // the functional layer (FusedPipeline fills them for fused clusters).
   std::map<NodeId, std::uint64_t> audit_checksums;
 
-  // Span-derived totals (tracer-attached runs only). `trace_spans` counts
-  // the spans this run recorded; `trace_covered` is the root execute span's
-  // simulated duration (always the full makespan); `trace_stage_seconds`
-  // sums the main run's leaf command occupancy per stage category — on a
-  // fault-free serial run these match the stage sums above exactly.
-  std::size_t trace_spans = 0;
-  SimTime trace_covered = 0.0;
-  std::map<std::string, SimTime> trace_stage_seconds;
-
   // Per-cluster kernel-time breakdown (execution order): where the compute
   // time goes — e.g. Q1's SORT share, or the fused block's contribution.
   struct ClusterTiming {
@@ -271,11 +265,11 @@ class QueryExecutor {
                                const ExecutorOptions& options) const;
 
  private:
-  struct NodeSizes;  // realized row counts and widths per node
-
+  // Plan -> Functional -> BuildSchedule -> Simulate -> Recover -> Account
+  // (query_executor.cc). `sources` null selects timing-only mode.
   ExecutionReport Run(const OpGraph& graph,
                       const std::map<NodeId, relational::Table>* sources,
-                      std::map<NodeId, std::uint64_t> row_counts,
+                      const std::map<NodeId, std::uint64_t>& row_counts,
                       const ExecutorOptions& options) const;
 
   const sim::DeviceSimulator& device_;

@@ -1,0 +1,403 @@
+// Pins every ExecutionReport the executor produces over a grid of random
+// queries, strategies and side-channel arms.
+//
+// Each (arm, strategy) pair folds the reports of a query sequence into one
+// digest: every scalar report field, the per-cluster timings, the timeline
+// scalars and every command's ready/start/end/ok/fault/corrupted, the audit
+// digests, and ChecksumTable of every sink. Times enter rounded to 12
+// significant digits; counts enter exactly. A run that throws folds its
+// error code instead. The arms reach every branch of a run: capacity
+// spills and out-of-core segments, retries with backoff, degradation to the
+// host, detected and silent corruption, sampled audits, calibrated host
+// placement, force_host and timing-only estimates. Every sequence runs with
+// and without a tracer, and the two digests must agree: tracing observes a
+// run, it never changes one.
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <cstdio>
+#include <ios>
+#include <map>
+#include <string>
+#include <string_view>
+#include <vector>
+
+#include "core/calibration.h"
+#include "core/integrity.h"
+#include "core/query_executor.h"
+#include "core/select_chain.h"
+#include "obs/tracer.h"
+#include "relational/operators.h"
+#include "sim/fault_injector.h"
+#include "tests/core/random_graph.h"
+
+namespace kf::core {
+namespace {
+
+using relational::Table;
+
+// FNV-1a over a canonical rendering of the fields.
+class Digest {
+ public:
+  void Text(std::string_view text) {
+    for (const char c : text) Byte(static_cast<unsigned char>(c));
+    Byte(0);
+  }
+  void Count(std::uint64_t value) { Text(std::to_string(value)); }
+  void Time(double value) {
+    char buffer[40];
+    std::snprintf(buffer, sizeof buffer, "%.12g", value);
+    Text(buffer);
+  }
+  std::uint64_t value() const { return hash_; }
+
+ private:
+  void Byte(unsigned char byte) {
+    hash_ ^= byte;
+    hash_ *= 0x100000001b3ull;
+  }
+  std::uint64_t hash_ = 0xcbf29ce484222325ull;
+};
+
+void AddReport(Digest& d, const ExecutionReport& r) {
+  const sim::TimelineStats& t = r.timeline;
+  for (const double time : {t.makespan, t.h2d_busy, t.d2h_busy, t.compute_busy,
+                            t.host_busy}) {
+    d.Time(time);
+  }
+  for (const std::size_t count : {t.fault_count, t.stall_count, t.corrupted_count,
+                                  t.commands.size()}) {
+    d.Count(count);
+  }
+  for (const sim::CommandTiming& c : t.commands) {
+    d.Time(c.ready);
+    d.Time(c.start);
+    d.Time(c.end);
+    d.Count(c.ok);
+    d.Count(static_cast<std::uint64_t>(c.fault));
+    d.Count(c.corrupted);
+  }
+  for (const double time : {r.makespan, r.input_output_time, r.round_trip_time,
+                            r.compute_time, r.host_gather_time, r.backoff_time,
+                            r.integrity_time}) {
+    d.Time(time);
+  }
+  for (const std::uint64_t count :
+       {std::uint64_t{r.h2d_bytes}, std::uint64_t{r.d2h_bytes},
+        std::uint64_t{r.peak_device_bytes}, std::uint64_t{r.leaked_device_bytes},
+        std::uint64_t{r.kernel_launches}, std::uint64_t{r.spill_count},
+        std::uint64_t{r.cluster_count}, std::uint64_t{r.fused_cluster_count},
+        std::uint64_t{r.fault_count}, std::uint64_t{r.retried_units},
+        std::uint64_t{r.retry_attempts}, std::uint64_t{r.degraded_clusters},
+        std::uint64_t{r.degraded}, std::uint64_t{r.ran_on_host},
+        std::uint64_t{r.host_placed_clusters}, std::uint64_t{r.corrupted_commands},
+        std::uint64_t{r.corruption_detected}, std::uint64_t{r.corruption_undetected},
+        std::uint64_t{r.corruption_reexecutions}, std::uint64_t{r.audited_clusters},
+        std::uint64_t{r.silent_corruption}}) {
+    d.Count(count);
+  }
+  for (const auto& [id, checksum] : r.audit_checksums) {
+    d.Count(id);
+    d.Count(checksum);
+  }
+  for (const ExecutionReport::ClusterTiming& timing : r.cluster_timings) {
+    d.Text(timing.label);
+    d.Time(timing.compute);
+    d.Count(timing.launches);
+    d.Count(timing.fused);
+  }
+  for (const auto& [id, table] : r.sink_results) {
+    d.Count(id);
+    d.Count(ChecksumTable(table));
+  }
+}
+
+// A query of the grid, with the realized row count of every node (what
+// EstimateOnly is given in the timing-only arm).
+struct PinQuery {
+  RandomQuery query;
+  std::map<NodeId, std::uint64_t> realized_rows;
+};
+
+PinQuery MakePinQuery(RandomQuery query) {
+  PinQuery pin{std::move(query), {}};
+  std::map<NodeId, Table> tables;
+  for (NodeId id : pin.query.graph.TopologicalOrder()) {
+    const OpNode& node = pin.query.graph.node(id);
+    if (node.is_source) {
+      tables.emplace(id, pin.query.sources.at(id));
+    } else {
+      const Table* right = node.inputs.size() > 1 ? &tables.at(node.inputs[1]) : nullptr;
+      tables.emplace(id, relational::ApplyOperator(node.desc, tables.at(node.inputs[0]),
+                                                   right));
+      pin.realized_rows[id] = tables.at(id).row_count();
+    }
+  }
+  return pin;
+}
+
+// Three branches off one source, of three sizes, joined again at the end:
+// the retained intermediates outgrow a small device, so some must spill to
+// the host, and which one goes depends on the victim rule.
+RandomQuery RetentionQuery(std::size_t rows) {
+  using relational::Expr;
+  using relational::OperatorDesc;
+  RandomQuery q;
+  const Table data = MakeUniformInt32Table(rows);
+  const NodeId src = q.graph.AddSource("in", data.schema(), rows);
+  q.sources.emplace(src, data);
+  std::vector<NodeId> branches;
+  const double keep[] = {1.0, 0.6, 0.3};
+  for (int i = 1; i <= 3; ++i) {
+    const NodeId sorted =
+        q.graph.AddOperator(OperatorDesc::Sort({0}, "sort" + std::to_string(i)), src);
+    const auto bound = static_cast<std::int64_t>(keep[i - 1] * 2147483648.0);
+    branches.push_back(q.graph.AddOperator(
+        OperatorDesc::Select(Expr::Lt(Expr::FieldRef(0), Expr::Lit(bound)),
+                             "sel" + std::to_string(i)),
+        sorted));
+  }
+  const NodeId inner =
+      q.graph.AddOperator(OperatorDesc::Union("union_inner"), branches[1], branches[2]);
+  q.graph.AddOperator(OperatorDesc::Union("union_outer"), branches[0], inner);
+  return q;
+}
+
+const std::vector<PinQuery>& Queries() {
+  static const std::vector<PinQuery> queries = [] {
+    std::vector<PinQuery> out;
+    for (std::uint64_t seed : {3u, 8u, 21u}) {
+      out.push_back(MakePinQuery(MakeRandomQuery(seed)));
+    }
+    for (std::uint64_t seed : {2u, 5u}) {
+      out.push_back(MakePinQuery(MakeRandomBarrierQuery(seed)));
+    }
+    out.push_back(MakePinQuery(RetentionQuery(1000)));
+    return out;
+  }();
+  return queries;
+}
+
+enum class Arm {
+  kPlain,
+  kRoundTrip,
+  kSmallDevice,
+  kFaults,
+  kDegrade,
+  kVerifiedCorruption,
+  kSilentCorruption,
+  kCalibrated,
+  kForceHost,
+  kEstimate,
+};
+
+const char* ArmName(Arm arm) {
+  switch (arm) {
+    case Arm::kPlain: return "plain";
+    case Arm::kRoundTrip: return "round_trip";
+    case Arm::kSmallDevice: return "small_device";
+    case Arm::kFaults: return "faults";
+    case Arm::kDegrade: return "degrade";
+    case Arm::kVerifiedCorruption: return "verified_corruption";
+    case Arm::kSilentCorruption: return "silent_corruption";
+    case Arm::kCalibrated: return "calibrated";
+    case Arm::kForceHost: return "force_host";
+    case Arm::kEstimate: return "estimate";
+  }
+  return "?";
+}
+
+sim::FaultConfig FaultsOf(Arm arm) {
+  sim::FaultConfig config;
+  config.seed = 17;
+  switch (arm) {
+    case Arm::kFaults:
+      config.copy_fault_rate = 0.2;
+      config.kernel_fault_rate = 0.2;
+      config.stall_rate = 0.2;
+      break;
+    case Arm::kDegrade:
+      config.kernel_fault_rate = 1.0;
+      break;
+    case Arm::kVerifiedCorruption:
+    case Arm::kSilentCorruption:
+      config.corrupt_h2d_rate = 0.15;
+      config.corrupt_d2h_rate = 0.15;
+      config.corrupt_kernel_rate = 0.15;
+      break;
+    default:
+      break;
+  }
+  return config;
+}
+
+// A device too small for the grid's working sets: intermediates spill and
+// large inputs stream through in segments.
+sim::DeviceSpec SmallDevice() {
+  sim::DeviceSpec spec = sim::DeviceSpec::TinyTestDevice();
+  spec.mem_capacity_bytes = 12 * 1024;
+  return spec;
+}
+
+// The calibrator's believed device: half as fast as the true one, so the
+// calibrated model prefers the host.
+sim::DeviceSpec PessimisticSpec() {
+  sim::DeviceSpec spec;
+  spec.sustained_ipc_fraction *= 0.5;
+  spec.mem_bandwidth_gbs *= 0.5;
+  return spec;
+}
+sim::PcieConfig PessimisticPcie() {
+  sim::PcieConfig pcie;
+  pcie.pinned_h2d_gbs *= 0.5;
+  pcie.pinned_d2h_gbs *= 0.5;
+  pcie.pageable_h2d_gbs *= 0.5;
+  pcie.pageable_d2h_gbs *= 0.5;
+  return pcie;
+}
+
+// Which branches some run of the grid reached.
+struct Reached {
+  std::size_t spills = 0;
+  std::size_t retried_units = 0;
+  std::size_t degraded = 0;
+  std::size_t undetected = 0;
+  std::size_t host_placed = 0;
+  std::size_t audited = 0;
+
+  void Note(const ExecutionReport& r) {
+    spills += r.spill_count;
+    retried_units += r.retried_units;
+    degraded += r.degraded ? 1 : 0;
+    undetected += r.corruption_undetected;
+    host_placed += r.host_placed_clusters;
+    audited += r.audited_clusters;
+  }
+};
+
+// Runs the query sequence of one (arm, strategy) pair twice over — the
+// calibrator and the injector carry state from run to run — and digests
+// every report. Device, injector, calibrator and registry are fresh per
+// call, so a traced and an untraced call see identical draws.
+std::uint64_t SequenceDigest(Arm arm, Strategy strategy, obs::Tracer* tracer,
+                             Reached& reached) {
+  const sim::DeviceSimulator device(arm == Arm::kSmallDevice ? SmallDevice()
+                                                             : sim::DeviceSpec{});
+  const QueryExecutor executor(device);
+  obs::MetricsRegistry metrics;
+  const sim::FaultConfig faults = FaultsOf(arm);
+  const sim::FaultInjector injector(faults, &metrics);
+  CalibrationOptions calibration_options;
+  calibration_options.metrics = &metrics;
+  CostModelCalibrator calibrator(PessimisticSpec(), PessimisticPcie(),
+                                 calibration_options);
+
+  Digest digest;
+  for (int round = 0; round < 2; ++round) {
+    for (const PinQuery& pin : Queries()) {
+      ExecutorOptions options;
+      options.strategy = strategy;
+      options.chunk_count = 4;
+      options.fission_segments = 4;
+      options.metrics = &metrics;
+      options.tracer = tracer;
+      if (faults.AnyEnabled()) options.fault_injector = &injector;
+      if (arm == Arm::kRoundTrip) options.intermediates = IntermediatePolicy::kRoundTrip;
+      if (arm == Arm::kDegrade) options.resilience.max_retries = 1;
+      if (arm == Arm::kVerifiedCorruption) {
+        options.integrity.verify_transfers = true;
+        options.integrity.audit_fraction = 0.5;
+        options.integrity.audit_seed = 11;
+      }
+      if (arm == Arm::kCalibrated) options.calibration = &calibrator;
+      if (arm == Arm::kForceHost) options.force_host = true;
+      try {
+        const ExecutionReport report =
+            arm == Arm::kEstimate
+                ? executor.EstimateOnly(pin.query.graph, pin.realized_rows, options)
+                : executor.Execute(pin.query.graph, pin.query.sources, options);
+        AddReport(digest, report);
+        reached.Note(report);
+      } catch (const Error& e) {
+        digest.Text("error");
+        digest.Count(static_cast<std::uint64_t>(e.code()));
+      }
+      if (arm == Arm::kCalibrated) {
+        digest.Count(calibrator.observations());
+        digest.Count(calibrator.epoch());
+        digest.Time(calibrator.error());
+      }
+    }
+  }
+  return digest.value();
+}
+
+struct Pin {
+  Arm arm;
+  // Digests for kSerial, kFused, kFission, kFusedFission.
+  std::uint64_t digests[4];
+};
+
+constexpr Pin kPins[] = {
+    {Arm::kPlain,
+     {0x7fbfa2b73acb79a3ull, 0xcecd8e63b18338dfull,
+      0x74068ec7db3edb25ull, 0xcbb70371b4209ef5ull}},
+    {Arm::kRoundTrip,
+     {0xdedd92336ebffe5ull, 0x1f567bc509a09fd5ull,
+      0x4023f41d41df8fd5ull, 0xb60415be2414410dull}},
+    {Arm::kSmallDevice,
+     {0xd388979eb748f643ull, 0xddb420a151094a75ull,
+      0xe1eb275477f14dafull, 0x98565a497860c02full}},
+    {Arm::kFaults,
+     {0x92a30fe4121de0adull, 0xad3418822eacfc2dull,
+      0xb30bf665897ed20bull, 0xb432daaee23e0857ull}},
+    {Arm::kDegrade,
+     {0x7cc3ed2933fb1b05ull, 0x44be0430a73df205ull,
+      0x89ad562c466881cdull, 0x1c0916bb05ee7ca3ull}},
+    {Arm::kVerifiedCorruption,
+     {0x2bfe8baa2eafb066ull, 0xf6fd02976f964ab5ull,
+      0xc175d83a43601ff4ull, 0xbac7164529459a57ull}},
+    {Arm::kSilentCorruption,
+     {0xe3b7ddad59c40db8ull, 0xa47c05341a77a611ull,
+      0xf1bc654b22550dcbull, 0x71d1d66591084439ull}},
+    {Arm::kCalibrated,
+     {0xa36850982e46b5b5ull, 0x90deda3218a07c29ull,
+      0xa36850982e46b5b5ull, 0x90deda3218a07c29ull}},
+    {Arm::kForceHost,
+     {0x46ecdfe76c44126dull, 0x6c3b465e5a4a7799ull,
+      0x46ecdfe76c44126dull, 0x6c3b465e5a4a7799ull}},
+    {Arm::kEstimate,
+     {0x2fd5cc4a0fa4d9efull, 0xfe9f856b98e23f07ull,
+      0x59067812ff8909e5ull, 0x62bc23cf8745c185ull}},
+};
+
+constexpr Strategy kStrategies[] = {Strategy::kSerial, Strategy::kFused,
+                                    Strategy::kFission, Strategy::kFusedFission};
+
+TEST(ExecutorReportPin, EveryArmMatchesItsPinnedDigestTracedOrNot) {
+  Reached reached;
+  for (const Pin& pin : kPins) {
+    for (std::size_t s = 0; s < std::size(kStrategies); ++s) {
+      const Strategy strategy = kStrategies[s];
+      const std::uint64_t untraced = SequenceDigest(pin.arm, strategy, nullptr, reached);
+      obs::Tracer tracer;
+      Reached traced_reached;
+      const std::uint64_t traced =
+          SequenceDigest(pin.arm, strategy, &tracer, traced_reached);
+      EXPECT_EQ(traced, untraced) << ArmName(pin.arm) << " " << ToString(strategy);
+      EXPECT_EQ(untraced, pin.digests[s])
+          << ArmName(pin.arm) << " " << ToString(strategy) << " got 0x" << std::hex
+          << untraced;
+    }
+  }
+  // Every branch the pins guard was taken somewhere in the grid.
+  EXPECT_GT(reached.spills, 0u);
+  EXPECT_GT(reached.retried_units, 0u);
+  EXPECT_GT(reached.degraded, 0u);
+  EXPECT_GT(reached.undetected, 0u);
+  EXPECT_GT(reached.host_placed, 0u);
+  EXPECT_GT(reached.audited, 0u);
+}
+
+}  // namespace
+}  // namespace kf::core

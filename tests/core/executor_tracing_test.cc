@@ -73,9 +73,7 @@ TEST_F(ExecutorTracingTest, RootSpanCoversTheWholeMakespan) {
   EXPECT_EQ(root.parent, 0u);
   EXPECT_DOUBLE_EQ(root.sim_start, 0.0);
   EXPECT_DOUBLE_EQ(root.sim_end, report.makespan);
-  EXPECT_DOUBLE_EQ(report.trace_covered, report.makespan);
-  EXPECT_EQ(report.trace_spans, trace.spans.size());
-  EXPECT_GT(report.trace_spans, 3u);
+  EXPECT_GT(trace.spans.size(), 3u);
 
   // Every non-root span resolves to a parent inside the tree and stays
   // within the root's window.
@@ -136,9 +134,13 @@ TEST_F(ExecutorTracingTest, StageOccupancyMatchesReportOnSerialCleanRun) {
   ASSERT_FALSE(trace.empty());
   // On a fault-free serial run, per-category leaf occupancy equals the
   // report's stage sums: no engine overlap, no stall stretching.
+  std::map<std::string, double> occupancy;
+  for (const obs::Span& span : trace.spans) {
+    if (!span.category.empty()) occupancy[span.category] += span.sim_end - span.sim_start;
+  }
   const auto stage = [&](const std::string& name) {
-    const auto it = report.trace_stage_seconds.find(name);
-    return it == report.trace_stage_seconds.end() ? 0.0 : it->second;
+    const auto it = occupancy.find(name);
+    return it == occupancy.end() ? 0.0 : it->second;
   };
   EXPECT_NEAR(stage("input_output"), report.input_output_time, 1e-9);
   EXPECT_NEAR(stage("round_trip"), report.round_trip_time, 1e-9);

@@ -8,6 +8,7 @@
 
 #include "common/error.h"
 #include "common/random.h"
+#include "core/calibration.h"
 #include "core/select_chain.h"
 #include "obs/metrics_registry.h"
 #include "sim/device_group.h"
@@ -343,6 +344,40 @@ TEST(MultiDeviceEdge, DeviceSubsetAndValidation) {
   EXPECT_THROW(executor.Execute(q.graph, q.sources, options), kf::InvalidArgument);
   options.devices = {2, 2};
   EXPECT_THROW(executor.Execute(q.graph, q.sources, options), kf::InvalidArgument);
+}
+
+TEST(MultiDeviceEdge, HostPlacementsSumAcrossShards) {
+  // Two learning calibrators with the true spec: once each has explored its
+  // device, both shards place the bandwidth-bound SELECT on the host, and
+  // the combined report counts both placements.
+  const std::uint64_t rows = std::uint64_t{1} << 20;
+  OpGraph graph;
+  const NodeId source = graph.AddSource(
+      "events", relational::Schema{{"k", relational::DataType::kInt64}}, rows);
+  const NodeId select = graph.AddOperator(
+      OperatorDesc::Select(Expr::Lt(Expr::FieldRef(0), Expr::Lit(0)), "sel"), source);
+  const std::map<NodeId, std::uint64_t> row_counts{{source, rows}, {select, rows / 2}};
+
+  sim::DeviceGroup group = sim::DeviceGroup::Homogeneous(2);
+  MultiDeviceExecutor executor(group);
+  CostModelCalibrator first;
+  CostModelCalibrator second;
+  MultiDeviceOptions options;
+  options.base.strategy = Strategy::kFused;
+  options.per_device_calibrations = {&first, &second};
+
+  for (int call = 0; call < 3; ++call) {
+    const MultiDeviceReport report = executor.EstimateOnly(graph, row_counts, options);
+    ASSERT_TRUE(report.sharded);
+    std::size_t shard_sum = 0;
+    for (const ShardReport& shard : report.shards) {
+      shard_sum += shard.report.host_placed_clusters;
+    }
+    EXPECT_EQ(report.combined.host_placed_clusters, shard_sum) << "call " << call;
+    if (call > 0) {
+      EXPECT_EQ(shard_sum, 2u) << "call " << call;
+    }
+  }
 }
 
 TEST(MultiDeviceEdge, EstimateOnlyScalesWithDevices) {
