@@ -1,26 +1,29 @@
 // Wall-clock microbenchmarks (google-benchmark) of the host-side functional
-// substrate on THIS machine: the staged SELECT kernels, fused vs unfused
-// chains, the CPU comparator, and the fused pipeline. These are sanity
-// checks that the functional layer is itself reasonable code — the paper's
-// figures come from the simulated device, not from these timings.
+// substrate on THIS machine: the executor's staged kernels
+// (core::ExecuteCluster) over SELECT, fused and unfused SELECT chains, JOIN,
+// AGGREGATE and SORT clusters, the radix argsort, and compression. These are
+// sanity checks that the functional layer is itself reasonable code — the
+// paper's figures come from the simulated device, not from these timings.
 #include <benchmark/benchmark.h>
 
+#include <map>
 #include <string>
 #include <vector>
 
 #include "common/random.h"
 #include "core/fused_pipeline.h"
 #include "core/select_chain.h"
-#include "cpu/cpu_select.h"
 #include "relational/compression.h"
-#include "relational/staged_aggregate.h"
-#include "relational/staged_join.h"
-#include "relational/staged_kernel.h"
 #include "relational/staged_sort.h"
 
 namespace {
 
 using namespace kf;
+using core::NodeId;
+using relational::DataType;
+using relational::OperatorDesc;
+using relational::Table;
+using relational::Value;
 
 std::vector<std::int32_t> MakeData(std::size_t n) {
   Rng rng(7);
@@ -29,87 +32,123 @@ std::vector<std::int32_t> MakeData(std::size_t n) {
   return data;
 }
 
-// Canonical path: typed predicate + pooled workspace (zero warm-path heap
-// allocations, branch-free vectorizable filter).
-void BM_StagedSelect(benchmark::State& state) {
-  const auto data = MakeData(static_cast<std::size_t>(state.range(0)));
-  const auto pred = relational::TypedPredicate::Lt(1 << 29);
-  BufferArena arena;
-  auto ws = arena.Acquire<relational::StagedBuffers>();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(relational::StagedSelectInto(data, pred, 64, *ws));
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          state.range(0) * 4);
-}
-BENCHMARK(BM_StagedSelect)->Arg(1 << 16)->Arg(1 << 20)->Arg(1 << 22);
-
-// Legacy std::function entry point: per-element indirect call, output copied
-// out of the pooled workspace. The gap to BM_StagedSelect is the cost of the
-// type-erased predicate.
-void BM_StagedSelectFallback(benchmark::State& state) {
-  const auto data = MakeData(static_cast<std::size_t>(state.range(0)));
-  const auto pred = [](std::int32_t v) { return v < (1 << 29); };
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(relational::StagedSelect(data, pred, 64));
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          state.range(0) * 4);
-}
-BENCHMARK(BM_StagedSelectFallback)->Arg(1 << 16)->Arg(1 << 20)->Arg(1 << 22);
-
-void BM_StagedSelectChainUnfused(benchmark::State& state) {
-  const auto data = MakeData(1 << 20);
-  const std::vector<relational::TypedPredicate> predicates = {
-      relational::TypedPredicate::Lt(1 << 29),
-      relational::TypedPredicate::Lt(1 << 28),
+// Runs every cluster of `plan` in order over 64 chunks, as the executor's
+// functional pass does, and returns the rows of the last cluster's outputs.
+std::size_t RunPlan(const core::OpGraph& graph, const core::FusionPlan& plan,
+                    const std::map<NodeId, Table>& sources) {
+  std::map<NodeId, Table> computed;
+  auto lookup = [&](NodeId id) -> const Table& {
+    const auto it = sources.find(id);
+    return it != sources.end() ? it->second : computed.at(id);
   };
-  BufferArena arena;
-  auto ws = arena.Acquire<relational::StagedBuffers>();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        relational::StagedSelectChainUnfusedInto(data, predicates, 64, *ws));
+  std::size_t rows = 0;
+  for (const core::FusionCluster& cluster : plan.clusters) {
+    core::ClusterExecution exec = core::ExecuteCluster(graph, cluster, lookup, 64);
+    rows = 0;
+    for (auto& [id, table] : exec.outputs) {
+      rows += table.row_count();
+      computed.insert_or_assign(id, std::move(table));
+    }
   }
+  return rows;
 }
-BENCHMARK(BM_StagedSelectChainUnfused);
 
-void BM_StagedSelectChainFused(benchmark::State& state) {
-  const auto data = MakeData(1 << 20);
-  const std::vector<relational::TypedPredicate> predicates = {
-      relational::TypedPredicate::Lt(1 << 29),
-      relational::TypedPredicate::Lt(1 << 28),
-  };
-  BufferArena arena;
-  auto ws = arena.Acquire<relational::StagedBuffers>();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        relational::StagedSelectChainFusedInto(data, predicates, 64, *ws));
-  }
+// Times `graph` under `options`' fusion plan; items are the primary rows.
+void RunGraph(benchmark::State& state, const core::OpGraph& graph,
+              const std::map<NodeId, Table>& sources, std::size_t rows,
+              const core::FusionOptions& options = {}) {
+  const core::FusionPlan plan = core::PlanFusion(graph, options);
+  for (auto _ : state) benchmark::DoNotOptimize(RunPlan(graph, plan, sources));
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(rows));
 }
-BENCHMARK(BM_StagedSelectChainFused);
 
-void BM_StagedSelectChainFusedFallback(benchmark::State& state) {
-  const auto data = MakeData(1 << 20);
-  const std::vector<relational::Int32Predicate> predicates = {
-      [](std::int32_t v) { return v < (1 << 29); },
-      [](std::int32_t v) { return v < (1 << 28); },
-  };
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        relational::StagedSelectChainFused(data, predicates, 64));
-  }
+// A chain of 50% SELECTs over uniform int32s (each keeps half its input).
+void RunSelectChain(benchmark::State& state, std::size_t rows, std::size_t selects,
+                    const core::FusionOptions& options = {}) {
+  const core::SelectChain chain =
+      core::MakeSelectChain(rows, std::vector<double>(selects, 0.5));
+  RunGraph(state, chain.graph, {{chain.source, core::MakeUniformInt32Table(rows)}},
+           rows, options);
 }
-BENCHMARK(BM_StagedSelectChainFusedFallback);
 
-void BM_CpuSelect(benchmark::State& state) {
-  const auto data = MakeData(1 << 20);
-  ThreadPool pool(4);
-  const auto pred = [](std::int32_t v) { return v < (1 << 29); };
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(cpu::CpuSelect(data, pred, &pool));
-  }
+// One int32 SELECT: a typed FilterInt32 kernel per chunk.
+void BM_ClusterSelect(benchmark::State& state) {
+  RunSelectChain(state, static_cast<std::size_t>(state.range(0)), 1);
 }
-BENCHMARK(BM_CpuSelect);
+BENCHMARK(BM_ClusterSelect)->Arg(1 << 16)->Arg(1 << 20)->Arg(1 << 22);
+
+// Two SELECTs fused into one cluster: one partition, one gather (Fig 6).
+void BM_ClusterSelectChainFused(benchmark::State& state) {
+  RunSelectChain(state, 1 << 20, 2);
+}
+BENCHMARK(BM_ClusterSelectChainFused);
+
+// The same chain unfused: one cluster per SELECT, the intermediate
+// materialized between them (2x Fig 3).
+void BM_ClusterSelectChainUnfused(benchmark::State& state) {
+  core::FusionOptions unfused;
+  unfused.enabled = false;
+  RunSelectChain(state, 1 << 20, 2, unfused);
+}
+BENCHMARK(BM_ClusterSelectChainUnfused);
+
+// Int64 key/value relation with keys uniform in [0, key_max].
+Table MakeKV(std::size_t rows, std::int64_t key_max, std::uint64_t seed) {
+  Rng rng(seed);
+  Table t(relational::Schema{{"k", DataType::kInt64}, {"v", DataType::kInt64}});
+  t.Reserve(rows);
+  for (std::size_t r = 0; r < rows; ++r) {
+    t.AppendRow({Value::Int64(rng.UniformInt(0, key_max)),
+                 Value::Int64(rng.UniformInt(0, 100))});
+  }
+  return t;
+}
+
+// JOIN probing 2^18 rows against a 2^14-row build side on int64 keys.
+void BM_ClusterJoin(benchmark::State& state) {
+  const std::size_t probe_rows = 1 << 18;
+  core::OpGraph graph;
+  Table probe = MakeKV(probe_rows, 1 << 14, 3);
+  Table build = MakeKV(1 << 14, 1 << 14, 4);
+  const NodeId probe_id = graph.AddSource("probe", probe.schema(), probe_rows);
+  const NodeId build_id = graph.AddSource("build", build.schema(), build.row_count());
+  graph.AddOperator(OperatorDesc::Join(0, 0), probe_id, build_id);
+  RunGraph(state, graph, {{probe_id, std::move(probe)}, {build_id, std::move(build)}},
+           probe_rows);
+}
+BENCHMARK(BM_ClusterJoin);
+
+// Grouped SUM of 2^20 float64 values over 64 int64 groups.
+void BM_ClusterAggregate(benchmark::State& state) {
+  const std::size_t rows = 1 << 20;
+  Rng rng(4);
+  Table data(relational::Schema{{"g", DataType::kInt64}, {"v", DataType::kFloat64}});
+  data.Reserve(rows);
+  for (std::size_t r = 0; r < rows; ++r) {
+    data.AppendRow({Value::Int64(rng.UniformInt(0, 63)),
+                    Value::Float64(rng.UniformDouble(0.0, 1.0))});
+  }
+  core::OpGraph graph;
+  const NodeId src = graph.AddSource("in", data.schema(), rows);
+  graph.AddOperator(
+      OperatorDesc::Aggregate({0}, {{relational::AggregateSpec::Func::kSum, 1, "sum"}}),
+      src);
+  RunGraph(state, graph, {{src, std::move(data)}}, rows);
+}
+BENCHMARK(BM_ClusterAggregate);
+
+// SORT of 2^20 rows on one int32 key: the barrier kernel's radix argsort
+// plus its gather.
+void BM_ClusterSort(benchmark::State& state) {
+  const std::size_t rows = 1 << 20;
+  core::OpGraph graph;
+  Table data = core::MakeUniformInt32Table(rows);
+  const NodeId src = graph.AddSource("in", data.schema(), rows);
+  graph.AddOperator(OperatorDesc::Sort({0}), src);
+  RunGraph(state, graph, {{src, std::move(data)}}, rows);
+}
+BENCHMARK(BM_ClusterSort);
 
 void BM_FusedPipelineSelectChain(benchmark::State& state) {
   core::SelectChain chain =
@@ -124,16 +163,6 @@ void BM_FusedPipelineSelectChain(benchmark::State& state) {
 }
 BENCHMARK(BM_FusedPipelineSelectChain);
 
-void BM_StagedRadixSort(benchmark::State& state) {
-  const auto data = MakeData(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(relational::StagedRadixSort(data, 64));
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          state.range(0) * 4);
-}
-BENCHMARK(BM_StagedRadixSort)->Arg(1 << 16)->Arg(1 << 20);
-
 void BM_StagedRadixArgsort(benchmark::State& state) {
   const auto data = MakeData(1 << 20);
   for (auto _ : state) {
@@ -141,36 +170,6 @@ void BM_StagedRadixArgsort(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_StagedRadixArgsort);
-
-void BM_StagedHashJoin(benchmark::State& state) {
-  Rng rng(3);
-  std::vector<relational::JoinPair> left(1 << 18), right(1 << 14);
-  for (auto& p : left) {
-    p.key = rng.UniformInt(0, 1 << 14);
-    p.value = rng.UniformInt(0, 100);
-  }
-  for (auto& p : right) {
-    p.key = rng.UniformInt(0, 1 << 14);
-    p.value = rng.UniformInt(0, 100);
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(relational::StagedHashJoin(left, right, 64));
-  }
-}
-BENCHMARK(BM_StagedHashJoin);
-
-void BM_StagedGroupedAggregate(benchmark::State& state) {
-  Rng rng(4);
-  std::vector<relational::AggregateInput> input(1 << 20);
-  for (auto& in : input) {
-    in.group = rng.UniformInt(0, 63);
-    in.value = rng.UniformDouble(0.0, 1.0);
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(relational::StagedGroupedAggregate(input, 64));
-  }
-}
-BENCHMARK(BM_StagedGroupedAggregate);
 
 void BM_CompressBitPack(benchmark::State& state) {
   Rng rng(5);

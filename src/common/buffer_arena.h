@@ -41,9 +41,10 @@ struct HostPerfCounters {
   std::atomic<std::uint64_t> pool_hits{0};
   std::atomic<std::uint64_t> pool_misses{0};
   std::atomic<std::uint64_t> arena_reused_bytes{0};
-  // StagedSelect-family runs that went through the std::function fallback
-  // instead of a typed (vectorizable) predicate kernel.
+  // Fused-pipeline SELECT members evaluated per row through EvalExpr
+  // because CompilePredicate could not lower them...
   std::atomic<std::uint64_t> fallback_predicates{0};
+  // ...and members run on a typed (vectorizable) predicate kernel.
   std::atomic<std::uint64_t> typed_predicates{0};
 
   static HostPerfCounters& Global();

@@ -863,6 +863,15 @@ ClusterExecution ExecuteStreamed(const OpGraph& graph, const FusionCluster& clus
     HostPerfCounters::Global().typed_predicates.fetch_add(plan.typed_selects,
                                                           std::memory_order_relaxed);
   }
+  // SELECTs CompilePredicate could not lower run per row through EvalExpr.
+  const auto fallback_selects = static_cast<std::uint64_t>(
+      std::count_if(plan.steps.begin(), plan.steps.end(), [](const Step& step) {
+        return step.node->desc.kind == OpKind::kSelect && !step.typed.has_value();
+      }));
+  if (fallback_selects > 0) {
+    HostPerfCounters::Global().fallback_predicates.fetch_add(fallback_selects,
+                                                             std::memory_order_relaxed);
+  }
 
   // --- Partition stage. ------------------------------------------------------
   kf::BufferArena& scratch_arena =

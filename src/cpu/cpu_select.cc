@@ -3,50 +3,8 @@
 #include <algorithm>
 
 #include "common/error.h"
-#include "common/prefix_sum.h"
 
 namespace kf::cpu {
-
-std::vector<std::int32_t> CpuSelect(std::span<const std::int32_t> input,
-                                    const Int32Predicate& predicate, ThreadPool* pool) {
-  const std::size_t n = input.size();
-  if (pool == nullptr || pool->thread_count() <= 1 || n < 4096) {
-    std::vector<std::int32_t> output;
-    output.reserve(n / 4);
-    std::copy_if(input.begin(), input.end(), std::back_inserter(output), predicate);
-    return output;
-  }
-
-  const std::size_t blocks = pool->thread_count() * 4;
-  const std::size_t block_size = (n + blocks - 1) / blocks;
-  const std::size_t block_count = (n + block_size - 1) / block_size;
-
-  // Pass 1: per-block match counts. Blocks are claimed from the pool's
-  // atomic counter — no task boxing, no per-block allocation.
-  std::vector<std::uint64_t> counts(block_count, 0);
-  pool->ParallelForEach(block_count, [&](std::size_t b) {
-    const std::size_t begin = b * block_size;
-    const std::size_t end = std::min(n, begin + block_size);
-    std::uint64_t count = 0;
-    for (std::size_t i = begin; i < end; ++i) {
-      if (predicate(input[i])) ++count;
-    }
-    counts[b] = count;
-  });
-
-  // Scan, then pass 2: positioned writes.
-  const std::vector<std::uint64_t> offsets = ExclusiveScanWithTotal(counts);
-  std::vector<std::int32_t> output(offsets.back());
-  pool->ParallelForEach(block_count, [&](std::size_t b) {
-    const std::size_t begin = b * block_size;
-    const std::size_t end = std::min(n, begin + block_size);
-    std::size_t pos = offsets[b];
-    for (std::size_t i = begin; i < end; ++i) {
-      if (predicate(input[i])) output[pos++] = input[i];
-    }
-  });
-  return output;
-}
 
 double CpuSelectModel::ThroughputGBs(std::uint64_t elements, double selectivity) const {
   KF_REQUIRE(selectivity >= 0.0 && selectivity <= 1.0)

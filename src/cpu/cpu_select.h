@@ -1,34 +1,20 @@
-// Multithreaded CPU comparator for the SELECT operator (paper Fig 4a).
+// CPU comparator for the SELECT operator (paper Fig 4a).
 //
-// Two faces, mirroring the GPU side of the repository:
-//   * `CpuSelect` — a real parallel implementation (count / scan / write,
-//     the standard shared-memory compaction) used for correctness tests and
-//     wall-clock microbenchmarks on this machine;
-//   * `CpuSelectModel` — a throughput model of the paper's comparator (dual
-//     quad-core Xeon E5520, 16 threads), calibrated against Figure 4(a):
-//     roughly 7.5 GB/s at 10% selectivity falling to ~1.8 GB/s at 90%,
-//     2.9x-8.8x below the device. The simulated experiments compare the
-//     device model against this model, not against this container's CPU.
+// `CpuSelectModel` is a throughput model of the paper's comparator (dual
+// quad-core Xeon E5520, 16 threads), calibrated against Figure 4(a): roughly
+// 7.5 GB/s at 10% selectivity falling to ~1.8 GB/s at 90%, 2.9x-8.8x below
+// the device. The simulated experiments compare the device model against
+// this model, not against the host CPU that runs them.
 #ifndef KF_CPU_CPU_SELECT_H_
 #define KF_CPU_CPU_SELECT_H_
 
 #include <cstdint>
-#include <functional>
-#include <span>
+#include <utility>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "common/units.h"
 
 namespace kf::cpu {
-
-using Int32Predicate = std::function<bool(std::int32_t)>;
-
-// Parallel filter with exact input order preserved. `thread_count == 0`
-// uses the pool's width.
-std::vector<std::int32_t> CpuSelect(std::span<const std::int32_t> input,
-                                    const Int32Predicate& predicate,
-                                    ThreadPool* pool = nullptr);
 
 // Throughput model of the paper's 16-thread Xeon E5520 comparator.
 class CpuSelectModel {

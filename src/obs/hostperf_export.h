@@ -1,6 +1,6 @@
 // Cold-path export of the host-performance substrate counters.
 //
-// The staged-kernel hot paths update kf::HostPerfCounters (process-wide
+// The host kernels' hot paths update kf::HostPerfCounters (process-wide
 // lock-free atomics — a registry lookup allocates and is far too expensive
 // per run). This shim snapshots those atomics into `hostperf.*` metrics so
 // dashboards and the bench JSON see them alongside the executor metrics:
@@ -9,8 +9,8 @@
 //   hostperf.pool_misses          checkouts that had to construct fresh
 //   hostperf.pool_hit_rate_ppm    hits / (hits+misses), parts per million
 //   hostperf.arena_reused_bytes   capacity handed back out instead of malloc'd
-//   hostperf.typed_predicates     staged-select predicates run as typed kernels
-//   hostperf.fallback_predicates  predicates run through the std::function path
+//   hostperf.typed_predicates     SELECT members run on typed kernels
+//   hostperf.fallback_predicates  SELECT members run per row through EvalExpr
 //
 // Call it wherever a run's metrics are finalized (QueryExecutor does after
 // every execution). Counters are cumulative since process start; the gauges

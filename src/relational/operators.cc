@@ -1,7 +1,5 @@
 #include "relational/operators.h"
 
-#include "relational/staged_sort.h"
-
 #include <algorithm>
 #include <iomanip>
 #include <limits>
@@ -415,20 +413,6 @@ Table ApplyArith(const OperatorDesc& op, const Table& in) {
 
 Table ApplySort(const OperatorDesc& op, const Table& in) {
   for (int k : op.sort_keys) CheckFieldIndex(k, in.schema(), "SORT");
-
-  // Fast path: a single int32 key uses the staged radix sort (stable), the
-  // same algorithm the GPU cost model charges for.
-  if (op.sort_keys.size() == 1 &&
-      in.column(static_cast<std::size_t>(op.sort_keys[0])).type() ==
-          DataType::kInt32) {
-    const auto& keys =
-        in.column(static_cast<std::size_t>(op.sort_keys[0])).AsInt32();
-    const std::vector<std::uint32_t> permutation = StagedRadixArgsort(keys);
-    Table out(in.schema());
-    out.Reserve(in.row_count());
-    for (std::uint32_t r : permutation) out.AppendRow(in.GetRow(r));
-    return out;
-  }
 
   std::vector<std::size_t> order(in.row_count());
   std::iota(order.begin(), order.end(), 0);

@@ -24,13 +24,6 @@ std::size_t FilterDense(std::span<const std::int32_t> input, std::int32_t* out,
   return count;
 }
 
-template <typename P>
-std::size_t CountDense(std::span<const std::int32_t> input, P p) {
-  std::size_t count = 0;
-  for (const std::int32_t v : input) count += static_cast<std::size_t>(p(v));
-  return count;
-}
-
 // FilterDense with the element's position stored in place of its value.
 template <typename P>
 std::size_t FilterIdsDense(std::span<const std::int32_t> input, std::uint32_t* out,
@@ -60,31 +53,8 @@ std::size_t WithKernel(const TypedPredicate& pred, Kernel kernel) {
     case PredOp::kNe: return kernel([a](std::int32_t v) { return v != a; });
     case PredOp::kInRange:
       return kernel([a, b](std::int32_t v) { return v >= a && v <= b; });
-    case PredOp::kMaskEq:
-      return kernel([a, b](std::int32_t v) { return (v & a) == b; });
-    case PredOp::kFallback:
-      return kernel([f = pred.fallback](std::int32_t v) { return (*f)(v); });
   }
   return 0;
-}
-
-// Scalar evaluation of one predicate; the per-element cost of the generic
-// multi-predicate path and of Matches().
-inline bool EvalPred(const TypedPredicate& p, std::int32_t v) {
-  switch (p.op) {
-    case PredOp::kAlwaysTrue: return true;
-    case PredOp::kAlwaysFalse: return false;
-    case PredOp::kLt: return v < p.a;
-    case PredOp::kLe: return v <= p.a;
-    case PredOp::kGt: return v > p.a;
-    case PredOp::kGe: return v >= p.a;
-    case PredOp::kEq: return v == p.a;
-    case PredOp::kNe: return v != p.a;
-    case PredOp::kInRange: return v >= p.a && v <= p.b;
-    case PredOp::kMaskEq: return (v & p.a) == p.b;
-    case PredOp::kFallback: return (*p.fallback)(v);
-  }
-  return false;
 }
 
 // Mirrors `lit OP field` into `field OP' lit`.
@@ -139,146 +109,13 @@ std::optional<TypedPredicate> Negate(const TypedPredicate& p) {
     case PredOp::kGe: return TypedPredicate::Lt(p.a);
     case PredOp::kEq: return TypedPredicate::Ne(p.a);
     case PredOp::kNe: return TypedPredicate::Eq(p.a);
-    // ¬InRange is a disjunction; ¬MaskEq / ¬Fallback have no closed form.
+    // ¬InRange is a disjunction.
     default: return std::nullopt;
   }
 }
 
-}  // namespace
-
-const char* ToString(PredOp op) {
-  switch (op) {
-    case PredOp::kAlwaysTrue: return "true";
-    case PredOp::kAlwaysFalse: return "false";
-    case PredOp::kLt: return "lt";
-    case PredOp::kLe: return "le";
-    case PredOp::kGt: return "gt";
-    case PredOp::kGe: return "ge";
-    case PredOp::kEq: return "eq";
-    case PredOp::kNe: return "ne";
-    case PredOp::kInRange: return "in_range";
-    case PredOp::kMaskEq: return "mask_eq";
-    case PredOp::kFallback: return "fallback";
-  }
-  return "?";
-}
-
-bool TypedPredicate::Matches(std::int32_t v) const { return EvalPred(*this, v); }
-
-std::string TypedPredicate::ToString() const {
-  std::string s = relational::ToString(op);
-  switch (op) {
-    case PredOp::kInRange:
-    case PredOp::kMaskEq:
-      return s + "(" + std::to_string(a) + "," + std::to_string(b) + ")";
-    case PredOp::kAlwaysTrue:
-    case PredOp::kAlwaysFalse:
-    case PredOp::kFallback:
-      return s;
-    default:
-      return s + "(" + std::to_string(a) + ")";
-  }
-}
-
-std::size_t FilterInt32(std::span<const std::int32_t> input,
-                        const TypedPredicate& pred, std::int32_t* out) {
-  switch (pred.op) {
-    case PredOp::kAlwaysTrue:
-      if (!input.empty()) {
-        std::memcpy(out, input.data(), input.size() * sizeof(std::int32_t));
-      }
-      return input.size();
-    case PredOp::kAlwaysFalse: return 0;
-    default:
-      return WithKernel(pred, [&](auto p) { return FilterDense(input, out, p); });
-  }
-}
-
-std::size_t FilterInt32Ids(std::span<const std::int32_t> input,
-                           const TypedPredicate& pred, std::uint32_t* out) {
-  return WithKernel(pred, [&](auto p) { return FilterIdsDense(input, out, p); });
-}
-
-std::size_t FilterInt32All(std::span<const std::int32_t> input,
-                           std::span<const TypedPredicate> preds,
-                           std::int32_t* out) {
-  if (preds.empty()) {
-    if (!input.empty()) {
-      std::memcpy(out, input.data(), input.size() * sizeof(std::int32_t));
-    }
-    return input.size();
-  }
-  if (preds.size() == 1) return FilterInt32(input, preds[0], out);
-  // Generic fused conjunction: still one pass with the element in registers,
-  // evaluating every predicate unconditionally. FoldConjunction normally
-  // collapses chains to a single predicate before reaching this path.
-  std::size_t count = 0;
-  for (const std::int32_t v : input) {
-    unsigned ok = 1;
-    for (const TypedPredicate& p : preds) {
-      ok &= static_cast<unsigned>(EvalPred(p, v));
-    }
-    out[count] = v;
-    count += ok;
-  }
-  return count;
-}
-
-std::size_t CountInt32(std::span<const std::int32_t> input,
-                       const TypedPredicate& pred) {
-  return WithKernel(pred, [&](auto p) { return CountDense(input, p); });
-}
-
-std::vector<TypedPredicate> FoldConjunction(
-    std::span<const TypedPredicate> preds) {
-  std::int64_t lo = kI32Min;
-  std::int64_t hi = kI32Max;
-  bool always_false = false;
-  std::vector<TypedPredicate> rest;
-  for (const TypedPredicate& p : preds) {
-    switch (p.op) {
-      case PredOp::kAlwaysTrue: break;
-      case PredOp::kAlwaysFalse: always_false = true; break;
-      case PredOp::kLt: hi = std::min(hi, static_cast<std::int64_t>(p.a) - 1); break;
-      case PredOp::kLe: hi = std::min(hi, static_cast<std::int64_t>(p.a)); break;
-      case PredOp::kGt: lo = std::max(lo, static_cast<std::int64_t>(p.a) + 1); break;
-      case PredOp::kGe: lo = std::max(lo, static_cast<std::int64_t>(p.a)); break;
-      case PredOp::kEq:
-        lo = std::max(lo, static_cast<std::int64_t>(p.a));
-        hi = std::min(hi, static_cast<std::int64_t>(p.a));
-        break;
-      case PredOp::kInRange:
-        lo = std::max(lo, static_cast<std::int64_t>(p.a));
-        hi = std::min(hi, static_cast<std::int64_t>(p.b));
-        break;
-      default:  // kNe, kMaskEq, kFallback: kept as-is, in order
-        rest.push_back(p);
-        break;
-    }
-  }
-  if (always_false || lo > hi) return {TypedPredicate::AlwaysFalse()};
-
-  std::vector<TypedPredicate> out;
-  const bool lo_open = lo == kI32Min;
-  const bool hi_open = hi == kI32Max;
-  if (!lo_open || !hi_open) {
-    const auto l = static_cast<std::int32_t>(lo);
-    const auto h = static_cast<std::int32_t>(hi);
-    if (lo == hi) {
-      out.push_back(TypedPredicate::Eq(l));
-    } else if (lo_open) {
-      out.push_back(TypedPredicate::Le(h));
-    } else if (hi_open) {
-      out.push_back(TypedPredicate::Ge(l));
-    } else {
-      out.push_back(TypedPredicate::InRange(l, h));
-    }
-  }
-  out.insert(out.end(), rest.begin(), rest.end());
-  if (out.empty()) out.push_back(TypedPredicate::AlwaysTrue());
-  return out;
-}
-
+// Appends one predicate per conjunct of `expr` to `out`; false when a
+// conjunct has no exact typed form.
 bool CompileConjunction(const Expr& expr, int field_index,
                         std::vector<TypedPredicate>& out) {
   switch (expr.op) {
@@ -332,6 +169,120 @@ bool CompileConjunction(const Expr& expr, int field_index,
     default:
       return false;  // arithmetic, OR, bare field refs: fallback territory
   }
+}
+
+}  // namespace
+
+const char* ToString(PredOp op) {
+  switch (op) {
+    case PredOp::kAlwaysTrue: return "true";
+    case PredOp::kAlwaysFalse: return "false";
+    case PredOp::kLt: return "lt";
+    case PredOp::kLe: return "le";
+    case PredOp::kGt: return "gt";
+    case PredOp::kGe: return "ge";
+    case PredOp::kEq: return "eq";
+    case PredOp::kNe: return "ne";
+    case PredOp::kInRange: return "in_range";
+  }
+  return "?";
+}
+
+bool TypedPredicate::Matches(std::int32_t v) const {
+  switch (op) {
+    case PredOp::kAlwaysTrue: return true;
+    case PredOp::kAlwaysFalse: return false;
+    case PredOp::kLt: return v < a;
+    case PredOp::kLe: return v <= a;
+    case PredOp::kGt: return v > a;
+    case PredOp::kGe: return v >= a;
+    case PredOp::kEq: return v == a;
+    case PredOp::kNe: return v != a;
+    case PredOp::kInRange: return v >= a && v <= b;
+  }
+  return false;
+}
+
+std::string TypedPredicate::ToString() const {
+  std::string s = relational::ToString(op);
+  switch (op) {
+    case PredOp::kInRange:
+      return s + "(" + std::to_string(a) + "," + std::to_string(b) + ")";
+    case PredOp::kAlwaysTrue:
+    case PredOp::kAlwaysFalse:
+      return s;
+    default:
+      return s + "(" + std::to_string(a) + ")";
+  }
+}
+
+std::size_t FilterInt32(std::span<const std::int32_t> input,
+                        const TypedPredicate& pred, std::int32_t* out) {
+  switch (pred.op) {
+    case PredOp::kAlwaysTrue:
+      if (!input.empty()) {
+        std::memcpy(out, input.data(), input.size() * sizeof(std::int32_t));
+      }
+      return input.size();
+    case PredOp::kAlwaysFalse: return 0;
+    default:
+      return WithKernel(pred, [&](auto p) { return FilterDense(input, out, p); });
+  }
+}
+
+std::size_t FilterInt32Ids(std::span<const std::int32_t> input,
+                           const TypedPredicate& pred, std::uint32_t* out) {
+  return WithKernel(pred, [&](auto p) { return FilterIdsDense(input, out, p); });
+}
+
+std::vector<TypedPredicate> FoldConjunction(
+    std::span<const TypedPredicate> preds) {
+  std::int64_t lo = kI32Min;
+  std::int64_t hi = kI32Max;
+  bool always_false = false;
+  std::vector<TypedPredicate> rest;
+  for (const TypedPredicate& p : preds) {
+    switch (p.op) {
+      case PredOp::kAlwaysTrue: break;
+      case PredOp::kAlwaysFalse: always_false = true; break;
+      case PredOp::kLt: hi = std::min(hi, static_cast<std::int64_t>(p.a) - 1); break;
+      case PredOp::kLe: hi = std::min(hi, static_cast<std::int64_t>(p.a)); break;
+      case PredOp::kGt: lo = std::max(lo, static_cast<std::int64_t>(p.a) + 1); break;
+      case PredOp::kGe: lo = std::max(lo, static_cast<std::int64_t>(p.a)); break;
+      case PredOp::kEq:
+        lo = std::max(lo, static_cast<std::int64_t>(p.a));
+        hi = std::min(hi, static_cast<std::int64_t>(p.a));
+        break;
+      case PredOp::kInRange:
+        lo = std::max(lo, static_cast<std::int64_t>(p.a));
+        hi = std::min(hi, static_cast<std::int64_t>(p.b));
+        break;
+      default:  // kNe: kept as-is, in order
+        rest.push_back(p);
+        break;
+    }
+  }
+  if (always_false || lo > hi) return {TypedPredicate::AlwaysFalse()};
+
+  std::vector<TypedPredicate> out;
+  const bool lo_open = lo == kI32Min;
+  const bool hi_open = hi == kI32Max;
+  if (!lo_open || !hi_open) {
+    const auto l = static_cast<std::int32_t>(lo);
+    const auto h = static_cast<std::int32_t>(hi);
+    if (lo == hi) {
+      out.push_back(TypedPredicate::Eq(l));
+    } else if (lo_open) {
+      out.push_back(TypedPredicate::Le(h));
+    } else if (hi_open) {
+      out.push_back(TypedPredicate::Ge(l));
+    } else {
+      out.push_back(TypedPredicate::InRange(l, h));
+    }
+  }
+  out.insert(out.end(), rest.begin(), rest.end());
+  if (out.empty()) out.push_back(TypedPredicate::AlwaysTrue());
+  return out;
 }
 
 std::optional<TypedPredicate> CompilePredicate(const Expr& expr,

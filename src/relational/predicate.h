@@ -1,11 +1,8 @@
-// Typed predicate kernels for the staged SELECT hot loop.
+// Typed predicate kernels for the SELECT hot loop.
 //
-// The staged kernels used to call a per-element std::function<bool(int32_t)>,
-// an opaque indirect call the compiler cannot inline — which blocks
-// auto-vectorization of the filter stage entirely. TypedPredicate is a small
-// closed representation (compare / inclusive range / bitmask, plus explicit
-// always-true/false) that FilterInt32 dispatches ONCE per chunk to a
-// branch-free template instantiation:
+// TypedPredicate is a small closed representation (compare / inclusive
+// range, plus explicit always-true/false) that FilterInt32 dispatches ONCE
+// per chunk to a branch-free template instantiation:
 //
 //   out[count] = v; count += pred(v);          // no per-element branch
 //
@@ -13,16 +10,14 @@
 // control flow — exactly the shape the vectorizer wants, and the host-side
 // analogue of the paper's "element stays in registers" fused filter.
 //
-// Exotic predicates keep working through PredOp::kFallback, which wraps the
-// original std::function (non-owning: the std::function must outlive the
-// TypedPredicate). CompilePredicate turns the Expr trees used by SELECT
-// operators into typed predicates where possible; FoldConjunction collapses a
-// predicate chain (e.g. Gt 10 ∧ Lt 20) into fewer, tighter kernels.
+// CompilePredicate turns the Expr trees used by SELECT operators into typed
+// predicates where it can prove them exact; the executor evaluates every
+// other predicate with EvalExpr. FoldConjunction collapses a predicate chain
+// (e.g. Gt 10 ∧ Lt 20) into fewer, tighter kernels.
 #ifndef KF_RELATIONAL_PREDICATE_H_
 #define KF_RELATIONAL_PREDICATE_H_
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <span>
 #include <string>
@@ -31,8 +26,6 @@
 #include "relational/expr.h"
 
 namespace kf::relational {
-
-using Int32Predicate = std::function<bool(std::int32_t)>;
 
 enum class PredOp : std::uint8_t {
   kAlwaysTrue,
@@ -44,39 +37,27 @@ enum class PredOp : std::uint8_t {
   kEq,       // v == a
   kNe,       // v != a
   kInRange,  // a <= v <= b (inclusive)
-  kMaskEq,   // (v & a) == b
-  kFallback, // opaque std::function
 };
 
 const char* ToString(PredOp op);
 
 struct TypedPredicate {
   PredOp op = PredOp::kAlwaysTrue;
-  std::int32_t a = 0;  // compare literal / range lo / mask
-  std::int32_t b = 0;  // range hi / masked value
-  const Int32Predicate* fallback = nullptr;  // kFallback only, non-owning
+  std::int32_t a = 0;  // compare literal / range lo
+  std::int32_t b = 0;  // range hi
 
-  static TypedPredicate AlwaysTrue() { return {PredOp::kAlwaysTrue, 0, 0, nullptr}; }
-  static TypedPredicate AlwaysFalse() { return {PredOp::kAlwaysFalse, 0, 0, nullptr}; }
-  static TypedPredicate Lt(std::int32_t x) { return {PredOp::kLt, x, 0, nullptr}; }
-  static TypedPredicate Le(std::int32_t x) { return {PredOp::kLe, x, 0, nullptr}; }
-  static TypedPredicate Gt(std::int32_t x) { return {PredOp::kGt, x, 0, nullptr}; }
-  static TypedPredicate Ge(std::int32_t x) { return {PredOp::kGe, x, 0, nullptr}; }
-  static TypedPredicate Eq(std::int32_t x) { return {PredOp::kEq, x, 0, nullptr}; }
-  static TypedPredicate Ne(std::int32_t x) { return {PredOp::kNe, x, 0, nullptr}; }
+  static TypedPredicate AlwaysTrue() { return {PredOp::kAlwaysTrue, 0, 0}; }
+  static TypedPredicate AlwaysFalse() { return {PredOp::kAlwaysFalse, 0, 0}; }
+  static TypedPredicate Lt(std::int32_t x) { return {PredOp::kLt, x, 0}; }
+  static TypedPredicate Le(std::int32_t x) { return {PredOp::kLe, x, 0}; }
+  static TypedPredicate Gt(std::int32_t x) { return {PredOp::kGt, x, 0}; }
+  static TypedPredicate Ge(std::int32_t x) { return {PredOp::kGe, x, 0}; }
+  static TypedPredicate Eq(std::int32_t x) { return {PredOp::kEq, x, 0}; }
+  static TypedPredicate Ne(std::int32_t x) { return {PredOp::kNe, x, 0}; }
   // Inclusive on both ends; lo > hi matches nothing.
   static TypedPredicate InRange(std::int32_t lo, std::int32_t hi) {
-    return {PredOp::kInRange, lo, hi, nullptr};
+    return {PredOp::kInRange, lo, hi};
   }
-  static TypedPredicate MaskEq(std::int32_t mask, std::int32_t value) {
-    return {PredOp::kMaskEq, mask, value, nullptr};
-  }
-  // Non-owning: `f` must outlive the predicate.
-  static TypedPredicate Fallback(const Int32Predicate& f) {
-    return {PredOp::kFallback, 0, 0, &f};
-  }
-
-  bool is_fallback() const { return op == PredOp::kFallback; }
 
   // Scalar evaluation — the reference the vector kernels are tested against.
   bool Matches(std::int32_t v) const;
@@ -97,34 +78,21 @@ std::size_t FilterInt32(std::span<const std::int32_t> input,
 std::size_t FilterInt32Ids(std::span<const std::int32_t> input,
                            const TypedPredicate& pred, std::uint32_t* out);
 
-// Single-pass conjunction over a predicate chain — the fused filter stage:
-// every predicate is applied while the element is still in registers.
-std::size_t FilterInt32All(std::span<const std::int32_t> input,
-                           std::span<const TypedPredicate> preds,
-                           std::int32_t* out);
-
-// Match count without materializing (first pass of count/scan/gather selects).
-std::size_t CountInt32(std::span<const std::int32_t> input,
-                       const TypedPredicate& pred);
-
 // Collapses a conjunction into the fewest predicates that accept exactly the
 // same set: compare bounds merge into one range (Gt 10 ∧ Lt 20 → InRange),
-// contradictions collapse to kAlwaysFalse, tautologies disappear. Fallback,
-// mask, and Ne predicates are preserved in order after the folded range.
+// contradictions collapse to kAlwaysFalse, tautologies disappear. Ne
+// predicates are preserved in order after the folded range.
 std::vector<TypedPredicate> FoldConjunction(
     std::span<const TypedPredicate> preds);
 
 // Compiles an Expr SELECT predicate over the single int32 column that a
-// staged kernel scans (the column is field `field_index` of the row). Returns
-// nullopt for shapes the closed representation cannot express exactly
-// (float literals, arithmetic, OR, references to other fields). Comparisons
-// against out-of-int32-range integer literals fold exactly (the row
-// evaluator compares in the int64 domain): e.g. `v < 2^40` is kAlwaysTrue.
-// Conjunctions (AND) append one predicate per leaf to `out`.
-bool CompileConjunction(const Expr& expr, int field_index,
-                        std::vector<TypedPredicate>& out);
-
-// Single-predicate convenience wrapper over CompileConjunction + fold.
+// staged kernel scans (the column is field `field_index` of the row) into
+// one typed predicate: every conjunct compiles, then the conjunction folds.
+// Returns nullopt for shapes the closed representation cannot express
+// exactly (float literals, arithmetic, OR, references to other fields, a
+// conjunction that does not fold to one predicate). Comparisons against
+// out-of-int32-range integer literals fold exactly (the row evaluator
+// compares in the int64 domain): e.g. `v < 2^40` is kAlwaysTrue.
 std::optional<TypedPredicate> CompilePredicate(const Expr& expr,
                                                int field_index = 0);
 

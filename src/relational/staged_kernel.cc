@@ -1,81 +1,8 @@
 #include "relational/staged_kernel.h"
 
-#include <algorithm>
-#include <numeric>
-
 #include "common/error.h"
-#include "common/prefix_sum.h"
 
 namespace kf::relational {
-namespace {
-
-// Accounts each predicate of a run as typed (vectorizable kernel) or
-// fallback (opaque std::function) in the process-wide hostperf counters.
-void RecordPredicateKinds(std::span<const TypedPredicate> preds) {
-  auto& counters = HostPerfCounters::Global();
-  std::uint64_t fallback = 0;
-  for (const TypedPredicate& p : preds) {
-    if (p.is_fallback()) ++fallback;
-  }
-  if (fallback != 0) {
-    counters.fallback_predicates.fetch_add(fallback, std::memory_order_relaxed);
-  }
-  if (preds.size() != fallback) {
-    counters.typed_predicates.fetch_add(preds.size() - fallback,
-                                        std::memory_order_relaxed);
-  }
-}
-
-// One staged SELECT pass: partition, fused typed filter over `preds`, scan,
-// gather into `dest`. Uses only workspace storage — allocation-free once the
-// workspace vectors have capacity. `dest` must be one of the workspace's
-// destination vectors (output / stage_a / stage_b), never buffers/counts.
-void StagedSelectCore(std::span<const std::int32_t> input,
-                      std::span<const TypedPredicate> preds, int chunk_count,
-                      StagedBuffers& ws, ThreadPool* pool,
-                      std::vector<std::int32_t>& dest) {
-  PartitionInputInto(input.size(), chunk_count, ws.chunks);
-  const std::size_t chunk_n = ws.chunks.size();
-  if (ws.buffers.size() < chunk_n) ws.buffers.resize(chunk_n);
-  ws.counts.assign(chunk_n, 0);
-
-  auto filter_chunk = [&](std::size_t c) {
-    const ChunkRange& range = ws.chunks[c];
-    KF_REQUIRE(range.end <= input.size()) << "chunk beyond input";
-    auto& buffer = ws.buffers[c];
-    if (buffer.size() < range.size()) buffer.resize(range.size());
-    const std::size_t matched = FilterInt32All(
-        input.subspan(range.begin, range.size()), preds, buffer.data());
-    ws.counts[c] = static_cast<std::uint32_t>(matched);
-  };
-
-  if (pool != nullptr && chunk_n > 1) {
-    // One claim per simulated CTA.
-    pool->ParallelForEach(chunk_n, filter_chunk);
-  } else {
-    for (std::size_t c = 0; c < chunk_n; ++c) filter_chunk(c);
-  }
-
-  // Global synchronization point: the exclusive scan over match counts is
-  // what separates the filter CUDA kernel from the gather CUDA kernel.
-  ExclusiveScanWithTotalInto(std::span<const std::uint32_t>(ws.counts),
-                             ws.offsets);
-  dest.resize(ws.offsets.back());
-
-  auto gather_chunk = [&](std::size_t c) {
-    const auto& buffer = ws.buffers[c];
-    std::copy(buffer.begin(), buffer.begin() + ws.counts[c],
-              dest.begin() + ws.offsets[c]);
-  };
-
-  if (pool != nullptr && chunk_n > 1) {
-    pool->ParallelForEach(chunk_n, gather_chunk);
-  } else {
-    for (std::size_t c = 0; c < chunk_n; ++c) gather_chunk(c);
-  }
-}
-
-}  // namespace
 
 std::vector<ChunkRange> PartitionInput(std::size_t n, int chunk_count) {
   std::vector<ChunkRange> ranges;
@@ -96,173 +23,6 @@ void PartitionInputInto(std::size_t n, int chunk_count,
     ranges[c] = ChunkRange{begin, begin + size};
     begin += size;
   }
-}
-
-std::size_t FilterStageResult::total_matches() const {
-  return std::accumulate(counts.begin(), counts.end(), std::size_t{0});
-}
-
-std::size_t StagedBuffers::CapacityBytes() const {
-  std::size_t bytes = chunks.capacity() * sizeof(ChunkRange) +
-                      buffers.capacity() * sizeof(std::vector<std::int32_t>) +
-                      counts.capacity() * sizeof(std::uint32_t) +
-                      offsets.capacity() * sizeof(std::uint32_t) +
-                      (output.capacity() + stage_a.capacity() +
-                       stage_b.capacity()) *
-                          sizeof(std::int32_t);
-  for (const auto& buffer : buffers) {
-    bytes += buffer.capacity() * sizeof(std::int32_t);
-  }
-  return bytes;
-}
-
-FilterStageResult RunFilterStage(std::span<const std::int32_t> input,
-                                 std::span<const ChunkRange> chunks,
-                                 const Int32Predicate& predicate, ThreadPool* pool) {
-  FilterStageResult result;
-  result.buffers.resize(chunks.size());
-  result.counts.assign(chunks.size(), 0);
-  const TypedPredicate pred = TypedPredicate::Fallback(predicate);
-
-  auto filter_chunk = [&](std::size_t c) {
-    const ChunkRange& range = chunks[c];
-    KF_REQUIRE(range.end <= input.size()) << "chunk beyond input";
-    auto& buffer = result.buffers[c];
-    buffer.resize(range.size());
-    const std::size_t matched = FilterInt32(
-        input.subspan(range.begin, range.size()), pred, buffer.data());
-    buffer.resize(matched);
-    result.counts[c] = static_cast<std::uint32_t>(matched);
-  };
-
-  if (pool != nullptr && chunks.size() > 1) {
-    // One claim per simulated CTA.
-    pool->ParallelForEach(chunks.size(), filter_chunk);
-  } else {
-    for (std::size_t c = 0; c < chunks.size(); ++c) filter_chunk(c);
-  }
-  return result;
-}
-
-std::vector<std::int32_t> RunGatherStage(const FilterStageResult& filtered,
-                                         ThreadPool* pool) {
-  // Global synchronization point: the exclusive scan over match counts is
-  // what separates the filter CUDA kernel from the gather CUDA kernel.
-  const std::vector<std::uint32_t> offsets = ExclusiveScanWithTotal(filtered.counts);
-  std::vector<std::int32_t> output(offsets.back());
-
-  auto gather_chunk = [&](std::size_t c) {
-    const auto& buffer = filtered.buffers[c];
-    std::copy(buffer.begin(), buffer.end(), output.begin() + offsets[c]);
-  };
-
-  if (pool != nullptr && filtered.buffers.size() > 1) {
-    pool->ParallelForEach(filtered.buffers.size(), gather_chunk);
-  } else {
-    for (std::size_t c = 0; c < filtered.buffers.size(); ++c) gather_chunk(c);
-  }
-  return output;
-}
-
-std::span<const std::int32_t> StagedSelectInto(
-    std::span<const std::int32_t> input, const TypedPredicate& predicate,
-    int chunk_count, StagedBuffers& ws, ThreadPool* pool,
-    StagedSelectStats* stats, int filter_stage_count) {
-  RecordPredicateKinds({&predicate, 1});
-  StagedSelectCore(input, {&predicate, 1}, chunk_count, ws, pool, ws.output);
-  if (stats != nullptr) {
-    stats->input_count = input.size();
-    stats->output_count = ws.output.size();
-    stats->chunk_count = chunk_count;
-    stats->filter_stage_count = filter_stage_count;
-  }
-  return ws.output;
-}
-
-std::span<const std::int32_t> StagedSelectChainFusedInto(
-    std::span<const std::int32_t> input,
-    std::span<const TypedPredicate> predicates, int chunk_count,
-    StagedBuffers& ws, ThreadPool* pool, StagedSelectStats* stats) {
-  KF_REQUIRE(!predicates.empty()) << "empty select chain";
-  RecordPredicateKinds(predicates);
-  StagedSelectCore(input, predicates, chunk_count, ws, pool, ws.output);
-  if (stats != nullptr) {
-    stats->input_count = input.size();
-    stats->output_count = ws.output.size();
-    stats->chunk_count = chunk_count;
-    stats->filter_stage_count = static_cast<int>(predicates.size());
-  }
-  return ws.output;
-}
-
-std::span<const std::int32_t> StagedSelectChainUnfusedInto(
-    std::span<const std::int32_t> input,
-    std::span<const TypedPredicate> predicates, int chunk_count,
-    StagedBuffers& ws, ThreadPool* pool,
-    std::vector<StagedSelectStats>* per_step_stats) {
-  KF_REQUIRE(!predicates.empty()) << "empty select chain";
-  RecordPredicateKinds(predicates);
-  if (per_step_stats != nullptr) per_step_stats->clear();
-
-  // Step 0 reads the caller's input span directly; each step then writes the
-  // other ping-pong buffer, so no step ever copies its input.
-  std::span<const std::int32_t> current = input;
-  std::vector<std::int32_t>* next = &ws.stage_a;
-  std::vector<std::int32_t>* spare = &ws.stage_b;
-  for (const TypedPredicate& predicate : predicates) {
-    StagedSelectCore(current, {&predicate, 1}, chunk_count, ws, pool, *next);
-    if (per_step_stats != nullptr) {
-      per_step_stats->push_back(StagedSelectStats{
-          current.size(), next->size(), chunk_count, 1});
-    }
-    current = *next;
-    std::swap(next, spare);
-  }
-  return current;
-}
-
-std::vector<std::int32_t> StagedSelect(std::span<const std::int32_t> input,
-                                       const Int32Predicate& predicate, int chunk_count,
-                                       ThreadPool* pool, StagedSelectStats* stats,
-                                       int filter_stage_count) {
-  auto ws = BufferArena::ThreadLocal().Acquire<StagedBuffers>();
-  const std::span<const std::int32_t> result =
-      StagedSelectInto(input, TypedPredicate::Fallback(predicate), chunk_count,
-                       *ws, pool, stats, filter_stage_count);
-  return std::vector<std::int32_t>(result.begin(), result.end());
-}
-
-std::vector<std::int32_t> StagedSelectChainUnfused(
-    std::span<const std::int32_t> input, std::span<const Int32Predicate> predicates,
-    int chunk_count, ThreadPool* pool, std::vector<StagedSelectStats>* per_step_stats) {
-  KF_REQUIRE(!predicates.empty()) << "empty select chain";
-  std::vector<TypedPredicate> typed;
-  typed.reserve(predicates.size());
-  for (const Int32Predicate& p : predicates) {
-    typed.push_back(TypedPredicate::Fallback(p));
-  }
-  auto ws = BufferArena::ThreadLocal().Acquire<StagedBuffers>();
-  const std::span<const std::int32_t> result = StagedSelectChainUnfusedInto(
-      input, typed, chunk_count, *ws, pool, per_step_stats);
-  return std::vector<std::int32_t>(result.begin(), result.end());
-}
-
-std::vector<std::int32_t> StagedSelectChainFused(std::span<const std::int32_t> input,
-                                                 std::span<const Int32Predicate> predicates,
-                                                 int chunk_count, ThreadPool* pool,
-                                                 StagedSelectStats* stats) {
-  KF_REQUIRE(!predicates.empty()) << "empty select chain";
-  // The fused filter applies every predicate while the element is still in a
-  // register (Figure 6's Filter1 + Filter2 in one kernel), preserving the
-  // short-circuit order of the original chain.
-  auto fused = [&predicates](std::int32_t v) {
-    for (const Int32Predicate& p : predicates) {
-      if (!p(v)) return false;
-    }
-    return true;
-  };
-  return StagedSelect(input, fused, chunk_count, pool, stats,
-                      static_cast<int>(predicates.size()));
 }
 
 }  // namespace kf::relational

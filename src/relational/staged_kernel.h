@@ -1,35 +1,17 @@
-// Staged GPU-style SELECT kernels (paper Figure 3), executed on host threads.
+// Partition stage of the staged GPU-style kernels (paper Figure 3).
 //
 // Diamos et al.'s RA algorithms are multi-stage: the input is partitioned
 // into chunks (one per CTA), each chunk is filtered in parallel into a dense
 // per-chunk buffer, a global synchronization computes output offsets from the
-// per-chunk match counts (an exclusive scan), and a second kernel gathers the
-// buffers into the final dense array. Kernel fusion operates on this stage
-// structure — a fused SELECT chain inserts extra filter stages and keeps a
-// single partition/buffer/gather (Figure 6) — so the structure is kept
-// literal here: each stage is a separate function, and the fused/unfused
-// paths below differ exactly the way the paper's kernels differ.
-//
-// Two API layers:
-//  - The `...Into` functions are the hot substrate: they run over a pooled
-//    `StagedBuffers` workspace (typically checked out of a kf::BufferArena),
-//    use the typed predicate kernels from relational/predicate.h, and perform
-//    ZERO heap allocations once the workspace is warm.
-//  - The original std::function-based entry points remain for callers that
-//    don't manage a workspace; they ride the same substrate through a
-//    thread-local arena plus a PredOp::kFallback wrapper, paying one final
-//    copy into the returned vector.
+// per-chunk match counts, and a second kernel gathers the buffers into the
+// final dense array. core::ExecuteCluster runs those stages for every cluster
+// (a fused cluster keeps a single partition and gather, Figure 6), and the
+// radix sort's passes use the same chunking; both cut their input here.
 #ifndef KF_RELATIONAL_STAGED_KERNEL_H_
 #define KF_RELATIONAL_STAGED_KERNEL_H_
 
-#include <cstdint>
-#include <functional>
-#include <span>
+#include <cstddef>
 #include <vector>
-
-#include "common/buffer_arena.h"
-#include "common/thread_pool.h"
-#include "relational/predicate.h"
 
 namespace kf::relational {
 
@@ -46,100 +28,6 @@ std::vector<ChunkRange> PartitionInput(std::size_t n, int chunk_count);
 // In-place variant for pooled workspaces (allocation-free when warm).
 void PartitionInputInto(std::size_t n, int chunk_count,
                         std::vector<ChunkRange>& ranges);
-
-using Int32Predicate = std::function<bool(std::int32_t)>;
-
-// Stages 2+3 — filter + buffer: each chunk's matching elements, densely
-// packed per chunk, plus the per-chunk match counts.
-struct FilterStageResult {
-  std::vector<std::vector<std::int32_t>> buffers;
-  std::vector<std::uint32_t> counts;
-  std::size_t total_matches() const;
-};
-
-FilterStageResult RunFilterStage(std::span<const std::int32_t> input,
-                                 std::span<const ChunkRange> chunks,
-                                 const Int32Predicate& predicate,
-                                 ThreadPool* pool = nullptr);
-
-// Stage 4 — gather: offsets from the exclusive scan of counts (the global
-// synchronization between the two CUDA kernels), then a positioned copy.
-std::vector<std::int32_t> RunGatherStage(const FilterStageResult& filtered,
-                                         ThreadPool* pool = nullptr);
-
-// Realized statistics of a staged select run — these feed the cost model.
-struct StagedSelectStats {
-  std::size_t input_count = 0;
-  std::size_t output_count = 0;
-  int chunk_count = 0;
-  int filter_stage_count = 1;  // > 1 for fused chains
-};
-
-// Reusable workspace for the staged stages. Every vector retains its capacity
-// across runs, so a warm workspace executes a whole staged SELECT (or chain)
-// without touching the heap. Pool it through kf::BufferArena.
-struct StagedBuffers {
-  std::vector<ChunkRange> chunks;                  // partition stage
-  std::vector<std::vector<std::int32_t>> buffers;  // per-chunk dense buffers
-  std::vector<std::uint32_t> counts;               // per-chunk match counts
-  std::vector<std::uint32_t> offsets;              // exclusive scan + total
-  std::vector<std::int32_t> output;                // gather destination
-  std::vector<std::int32_t> stage_a;               // unfused-chain ping...
-  std::vector<std::int32_t> stage_b;               // ...pong intermediates
-
-  // Retained heap capacity — reported as hostperf.arena_reused_bytes on
-  // arena reuse.
-  std::size_t CapacityBytes() const;
-};
-
-// Complete staged SELECT over a workspace: partition, typed filter, scan,
-// gather. The result lives in `ws.output`; the returned span aliases it and
-// is valid until the workspace is reused. Allocation-free when warm.
-std::span<const std::int32_t> StagedSelectInto(
-    std::span<const std::int32_t> input, const TypedPredicate& predicate,
-    int chunk_count, StagedBuffers& ws, ThreadPool* pool = nullptr,
-    StagedSelectStats* stats = nullptr, int filter_stage_count = 1);
-
-// Fused chain over a workspace: one partition/buffer/gather whose filter
-// stage applies every predicate while the element is still in registers.
-std::span<const std::int32_t> StagedSelectChainFusedInto(
-    std::span<const std::int32_t> input,
-    std::span<const TypedPredicate> predicates, int chunk_count,
-    StagedBuffers& ws, ThreadPool* pool = nullptr,
-    StagedSelectStats* stats = nullptr);
-
-// Unfused chain over a workspace: one full staged SELECT per predicate. The
-// first step reads the input span directly (no defensive copy); later steps
-// ping-pong between ws.stage_a and ws.stage_b. The result aliases the
-// workspace like StagedSelectInto.
-std::span<const std::int32_t> StagedSelectChainUnfusedInto(
-    std::span<const std::int32_t> input,
-    std::span<const TypedPredicate> predicates, int chunk_count,
-    StagedBuffers& ws, ThreadPool* pool = nullptr,
-    std::vector<StagedSelectStats>* per_step_stats = nullptr);
-
-// Complete staged SELECT: partition, filter, scan, gather. A fused chain of
-// SELECTs is expressed by passing a composed predicate and recording the
-// chain depth in the stats (the filter stage applies every predicate while
-// the element is still in registers — Figure 6).
-std::vector<std::int32_t> StagedSelect(std::span<const std::int32_t> input,
-                                       const Int32Predicate& predicate,
-                                       int chunk_count, ThreadPool* pool = nullptr,
-                                       StagedSelectStats* stats = nullptr,
-                                       int filter_stage_count = 1);
-
-// The unfused chain: one full staged SELECT (two CUDA kernels each) per
-// predicate, materializing every intermediate — the paper's baseline.
-std::vector<std::int32_t> StagedSelectChainUnfused(
-    std::span<const std::int32_t> input, std::span<const Int32Predicate> predicates,
-    int chunk_count, ThreadPool* pool = nullptr,
-    std::vector<StagedSelectStats>* per_step_stats = nullptr);
-
-// The fused chain: a single staged SELECT whose filter stage applies all
-// predicates back-to-back (one partition, one buffer, one gather).
-std::vector<std::int32_t> StagedSelectChainFused(
-    std::span<const std::int32_t> input, std::span<const Int32Predicate> predicates,
-    int chunk_count, ThreadPool* pool = nullptr, StagedSelectStats* stats = nullptr);
 
 }  // namespace kf::relational
 

@@ -1,7 +1,6 @@
 #include "relational/staged_sort.h"
 
 #include <array>
-#include <numeric>
 
 #include "common/error.h"
 #include "relational/staged_kernel.h"
@@ -23,11 +22,11 @@ std::uint32_t Digit(std::uint32_t key, int pass) {
   return (key >> (pass * kDigitBits)) & (kBuckets - 1);
 }
 
-// One radix pass over (key, payload) pairs: histogram / scan / scatter.
-template <typename Payload>
-void RadixPass(std::vector<std::uint32_t>& keys, std::vector<Payload>& payload,
-               std::vector<std::uint32_t>& keys_out, std::vector<Payload>& payload_out,
-               int pass, std::span<const ChunkRange> chunks, ThreadPool* pool) {
+// One radix pass over (key, row index) pairs: histogram / scan / scatter.
+void RadixPass(std::vector<std::uint32_t>& keys, std::vector<std::uint32_t>& payload,
+               std::vector<std::uint32_t>& keys_out,
+               std::vector<std::uint32_t>& payload_out, int pass,
+               std::span<const ChunkRange> chunks, ThreadPool* pool) {
   const std::size_t chunk_count = chunks.size();
 
   // Stage 1 — per-chunk histograms (one simulated CTA each).
@@ -80,42 +79,22 @@ void RadixPass(std::vector<std::uint32_t>& keys, std::vector<Payload>& payload,
   payload.swap(payload_out);
 }
 
-template <typename Payload>
-void SortPairs(std::vector<std::uint32_t>& keys, std::vector<Payload>& payload,
-               int chunk_count, ThreadPool* pool) {
-  KF_REQUIRE(chunk_count > 0) << "chunk count must be positive";
-  const std::vector<ChunkRange> chunks = PartitionInput(keys.size(), chunk_count);
-  std::vector<std::uint32_t> keys_scratch(keys.size());
-  std::vector<Payload> payload_scratch(payload.size());
-  for (int pass = 0; pass < kPasses; ++pass) {
-    RadixPass(keys, payload, keys_scratch, payload_scratch, pass, chunks, pool);
-  }
-}
-
 }  // namespace
-
-std::vector<std::int32_t> StagedRadixSort(std::span<const std::int32_t> input,
-                                          int chunk_count, ThreadPool* pool) {
-  std::vector<std::uint32_t> keys(input.size());
-  std::vector<char> payload(input.size());  // no payload; keep the API uniform
-  for (std::size_t i = 0; i < input.size(); ++i) keys[i] = Bias(input[i]);
-  SortPairs(keys, payload, chunk_count, pool);
-  std::vector<std::int32_t> out(input.size());
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    out[i] = static_cast<std::int32_t>(keys[i] ^ 0x80000000u);
-  }
-  return out;
-}
 
 std::vector<std::uint32_t> StagedRadixArgsort(std::span<const std::int32_t> input,
                                               int chunk_count, ThreadPool* pool) {
+  const std::vector<ChunkRange> chunks = PartitionInput(input.size(), chunk_count);
   std::vector<std::uint32_t> keys(input.size());
   std::vector<std::uint32_t> indices(input.size());
   for (std::size_t i = 0; i < input.size(); ++i) {
     keys[i] = Bias(input[i]);
     indices[i] = static_cast<std::uint32_t>(i);
   }
-  SortPairs(keys, indices, chunk_count, pool);
+  std::vector<std::uint32_t> keys_scratch(keys.size());
+  std::vector<std::uint32_t> indices_scratch(indices.size());
+  for (int pass = 0; pass < kPasses; ++pass) {
+    RadixPass(keys, indices, keys_scratch, indices_scratch, pass, chunks, pool);
+  }
   return indices;
 }
 

@@ -18,14 +18,10 @@
 
 namespace kf::relational {
 
-// Sorts 32-bit signed keys ascending. `chunk_count` chunks per pass.
-std::vector<std::int32_t> StagedRadixSort(std::span<const std::int32_t> keys,
-                                          int chunk_count = 64,
-                                          ThreadPool* pool = nullptr);
-
-// Stable argsort: returns the permutation `p` such that keys[p[0]] <=
-// keys[p[1]] <= ... with ties in input order — how a GPU sorts whole rows
-// (sort (key, index) pairs, then gather the payload columns).
+// Stable argsort of 32-bit signed keys: returns the permutation `p` such
+// that keys[p[0]] <= keys[p[1]] <= ... with ties in input order — how a GPU
+// sorts whole rows (sort (key, index) pairs, then gather the payload
+// columns). `chunk_count` chunks per pass.
 std::vector<std::uint32_t> StagedRadixArgsort(std::span<const std::int32_t> keys,
                                               int chunk_count = 64,
                                               ThreadPool* pool = nullptr);

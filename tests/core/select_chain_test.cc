@@ -2,11 +2,34 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "common/error.h"
+#include "common/thread_pool.h"
+#include "core/fused_pipeline.h"
 #include "relational/operators.h"
+#include "tests/core/byte_identical.h"
 
 namespace kf::core {
 namespace {
+
+// Runs every cluster of the chain's plan under `options` through the
+// executor's staged kernel; returns the last SELECT's output.
+relational::Table RunChain(const SelectChain& chain, const relational::Table& data,
+                           const FusionOptions& options, int chunks,
+                           ThreadPool* pool = nullptr) {
+  std::map<NodeId, relational::Table> computed;
+  auto lookup = [&](NodeId id) -> const relational::Table& {
+    return id == chain.source ? data : computed.at(id);
+  };
+  for (const FusionCluster& cluster : PlanFusion(chain.graph, options).clusters) {
+    ClusterExecution exec = ExecuteCluster(chain.graph, cluster, lookup, chunks, pool);
+    for (auto& [id, table] : exec.outputs) {
+      computed.insert_or_assign(id, std::move(table));
+    }
+  }
+  return computed.at(chain.selects.back());
+}
 
 TEST(SelectChain, GraphShape) {
   const SelectChain chain = MakeSelectChain(1000, std::vector<double>{0.5, 0.5, 0.5});
@@ -42,6 +65,39 @@ TEST(SelectChain, RealizedSelectivityMatchesExpectation) {
     EXPECT_NEAR(static_cast<double>(current.row_count()) / expected, 1.0, 0.05)
         << "select " << i;
   }
+}
+
+TEST(SelectChain, FusedEqualsUnfused) {
+  // The core guarantee of kernel fusion: identical results (Fig 6 vs 3x Fig 3).
+  const SelectChain chain = MakeSelectChain(30000, std::vector<double>{0.5, 0.7, 0.9});
+  FusionOptions unfused;
+  unfused.enabled = false;
+  ASSERT_EQ(PlanFusion(chain.graph).clusters.size(), 1u);
+  ASSERT_EQ(PlanFusion(chain.graph, unfused).clusters.size(), 3u);
+  ThreadPool pool(4);
+  for (std::size_t rows : {0, 30000}) {
+    const relational::Table data = MakeUniformInt32Table(rows, 6);
+    const relational::Table reference = RunChain(chain, data, unfused, 1);
+    EXPECT_EQ(reference.row_count() == 0, rows == 0);
+    for (ThreadPool* use_pool : {static_cast<ThreadPool*>(nullptr), &pool}) {
+      for (int chunks : {1, 32, 448}) {
+        EXPECT_TRUE(ByteIdentical(RunChain(chain, data, {}, chunks, use_pool), reference))
+            << "fused, " << rows << " rows, " << chunks << " chunks";
+        EXPECT_TRUE(
+            ByteIdentical(RunChain(chain, data, unfused, chunks, use_pool), reference))
+            << "unfused, " << rows << " rows, " << chunks << " chunks";
+      }
+    }
+  }
+}
+
+TEST(SelectChain, FiftyPercentChainKeepsQuarter) {
+  // Paper III-B: two 50% SELECTs keep 25% of the data, here in one fused
+  // cluster.
+  const SelectChain chain = MakeSelectChain(100000, std::vector<double>{0.5, 0.5});
+  const relational::Table out =
+      RunChain(chain, MakeUniformInt32Table(100000, 7), FusionOptions{}, 64);
+  EXPECT_NEAR(static_cast<double>(out.row_count()) / 100000.0, 0.25, 0.01);
 }
 
 TEST(SelectChain, RejectsBadSelectivities) {

@@ -152,9 +152,12 @@ std::map<NodeId, Table> Int32ChainReference(const Int32Chain& q) {
 }
 
 TEST_P(StrategyDifferential, TypedSelectChainByteIdenticalToScalarReference) {
+  const std::atomic<std::uint64_t>& fallback =
+      kf::HostPerfCounters::Global().fallback_predicates;
   const std::uint64_t typed_before =
       kf::HostPerfCounters::Global().typed_predicates.load();
   for (bool compilable : {true, false}) {
+    const std::uint64_t fallback_before = fallback.load();
     for (int trial = 0; trial < 4; ++trial) {
       const Int32Chain q = MakeInt32Chain(
           static_cast<std::uint64_t>(GetParam()) * 271 + trial * 13 + 1,
@@ -184,6 +187,9 @@ TEST_P(StrategyDifferential, TypedSelectChainByteIdenticalToScalarReference) {
         }
       }
     }
+    // Each of the 4 x 4 x 2 runs of an uncompilable chain evaluates its one
+    // hidden predicate through EvalExpr; compilable chains never do.
+    EXPECT_EQ(fallback.load() - fallback_before, compilable ? 0u : 32u);
   }
   // The compilable chains must actually have exercised typed kernels.
   EXPECT_GT(kf::HostPerfCounters::Global().typed_predicates.load(),

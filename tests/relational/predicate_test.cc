@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <random>
@@ -31,19 +32,8 @@ std::vector<std::int32_t> TestInput() {
   return input;
 }
 
-// Reference filter via the scalar Matches path.
-std::vector<std::int32_t> ScalarFilter(const std::vector<std::int32_t>& input,
-                                       const TypedPredicate& pred) {
-  std::vector<std::int32_t> out;
-  for (std::int32_t v : input) {
-    if (pred.Matches(v)) out.push_back(v);
-  }
-  return out;
-}
-
 TEST(TypedPredicate, KernelsMatchScalarReference) {
   const std::vector<std::int32_t> input = TestInput();
-  const Int32Predicate odd = [](std::int32_t v) { return (v & 1) != 0; };
   const std::vector<TypedPredicate> preds = {
       TypedPredicate::AlwaysTrue(),  TypedPredicate::AlwaysFalse(),
       TypedPredicate::Lt(17),        TypedPredicate::Le(-3),
@@ -51,41 +41,26 @@ TEST(TypedPredicate, KernelsMatchScalarReference) {
       TypedPredicate::Eq(7),         TypedPredicate::Ne(0),
       TypedPredicate::InRange(-50, 50),
       TypedPredicate::InRange(10, 9),  // empty range
-      TypedPredicate::MaskEq(0xFF, 0x0F),
-      TypedPredicate::Fallback(odd),
   };
   std::vector<std::int32_t> out(input.size());
+  std::vector<std::uint32_t> ids(input.size());
   for (const TypedPredicate& pred : preds) {
-    const std::vector<std::int32_t> expected = ScalarFilter(input, pred);
+    std::vector<std::int32_t> expected;
+    std::vector<std::uint32_t> expected_ids;
+    for (std::size_t i = 0; i < input.size(); ++i) {
+      if (!pred.Matches(input[i])) continue;
+      expected.push_back(input[i]);
+      expected_ids.push_back(static_cast<std::uint32_t>(i));
+    }
     const std::size_t n = FilterInt32(input, pred, out.data());
     ASSERT_EQ(n, expected.size()) << pred.ToString();
     EXPECT_TRUE(std::equal(expected.begin(), expected.end(), out.begin()))
         << pred.ToString();
-    EXPECT_EQ(CountInt32(input, pred), expected.size()) << pred.ToString();
+    const std::size_t n_ids = FilterInt32Ids(input, pred, ids.data());
+    ASSERT_EQ(n_ids, expected_ids.size()) << pred.ToString();
+    EXPECT_TRUE(std::equal(expected_ids.begin(), expected_ids.end(), ids.begin()))
+        << pred.ToString();
   }
-}
-
-TEST(TypedPredicate, FilterAllIsConjunction) {
-  const std::vector<std::int32_t> input = TestInput();
-  const Int32Predicate odd = [](std::int32_t v) { return (v & 1) != 0; };
-  const std::vector<TypedPredicate> chain = {
-      TypedPredicate::Ge(-1000000), TypedPredicate::Lt(1000000),
-      TypedPredicate::Fallback(odd)};
-  std::vector<std::int32_t> expected;
-  for (std::int32_t v : input) {
-    if (v >= -1000000 && v < 1000000 && (v & 1) != 0) expected.push_back(v);
-  }
-  std::vector<std::int32_t> out(input.size());
-  const std::size_t n = FilterInt32All(input, chain, out.data());
-  ASSERT_EQ(n, expected.size());
-  EXPECT_TRUE(std::equal(expected.begin(), expected.end(), out.begin()));
-}
-
-TEST(TypedPredicate, FilterAllEmptyChainPassesEverything) {
-  const std::vector<std::int32_t> input = {3, 1, 4, 1, 5};
-  std::vector<std::int32_t> out(input.size());
-  EXPECT_EQ(FilterInt32All(input, {}, out.data()), input.size());
-  EXPECT_TRUE(std::equal(input.begin(), input.end(), out.begin()));
 }
 
 TEST(FoldConjunction, MergesBoundsIntoRange) {
@@ -116,16 +91,16 @@ TEST(FoldConjunction, EqInsideBoundsStaysEq) {
 }
 
 TEST(FoldConjunction, PreservesUnfoldableInOrder) {
-  const Int32Predicate odd = [](std::int32_t v) { return (v & 1) != 0; };
   const std::vector<TypedPredicate> chain = {
-      TypedPredicate::Ne(3), TypedPredicate::Gt(0),
-      TypedPredicate::Fallback(odd)};
+      TypedPredicate::Ne(3), TypedPredicate::Gt(0), TypedPredicate::Ne(8)};
   const std::vector<TypedPredicate> folded = FoldConjunction(chain);
   ASSERT_EQ(folded.size(), 3u);
   EXPECT_EQ(folded[0].op, PredOp::kGe);  // Gt 0 -> Ge 1
   EXPECT_EQ(folded[0].a, 1);
   EXPECT_EQ(folded[1].op, PredOp::kNe);
-  EXPECT_EQ(folded[2].op, PredOp::kFallback);
+  EXPECT_EQ(folded[1].a, 3);
+  EXPECT_EQ(folded[2].op, PredOp::kNe);
+  EXPECT_EQ(folded[2].a, 8);
 }
 
 TEST(FoldConjunction, TautologiesDisappear) {

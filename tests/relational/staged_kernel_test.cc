@@ -1,4 +1,4 @@
-// The staged SELECT (Fig 3) and the fused stage structure (Fig 6).
+// The partition stage of the staged kernels (Fig 3).
 #include "relational/staged_kernel.h"
 
 #include <gtest/gtest.h>
@@ -6,17 +6,9 @@
 #include <algorithm>
 
 #include "common/error.h"
-#include "common/random.h"
 
 namespace kf::relational {
 namespace {
-
-std::vector<std::int32_t> RandomInts(std::size_t n, std::uint64_t seed) {
-  Rng rng(seed);
-  std::vector<std::int32_t> v(n);
-  for (auto& x : v) x = static_cast<std::int32_t>(rng.UniformInt(0, 1 << 30));
-  return v;
-}
 
 TEST(Partition, CoversInputExactly) {
   const auto chunks = PartitionInput(103, 8);
@@ -46,250 +38,6 @@ TEST(Partition, MoreChunksThanElements) {
 }
 
 TEST(Partition, RejectsZeroChunks) { EXPECT_THROW(PartitionInput(10, 0), kf::Error); }
-
-TEST(FilterStage, CountsMatchBuffers) {
-  const auto data = RandomInts(10000, 1);
-  const auto chunks = PartitionInput(data.size(), 16);
-  const auto result =
-      RunFilterStage(data, chunks, [](std::int32_t v) { return v % 2 == 0; });
-  ASSERT_EQ(result.buffers.size(), 16u);
-  for (std::size_t c = 0; c < result.buffers.size(); ++c) {
-    EXPECT_EQ(result.counts[c], result.buffers[c].size());
-  }
-  const std::size_t expected = static_cast<std::size_t>(
-      std::count_if(data.begin(), data.end(), [](std::int32_t v) { return v % 2 == 0; }));
-  EXPECT_EQ(result.total_matches(), expected);
-}
-
-TEST(GatherStage, ProducesDenseOrderedOutput) {
-  const auto data = RandomInts(5000, 2);
-  const auto chunks = PartitionInput(data.size(), 7);
-  const auto pred = [](std::int32_t v) { return v % 3 == 0; };
-  const auto filtered = RunFilterStage(data, chunks, pred);
-  const auto output = RunGatherStage(filtered);
-  std::vector<std::int32_t> expected;
-  std::copy_if(data.begin(), data.end(), std::back_inserter(expected), pred);
-  EXPECT_EQ(output, expected);  // gather preserves input order
-}
-
-TEST(StagedSelect, MatchesScalarFilterAcrossChunkCounts) {
-  const auto data = RandomInts(20000, 3);
-  const auto pred = [](std::int32_t v) { return v < (1 << 29); };
-  std::vector<std::int32_t> expected;
-  std::copy_if(data.begin(), data.end(), std::back_inserter(expected), pred);
-  for (int chunks : {1, 2, 13, 64, 448}) {
-    StagedSelectStats stats;
-    const auto output = StagedSelect(data, pred, chunks, nullptr, &stats);
-    EXPECT_EQ(output, expected) << chunks << " chunks";
-    EXPECT_EQ(stats.input_count, data.size());
-    EXPECT_EQ(stats.output_count, expected.size());
-  }
-}
-
-TEST(StagedSelect, ParallelExecutionMatchesSerial) {
-  const auto data = RandomInts(50000, 4);
-  const auto pred = [](std::int32_t v) { return (v & 7) != 0; };
-  ThreadPool pool(4);
-  const auto serial = StagedSelect(data, pred, 32, nullptr);
-  const auto parallel = StagedSelect(data, pred, 32, &pool);
-  EXPECT_EQ(serial, parallel);
-}
-
-TEST(StagedSelect, EmptyInput) {
-  const std::vector<std::int32_t> empty;
-  const auto output = StagedSelect(empty, [](std::int32_t) { return true; }, 8);
-  EXPECT_TRUE(output.empty());
-}
-
-TEST(StagedSelect, AllOrNothingSelectivity) {
-  const auto data = RandomInts(1000, 5);
-  EXPECT_EQ(StagedSelect(data, [](std::int32_t) { return true; }, 8).size(), data.size());
-  EXPECT_TRUE(StagedSelect(data, [](std::int32_t) { return false; }, 8).empty());
-}
-
-TEST(SelectChain, FusedEqualsUnfused) {
-  // The core guarantee of kernel fusion: identical results (Fig 6 vs 2x Fig 3).
-  const auto data = RandomInts(30000, 6);
-  const std::vector<Int32Predicate> predicates = {
-      [](std::int32_t v) { return v < (1 << 29); },
-      [](std::int32_t v) { return v % 2 == 0; },
-      [](std::int32_t v) { return v % 3 != 1; },
-  };
-  std::vector<StagedSelectStats> unfused_stats;
-  const auto unfused =
-      StagedSelectChainUnfused(data, predicates, 32, nullptr, &unfused_stats);
-  StagedSelectStats fused_stats;
-  const auto fused = StagedSelectChainFused(data, predicates, 32, nullptr, &fused_stats);
-  EXPECT_EQ(unfused, fused);
-  // The unfused chain ran 3 staged selects; the fused chain one with depth 3.
-  ASSERT_EQ(unfused_stats.size(), 3u);
-  EXPECT_EQ(unfused_stats[0].input_count, data.size());
-  EXPECT_EQ(unfused_stats[2].output_count, fused.size());
-  EXPECT_EQ(fused_stats.filter_stage_count, 3);
-  EXPECT_EQ(fused_stats.input_count, data.size());
-}
-
-TEST(SelectChain, FiftyPercentChainKeepsQuarter) {
-  // Paper III-B: two 50% SELECTs keep 25% of the data.
-  const auto data = RandomInts(100000, 7);
-  const std::int32_t mid = 1 << 29;  // half of the [0, 2^30) domain
-  const std::vector<Int32Predicate> predicates = {
-      [mid](std::int32_t v) { return v < mid; },
-      [mid](std::int32_t v) { return v < mid / 2; },
-  };
-  StagedSelectStats stats;
-  const auto out = StagedSelectChainFused(data, predicates, 64, nullptr, &stats);
-  EXPECT_NEAR(static_cast<double>(out.size()) / static_cast<double>(data.size()), 0.25,
-              0.01);
-}
-
-TEST(SelectChain, EmptyPredicateListThrows) {
-  const auto data = RandomInts(10, 8);
-  EXPECT_THROW(StagedSelectChainFused(data, {}, 4), kf::Error);
-  EXPECT_THROW(StagedSelectChainUnfused(data, {}, 4), kf::Error);
-}
-
-// ---------------------------------------------------------------------------
-// Pooled / typed-predicate ("Into") substrate. These paths must be
-// byte-identical to the legacy std::function entry points above.
-// ---------------------------------------------------------------------------
-
-TEST(StagedSelectInto, TypedMatchesScalarAcrossChunkCounts) {
-  const auto data = RandomInts(20000, 9);
-  const TypedPredicate pred = TypedPredicate::Lt(1 << 29);
-  std::vector<std::int32_t> expected;
-  std::copy_if(data.begin(), data.end(), std::back_inserter(expected),
-               [](std::int32_t v) { return v < (1 << 29); });
-  BufferArena arena;
-  for (int chunks : {1, 2, 13, 64, 448}) {
-    auto ws = arena.Acquire<StagedBuffers>();
-    StagedSelectStats stats;
-    const auto out = StagedSelectInto(data, pred, chunks, *ws, nullptr, &stats);
-    ASSERT_EQ(out.size(), expected.size()) << chunks << " chunks";
-    EXPECT_TRUE(std::equal(expected.begin(), expected.end(), out.begin()))
-        << chunks << " chunks";
-    EXPECT_EQ(stats.input_count, data.size());
-    EXPECT_EQ(stats.output_count, expected.size());
-  }
-}
-
-TEST(StagedSelectInto, FallbackPredicateMatchesTyped) {
-  const auto data = RandomInts(15000, 10);
-  const Int32Predicate fn = [](std::int32_t v) { return v < (1 << 28); };
-  BufferArena arena;
-  auto ws_typed = arena.Acquire<StagedBuffers>();
-  auto ws_fallback = arena.Acquire<StagedBuffers>();
-  const auto typed =
-      StagedSelectInto(data, TypedPredicate::Lt(1 << 28), 32, *ws_typed);
-  const auto fallback =
-      StagedSelectInto(data, TypedPredicate::Fallback(fn), 32, *ws_fallback);
-  ASSERT_EQ(typed.size(), fallback.size());
-  EXPECT_TRUE(std::equal(typed.begin(), typed.end(), fallback.begin()));
-}
-
-TEST(StagedSelectInto, ParallelMatchesSerial) {
-  const auto data = RandomInts(50000, 11);
-  const TypedPredicate pred = TypedPredicate::MaskEq(7, 0);
-  ThreadPool pool(4);
-  BufferArena arena;
-  auto ws_serial = arena.Acquire<StagedBuffers>();
-  auto ws_parallel = arena.Acquire<StagedBuffers>();
-  const auto serial = StagedSelectInto(data, pred, 32, *ws_serial);
-  const auto parallel = StagedSelectInto(data, pred, 32, *ws_parallel, &pool);
-  ASSERT_EQ(serial.size(), parallel.size());
-  EXPECT_TRUE(std::equal(serial.begin(), serial.end(), parallel.begin()));
-}
-
-TEST(StagedSelectInto, WorkspaceReuseAcrossDifferingInputs) {
-  // A warm workspace from a big run must not leak stale state into a smaller
-  // (or larger) subsequent run.
-  BufferArena arena;
-  auto ws = arena.Acquire<StagedBuffers>();
-  const TypedPredicate pred = TypedPredicate::Ge(0);
-  for (std::uint64_t seed : {20, 21, 22, 23}) {
-    const std::size_t n = (seed % 2 == 0) ? 40000u : 137u;
-    const auto data = RandomInts(n, seed);
-    std::vector<std::int32_t> expected;
-    std::copy_if(data.begin(), data.end(), std::back_inserter(expected),
-                 [](std::int32_t v) { return v >= 0; });
-    const auto out = StagedSelectInto(data, pred, 16, *ws);
-    ASSERT_EQ(out.size(), expected.size()) << "seed " << seed;
-    EXPECT_TRUE(std::equal(expected.begin(), expected.end(), out.begin()))
-        << "seed " << seed;
-  }
-  EXPECT_GT(ws->CapacityBytes(), 0u);
-}
-
-TEST(SelectChainInto, MatchesLegacyChains) {
-  const auto data = RandomInts(30000, 12);
-  const std::vector<Int32Predicate> legacy_preds = {
-      [](std::int32_t v) { return v < (1 << 29); },
-      [](std::int32_t v) { return v % 2 == 0; },
-      [](std::int32_t v) { return v % 3 != 1; },
-  };
-  const Int32Predicate even = legacy_preds[1];
-  const Int32Predicate mod3 = legacy_preds[2];
-  const std::vector<TypedPredicate> typed_preds = {
-      TypedPredicate::Lt(1 << 29), TypedPredicate::Fallback(even),
-      TypedPredicate::Fallback(mod3)};
-  const auto legacy_unfused = StagedSelectChainUnfused(data, legacy_preds, 32);
-  const auto legacy_fused = StagedSelectChainFused(data, legacy_preds, 32);
-
-  BufferArena arena;
-  auto ws = arena.Acquire<StagedBuffers>();
-  std::vector<StagedSelectStats> per_step;
-  const auto unfused =
-      StagedSelectChainUnfusedInto(data, typed_preds, 32, *ws, nullptr, &per_step);
-  ASSERT_EQ(unfused.size(), legacy_unfused.size());
-  EXPECT_TRUE(
-      std::equal(legacy_unfused.begin(), legacy_unfused.end(), unfused.begin()));
-  ASSERT_EQ(per_step.size(), 3u);
-  EXPECT_EQ(per_step[0].input_count, data.size());
-  EXPECT_EQ(per_step[2].output_count, unfused.size());
-
-  auto ws2 = arena.Acquire<StagedBuffers>();
-  StagedSelectStats fused_stats;
-  const auto fused =
-      StagedSelectChainFusedInto(data, typed_preds, 32, *ws2, nullptr, &fused_stats);
-  ASSERT_EQ(fused.size(), legacy_fused.size());
-  EXPECT_TRUE(std::equal(legacy_fused.begin(), legacy_fused.end(), fused.begin()));
-  EXPECT_EQ(fused_stats.filter_stage_count, 3);
-}
-
-TEST(SelectChainInto, FusedEqualsUnfusedOnTypedChain) {
-  const auto data = RandomInts(25000, 13);
-  const std::vector<TypedPredicate> preds = {TypedPredicate::Lt(1 << 29),
-                                             TypedPredicate::MaskEq(1, 0),
-                                             TypedPredicate::Gt(-5000)};
-  BufferArena arena;
-  auto ws_a = arena.Acquire<StagedBuffers>();
-  auto ws_b = arena.Acquire<StagedBuffers>();
-  ThreadPool pool(4);
-  const auto unfused = StagedSelectChainUnfusedInto(data, preds, 32, *ws_a, &pool);
-  const auto fused = StagedSelectChainFusedInto(data, preds, 32, *ws_b, &pool);
-  ASSERT_EQ(unfused.size(), fused.size());
-  EXPECT_TRUE(std::equal(unfused.begin(), unfused.end(), fused.begin()));
-}
-
-TEST(SelectChainInto, EmptyPredicateListThrows) {
-  const auto data = RandomInts(10, 14);
-  BufferArena arena;
-  auto ws = arena.Acquire<StagedBuffers>();
-  EXPECT_THROW(StagedSelectChainFusedInto(data, {}, 4, *ws), kf::Error);
-  EXPECT_THROW(StagedSelectChainUnfusedInto(data, {}, 4, *ws), kf::Error);
-}
-
-TEST(SelectChainInto, SingleStepEqualsStagedSelectInto) {
-  const auto data = RandomInts(9000, 15);
-  const std::vector<TypedPredicate> preds = {TypedPredicate::InRange(0, 1 << 20)};
-  BufferArena arena;
-  auto ws_a = arena.Acquire<StagedBuffers>();
-  auto ws_b = arena.Acquire<StagedBuffers>();
-  const auto chain = StagedSelectChainUnfusedInto(data, preds, 8, *ws_a);
-  const auto single = StagedSelectInto(data, preds[0], 8, *ws_b);
-  ASSERT_EQ(chain.size(), single.size());
-  EXPECT_TRUE(std::equal(chain.begin(), chain.end(), single.begin()));
-}
 
 }  // namespace
 }  // namespace kf::relational

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <climits>
+#include <numeric>
 
 #include "common/error.h"
 #include "common/random.h"
@@ -18,45 +20,14 @@ std::vector<std::int32_t> RandomKeys(std::size_t n, std::uint64_t seed,
   return v;
 }
 
-TEST(StagedRadixSort, MatchesStdSortOnRandomData) {
-  for (std::uint64_t seed : {1u, 2u, 3u}) {
-    auto keys = RandomKeys(10000, seed, -1000000, 1000000);
-    auto expected = keys;
-    std::sort(expected.begin(), expected.end());
-    EXPECT_EQ(StagedRadixSort(keys, 16), expected) << "seed " << seed;
-  }
-}
-
-TEST(StagedRadixSort, HandlesNegativesAndExtremes) {
-  std::vector<std::int32_t> keys = {0,  -1, 1,  INT32_MAX, INT32_MIN,
-                                    42, -42, 7, INT32_MIN, INT32_MAX};
-  auto expected = keys;
-  std::sort(expected.begin(), expected.end());
-  EXPECT_EQ(StagedRadixSort(keys, 3), expected);
-}
-
-TEST(StagedRadixSort, EmptyAndSingle) {
-  EXPECT_TRUE(StagedRadixSort({}, 4).empty());
-  EXPECT_EQ(StagedRadixSort(std::vector<std::int32_t>{5}, 4),
-            std::vector<std::int32_t>{5});
-}
-
-TEST(StagedRadixSort, ChunkCountInvariance) {
-  const auto keys = RandomKeys(5000, 9, -500, 500);
-  const auto reference = StagedRadixSort(keys, 1);
-  for (int chunks : {2, 7, 64, 448}) {
-    EXPECT_EQ(StagedRadixSort(keys, chunks), reference) << chunks << " chunks";
-  }
-}
-
-TEST(StagedRadixSort, ParallelMatchesSerial) {
-  const auto keys = RandomKeys(100000, 10, INT32_MIN, INT32_MAX);
-  ThreadPool pool(4);
-  EXPECT_EQ(StagedRadixSort(keys, 32, &pool), StagedRadixSort(keys, 32));
-}
-
-TEST(StagedRadixSort, RejectsZeroChunks) {
-  EXPECT_THROW(StagedRadixSort(std::vector<std::int32_t>{1}, 0), kf::Error);
+// Stable argsort by std::stable_sort: the permutation the radix passes
+// must reproduce exactly.
+std::vector<std::uint32_t> StableArgsort(const std::vector<std::int32_t>& keys) {
+  std::vector<std::uint32_t> perm(keys.size());
+  std::iota(perm.begin(), perm.end(), 0u);
+  std::stable_sort(perm.begin(), perm.end(),
+                   [&](std::uint32_t a, std::uint32_t b) { return keys[a] < keys[b]; });
+  return perm;
 }
 
 TEST(StagedRadixArgsort, ProducesSortedPermutation) {
@@ -73,6 +44,46 @@ TEST(StagedRadixArgsort, ProducesSortedPermutation) {
     ASSERT_FALSE(seen[p]);
     seen[p] = true;
   }
+}
+
+TEST(StagedRadixArgsort, MatchesStdSortOnRandomData) {
+  for (std::uint64_t seed : {1u, 2u, 3u}) {
+    const auto keys = RandomKeys(10000, seed, -1000000, 1000000);
+    EXPECT_EQ(StagedRadixArgsort(keys, 16), StableArgsort(keys)) << "seed " << seed;
+  }
+}
+
+TEST(StagedRadixArgsort, HandlesNegativesAndExtremes) {
+  const std::vector<std::int32_t> keys = {0,  -1, 1,  INT32_MAX, INT32_MIN,
+                                          42, -42, 7, INT32_MIN, INT32_MAX};
+  EXPECT_EQ(StagedRadixArgsort(keys, 3), StableArgsort(keys));
+  const auto full_range = RandomKeys(5000, 9, INT32_MIN, INT32_MAX);
+  EXPECT_EQ(StagedRadixArgsort(full_range, 16), StableArgsort(full_range));
+}
+
+TEST(StagedRadixArgsort, EmptyAndSingle) {
+  EXPECT_TRUE(StagedRadixArgsort(std::vector<std::int32_t>{}, 4).empty());
+  EXPECT_EQ(StagedRadixArgsort(std::vector<std::int32_t>{5}, 4),
+            std::vector<std::uint32_t>{0});
+}
+
+TEST(StagedRadixArgsort, ChunkCountInvariance) {
+  // Chunking changes how passes are split, never the result.
+  const auto keys = RandomKeys(5000, 9, -500, 500);
+  const auto expected = StableArgsort(keys);
+  for (int chunks : {1, 3, 64, 448}) {
+    EXPECT_EQ(StagedRadixArgsort(keys, chunks), expected) << chunks << " chunks";
+  }
+}
+
+TEST(StagedRadixArgsort, ParallelMatchesSerial) {
+  const auto keys = RandomKeys(100000, 10, INT32_MIN, INT32_MAX);
+  ThreadPool pool(4);
+  EXPECT_EQ(StagedRadixArgsort(keys, 32, &pool), StagedRadixArgsort(keys, 32));
+}
+
+TEST(StagedRadixArgsort, RejectsZeroChunks) {
+  EXPECT_THROW(StagedRadixArgsort(std::vector<std::int32_t>{1}, 0), kf::Error);
 }
 
 TEST(StagedRadixArgsort, IsStable) {
