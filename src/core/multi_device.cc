@@ -274,6 +274,8 @@ MultiDeviceReport MultiDeviceExecutor::Run(
     for (const ShardSlot& slot : slots) {
       const sim::DeviceSimulator view =
           group_.ContendedView(slot.device, devices_used);
+      gm.GetCounter("sim.group.contended_views").Increment();
+      gm.GetGauge("sim.group.transfer_derating").Set(derating);
       QueryExecutor executor(view, cost_model_, pool_);
       ExecutorOptions opts = options.base;
       opts.fault_injector = InjectorFor(slot.device, options);

@@ -842,16 +842,39 @@ struct Simulated {
   std::vector<obs::SpanId> cluster_spans;  // per cluster; empty untraced
 };
 
+// Records one command of a pool run as a leaf span under `parent`: its label
+// (or kind), lane, stage category and interval shifted by `base`, annotated
+// with its fault or stall and any silent corruption.
+void AddLeaf(const RunTrace& trace, obs::SpanId parent, const ScheduledCommand& row,
+             const std::string& lane, const sim::CommandTiming& timing, SimTime base) {
+  obs::Tracer& tracer = *trace.tracer;
+  const obs::SpanId leaf = tracer.AddSpan(
+      trace.context, parent,
+      row.spec.label.empty() ? sim::ToString(row.spec.kind) : row.spec.label, lane,
+      base + timing.start, base + timing.end, CategoryName(row.category));
+  if (timing.fault != sim::FaultKind::kNone) {
+    const bool stall = timing.fault == sim::FaultKind::kStreamStall;
+    tracer.Annotate(
+        trace.context, leaf,
+        stall ? obs::SpanAnnotationKind::kStall : obs::SpanAnnotationKind::kFault,
+        sim::ToString(timing.fault), base + timing.end);
+  }
+  if (timing.corrupted) {
+    tracer.Annotate(trace.context, leaf, obs::SpanAnnotationKind::kCorruption,
+                    "silent corruption", base + timing.end);
+  }
+}
+
 // Runs the schedule through the Stream Pool. With a tracer, the cluster and
-// segment spans open first, in schedule order; every command becomes a leaf
-// under the span its row names, and each structural span then takes the
-// interval of its commands.
+// segment spans open first, in schedule order; then every row becomes a leaf
+// under the span it names, in issue order, and each structural span takes
+// the interval of its commands.
 Simulated Simulate(const RunContext& run, const Schedule& schedule) {
   const RunTrace& trace = run.trace;
   stream::StreamPool pool(run.device, schedule.pool_streams, &run.metrics,
                           run.options.fault_injector);
   for (const ScheduledCommand& row : schedule.commands) {
-    pool.SetStreamCommand(row.stream, stream::PoolCommand{row.spec, {}});
+    pool.SetStreamCommand(row.stream, row.spec);
   }
   Simulated out;
   if (trace.tracer == nullptr) {
@@ -885,30 +908,28 @@ Simulated Simulate(const RunContext& run, const Schedule& schedule) {
       spans.push_back({tracer.BeginSpan(trace.context, span, name, "executor", 0.0)});
     }
   }
-  // A row's innermost structural span; rows past the end sit at the root.
-  const auto slot_of = [&](const ScheduledCommand& row) {
-    if (row.segment == kSinkDownload) return spans.size();
-    return cluster_slot[row.cluster] + static_cast<std::size_t>(row.segment + 1);
-  };
-  stream::PoolTraceSink sink;
-  sink.tracer = &tracer;
-  sink.context = trace.context;
-  sink.parent = trace.root;
-  for (const ScheduledCommand& row : schedule.commands) {
-    const std::size_t slot = slot_of(row);
-    sink.parents.push_back(slot < spans.size() ? spans[slot].id : trace.root);
-    sink.categories.push_back(CategoryName(row.category));
-  }
-  pool.set_trace(std::move(sink));
   pool.StartStreams();
   out.timeline = pool.WaitAll();
 
-  // A structural span covers the min start / max end of its commands.
+  // Every row becomes a leaf, in issue order, under its innermost structural
+  // span (sink downloads sit at the root); a structural span covers the min
+  // start / max end of its commands.
+  std::vector<std::string> lanes;
+  for (int s = 0; s < schedule.pool_streams; ++s) {
+    lanes.push_back("stream " + std::to_string(s));
+  }
   for (std::size_t i = 0; i < schedule.commands.size(); ++i) {
     const ScheduledCommand& row = schedule.commands[i];
-    if (row.segment == kSinkDownload) continue;
     const sim::CommandTiming& t = out.timeline.commands[i];
-    for (std::size_t slot : {cluster_slot[row.cluster], slot_of(row)}) {
+    const std::string& lane = lanes[static_cast<std::size_t>(row.stream)];
+    if (row.segment == kSinkDownload) {
+      AddLeaf(trace, trace.root, row, lane, t, 0.0);
+      continue;
+    }
+    const std::size_t cluster = cluster_slot[row.cluster];
+    const std::size_t inner = cluster + static_cast<std::size_t>(row.segment + 1);
+    AddLeaf(trace, spans[inner].id, row, lane, t, 0.0);
+    for (std::size_t slot : {cluster, inner}) {
       spans[slot].lo = std::min(spans[slot].lo, t.start);
       spans[slot].hi = std::max(spans[slot].hi, t.end);
     }
@@ -1102,21 +1123,17 @@ class Recoverer {
       for (CommandId& dep : spec.dependencies) {
         dep = std::lower_bound(members.begin(), members.end(), dep) - members.begin();
       }
-      pool.SetStreamCommand(stream, {std::move(spec), {}});
-    }
-    if (tracer != nullptr) {
-      stream::PoolTraceSink sink;
-      sink.tracer = tracer;
-      sink.context = trace_.context;
-      sink.parent = span;
-      sink.sim_base = recovery_.makespan;  // retries start after the backoff
-      for (std::size_t i : members) {
-        sink.categories.push_back(CategoryName(rows_[i].category));
-      }
-      pool.set_trace(std::move(sink));
+      pool.SetStreamCommand(stream, std::move(spec));
     }
     pool.StartStreams();
     const sim::TimelineStats& stats = pool.WaitAll();
+    if (tracer != nullptr) {  // leaves start after the backoff
+      const std::string lane = "stream " + std::to_string(stream);
+      for (std::size_t k = 0; k < members.size(); ++k) {
+        AddLeaf(trace_, span, rows_[members[k]], lane, stats.commands[k],
+                recovery_.makespan);
+      }
+    }
     ++report_.retry_attempts;
     if (previous.detected) ++report_.corruption_reexecutions;
     recovery_.makespan += stats.makespan;

@@ -75,6 +75,10 @@ void AppendNumber(std::string& out, double value) {
   out += buf;
 }
 
+// Deepest array/object nesting Parse accepts. The repo's own documents
+// nest at most 5 levels.
+constexpr int kMaxDepth = 256;
+
 class Parser {
  public:
   explicit Parser(const std::string& text) : text_(text) {}
@@ -82,7 +86,7 @@ class Parser {
   Json ParseDocument() {
     Json value = ParseValue();
     SkipWhitespace();
-    KF_REQUIRE(pos_ == text_.size())
+    KF_REQUIRE_AS(::kf::InvalidArgument, pos_ == text_.size())
         << "trailing characters after JSON document at offset " << pos_;
     return value;
   }
@@ -97,13 +101,15 @@ class Parser {
   }
 
   char Peek() {
-    KF_REQUIRE(pos_ < text_.size()) << "unexpected end of JSON at offset " << pos_;
+    KF_REQUIRE_AS(::kf::InvalidArgument, pos_ < text_.size())
+        << "unexpected end of JSON at offset " << pos_;
     return text_[pos_];
   }
 
   void Expect(char c) {
-    KF_REQUIRE(Peek() == c) << "expected '" << c << "' at offset " << pos_
-                            << ", found '" << text_[pos_] << "'";
+    KF_REQUIRE_AS(::kf::InvalidArgument, Peek() == c)
+        << "expected '" << c << "' at offset " << pos_ << ", found '" << text_[pos_]
+        << "'";
     ++pos_;
   }
 
@@ -121,17 +127,28 @@ class Parser {
     SkipWhitespace();
     const char c = Peek();
     switch (c) {
-      case '{': return ParseObject();
-      case '[': return ParseArray();
+      case '{':
+      case '[': {
+        // Bounded recursion: a hostile file cannot overflow the stack.
+        KF_REQUIRE_AS(::kf::InvalidArgument, depth_ < kMaxDepth)
+            << "JSON nests deeper than " << kMaxDepth << " levels at offset " << pos_;
+        ++depth_;
+        Json nested = c == '{' ? ParseObject() : ParseArray();
+        --depth_;
+        return nested;
+      }
       case '"': return Json(ParseString());
       case 't':
-        KF_REQUIRE(ConsumeLiteral("true")) << "bad literal at offset " << pos_;
+        KF_REQUIRE_AS(::kf::InvalidArgument, ConsumeLiteral("true"))
+            << "bad literal at offset " << pos_;
         return Json(true);
       case 'f':
-        KF_REQUIRE(ConsumeLiteral("false")) << "bad literal at offset " << pos_;
+        KF_REQUIRE_AS(::kf::InvalidArgument, ConsumeLiteral("false"))
+            << "bad literal at offset " << pos_;
         return Json(false);
       case 'n':
-        KF_REQUIRE(ConsumeLiteral("null")) << "bad literal at offset " << pos_;
+        KF_REQUIRE_AS(::kf::InvalidArgument, ConsumeLiteral("null"))
+            << "bad literal at offset " << pos_;
         return Json();
       default:
         return ParseNumber();
@@ -186,14 +203,16 @@ class Parser {
     Expect('"');
     std::string out;
     while (true) {
-      KF_REQUIRE(pos_ < text_.size()) << "unterminated string at offset " << pos_;
+      KF_REQUIRE_AS(::kf::InvalidArgument, pos_ < text_.size())
+          << "unterminated string at offset " << pos_;
       char c = text_[pos_++];
       if (c == '"') return out;
       if (c != '\\') {
         out += c;
         continue;
       }
-      KF_REQUIRE(pos_ < text_.size()) << "unterminated escape at offset " << pos_;
+      KF_REQUIRE_AS(::kf::InvalidArgument, pos_ < text_.size())
+          << "unterminated escape at offset " << pos_;
       const char esc = text_[pos_++];
       switch (esc) {
         case '"': out += '"'; break;
@@ -205,7 +224,7 @@ class Parser {
         case 'b': out += '\b'; break;
         case 'f': out += '\f'; break;
         case 'u': {
-          KF_REQUIRE(pos_ + 4 <= text_.size())
+          KF_REQUIRE_AS(::kf::InvalidArgument, pos_ + 4 <= text_.size())
               << "truncated \\u escape at offset " << pos_;
           unsigned code = 0;
           for (int i = 0; i < 4; ++i) {
@@ -218,7 +237,8 @@ class Parser {
             } else if (h >= 'A' && h <= 'F') {
               code += static_cast<unsigned>(h - 'A' + 10);
             } else {
-              KF_REQUIRE(false) << "bad hex digit in \\u escape at offset " << pos_;
+              KF_FAIL_AS(::kf::InvalidArgument)
+                  << "bad hex digit in \\u escape at offset " << pos_;
             }
           }
           // UTF-8 encode the code point (BMP only; surrogate pairs are not
@@ -236,7 +256,8 @@ class Parser {
           break;
         }
         default:
-          KF_REQUIRE(false) << "bad escape '\\" << esc << "' at offset " << pos_;
+          KF_FAIL_AS(::kf::InvalidArgument)
+              << "bad escape '\\" << esc << "' at offset " << pos_;
       }
     }
   }
@@ -250,17 +271,19 @@ class Parser {
             text_[pos_] == '+' || text_[pos_] == '-')) {
       ++pos_;
     }
-    KF_REQUIRE(pos_ > start) << "expected a JSON value at offset " << start;
+    KF_REQUIRE_AS(::kf::InvalidArgument, pos_ > start)
+        << "expected a JSON value at offset " << start;
     const std::string token = text_.substr(start, pos_ - start);
     char* end = nullptr;
     const double value = std::strtod(token.c_str(), &end);
-    KF_REQUIRE(end != nullptr && *end == '\0')
+    KF_REQUIRE_AS(::kf::InvalidArgument, end != nullptr && *end == '\0')
         << "malformed number '" << token << "' at offset " << start;
     return Json(value);
   }
 
   const std::string& text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  // arrays and objects open around pos_
 };
 
 }  // namespace

@@ -77,8 +77,9 @@ class Json {
   // print without a decimal point.
   std::string Dump(int indent = -1) const;
 
-  // Parses a complete JSON document; throws kf::Error with an offset-tagged
-  // message on malformed input or trailing garbage.
+  // Parses a complete JSON document; throws kf::InvalidArgument with an
+  // offset-tagged message on malformed input, trailing garbage, or arrays
+  // and objects nested more than 256 levels deep.
   static Json Parse(const std::string& text);
 
  private:

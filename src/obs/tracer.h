@@ -14,9 +14,9 @@
 //   * ToSessionTrace() renders every recorded query into one Chrome
 //     trace-event JSON document (pid = device, tid = lane, flow events
 //     linking a query's spans across retries and shards) that loads directly
-//     in ui.perfetto.dev. It is the only Chrome exporter: a bare StreamPool
-//     run is exported by attaching a stream::PoolTraceSink (see
-//     examples/streaming_fission.cpp).
+//     in ui.perfetto.dev. It is the only Chrome exporter. The executor
+//     records one leaf span per stream command from its schedule (see
+//     examples/streaming_fission.cpp for a traced fission run).
 //   * A bounded flight recorder retains the last N finished query trees; any
 //     query finishing with a typed failure dumps its full tree as JSON into
 //     `KF_TRACE_DIR` (or TracerOptions::trace_dir), so fuzz/soak/CI failures
@@ -42,7 +42,7 @@
 
 namespace kf::obs {
 
-// Propagated alongside a query through scheduler -> executor -> stream pool.
+// Propagated alongside a query through scheduler -> executor.
 // `sim_offset` re-bases run-local virtual times onto the session's device
 // clock so concurrent queries land side by side in the session trace.
 struct TraceContext {

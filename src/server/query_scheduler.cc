@@ -51,8 +51,7 @@ std::string ExecOptionsKey(const core::ExecutorOptions& options) {
 std::unique_ptr<const sim::DeviceGroup> GroupOfOne(
     const sim::DeviceSimulator& device) {
   auto group = std::make_unique<sim::DeviceGroup>(
-      std::vector<sim::DeviceSpec>{device.spec()}, device.pcie().config(),
-      sim::RootComplexConfig{}, &device.metrics());
+      std::vector<sim::DeviceSpec>{device.spec()}, device.pcie().config());
   group->device(0).set_instance_label(device.instance_label());
   return group;
 }

@@ -17,7 +17,6 @@ DeviceGroup::DeviceGroup(std::vector<DeviceSpec> specs, PcieConfig pcie,
   devices_.reserve(specs.size());
   for (std::size_t i = 0; i < specs.size(); ++i) {
     auto device = std::make_unique<DeviceSimulator>(std::move(specs[i]), pcie_);
-    device->set_metrics(metrics_);
     device->set_instance_label("dev" + std::to_string(i));
     devices_.push_back(std::move(device));
   }
@@ -69,10 +68,7 @@ DeviceSimulator DeviceGroup::ContendedView(int i, int concurrent) const {
   derated.pageable_h2d_gbs /= derating;
   derated.pageable_d2h_gbs /= derating;
   DeviceSimulator view(device(i).spec(), derated);
-  view.set_metrics(metrics_);
   view.set_instance_label(device(i).instance_label());
-  metrics().GetCounter("sim.group.contended_views").Increment();
-  metrics().GetGauge("sim.group.transfer_derating").Set(derating);
   return view;
 }
 

@@ -38,8 +38,9 @@ struct RootComplexConfig {
 class DeviceGroup {
  public:
   // One entry in `specs` per device; every device shares `pcie` link
-  // parameters and the root complex. `metrics` is where `sim.group.*`
-  // counters are recorded (nullptr: process-wide default registry).
+  // parameters and the root complex. `metrics` records `sim.group.devices`
+  // and is where MultiDeviceExecutor records its runs unless its options
+  // name another registry (nullptr: process-wide default registry).
   explicit DeviceGroup(std::vector<DeviceSpec> specs,
                        PcieConfig pcie = PcieConfig{},
                        RootComplexConfig root = RootComplexConfig{},
@@ -73,9 +74,9 @@ class DeviceGroup {
 
   // A value DeviceSimulator for device `i` whose PCIe bandwidths are derated
   // for `concurrent` simultaneously-streaming devices. Its memory model is
-  // fresh (executors account capacity per run); spec, cost model, metrics
-  // registry, and instance label match the persistent device. `concurrent`
-  // of 1 reproduces the persistent device's transfer times exactly.
+  // fresh (executors account capacity per run); spec, cost model and
+  // instance label match the persistent device. `concurrent` of 1
+  // reproduces the persistent device's transfer times exactly.
   DeviceSimulator ContendedView(int i, int concurrent) const;
 
   // Per-device sharding weights proportional to sustained device-memory

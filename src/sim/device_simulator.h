@@ -3,14 +3,15 @@
 // A `DeviceSimulator` owns the device spec, the PCIe model, the kernel cost
 // model, and a device-memory capacity model, and provides helpers to build
 // timeline commands from high-level descriptions (transfer N bytes, run this
-// kernel profile). Executors in `core/` talk to this facade only.
+// kernel profile). The helpers are pure cost functions: what a run did is
+// recorded by whoever runs the commands. Executors in `core/` talk to this
+// facade only.
 #ifndef KF_SIM_DEVICE_SIMULATOR_H_
 #define KF_SIM_DEVICE_SIMULATOR_H_
 
 #include <cstdint>
 #include <string>
 
-#include "obs/metrics_registry.h"
 #include "sim/device_spec.h"
 #include "sim/kernel_cost_model.h"
 #include "sim/memory_model.h"
@@ -41,13 +42,6 @@ class DeviceSimulator {
   void set_instance_label(std::string label) { instance_label_ = std::move(label); }
   const std::string& instance_label() const { return instance_label_; }
 
-  // Where command-construction counters are recorded (`sim.commands_built`,
-  // `sim.copy_bytes`). Defaults to the process-wide registry.
-  void set_metrics(obs::MetricsRegistry* metrics) { metrics_ = metrics; }
-  obs::MetricsRegistry& metrics() const {
-    return metrics_ != nullptr ? *metrics_ : obs::MetricsRegistry::Default();
-  }
-
   // Creates a fresh timeline bound to this device.
   Timeline NewTimeline() const { return Timeline(spec_); }
 
@@ -59,9 +53,6 @@ class DeviceSimulator {
                                                          : CommandKind::kCopyD2H;
     cmd.duration = pcie_.TransferTime(bytes, kind, direction);
     cmd.label = std::move(label);
-    const char* dir = direction == CopyDirection::kHostToDevice ? "h2d" : "d2h";
-    metrics().GetCounter("sim.commands_built", {{"kind", dir}}).Increment();
-    metrics().GetCounter("sim.copy_bytes", {{"direction", dir}}).Increment(bytes);
     return cmd;
   }
 
@@ -73,7 +64,6 @@ class DeviceSimulator {
     cmd.solo_duration = cost.solo_duration;
     cmd.demand = cost.demand;
     cmd.label = profile.label;
-    metrics().GetCounter("sim.commands_built", {{"kind", "kernel"}}).Increment();
     return cmd;
   }
 
@@ -85,7 +75,6 @@ class DeviceSimulator {
     cmd.duration = static_cast<double>(bytes_touched) /
                    (spec_.host_mem_bandwidth_gbs * kGB);
     cmd.label = std::move(label);
-    metrics().GetCounter("sim.commands_built", {{"kind", "host"}}).Increment();
     return cmd;
   }
 
@@ -95,7 +84,6 @@ class DeviceSimulator {
   KernelCostModel cost_model_;
   DeviceMemoryModel memory_;
   std::string instance_label_;
-  obs::MetricsRegistry* metrics_ = nullptr;
 };
 
 }  // namespace kf::sim

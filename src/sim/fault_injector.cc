@@ -1,8 +1,12 @@
 #include "sim/fault_injector.h"
 
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <string>
+#include <string_view>
 
+#include "common/error.h"
 #include "common/random.h"
 
 namespace kf::sim {
@@ -23,14 +27,30 @@ const char* CorruptLabel(CommandKind kind) {
   }
 }
 
-double EnvDouble(const char* name, double fallback) {
+// A set variable must parse whole into a finite number within [lo, hi].
+double EnvDouble(const char* name, double fallback, double lo = 0.0, double hi = 1.0) {
   const char* value = std::getenv(name);
-  return value != nullptr ? std::strtod(value, nullptr) : fallback;
+  if (value == nullptr) return fallback;
+  char* end = nullptr;
+  const double parsed = std::strtod(value, &end);
+  const bool whole = end != value && *end == '\0';
+  KF_REQUIRE_AS(::kf::InvalidArgument,
+                whole && std::isfinite(parsed) && parsed >= lo && parsed <= hi)
+      << name << "='" << value << "' is not a number in [" << lo << ", " << hi << "]";
+  return parsed;
 }
 
+// A set variable must be decimal digits that fit in 64 bits.
 std::uint64_t EnvU64(const char* name, std::uint64_t fallback) {
   const char* value = std::getenv(name);
-  return value != nullptr ? std::strtoull(value, nullptr, 10) : fallback;
+  if (value == nullptr) return fallback;
+  const std::string_view text(value);
+  errno = 0;
+  const std::uint64_t parsed = std::strtoull(value, nullptr, 10);
+  const bool digits = !text.empty() && text.find_first_not_of("0123456789") == text.npos;
+  KF_REQUIRE_AS(::kf::InvalidArgument, digits && errno != ERANGE)
+      << name << "='" << value << "' is not an unsigned 64-bit decimal";
+  return parsed;
 }
 
 }  // namespace
@@ -44,7 +64,7 @@ FaultConfig FaultConfig::FromEnv() {
   config.oom_rate = EnvDouble("KF_FAULT_OOM_RATE", config.oom_rate);
   config.stall_rate = EnvDouble("KF_FAULT_STALL_RATE", config.stall_rate);
   config.stall_multiplier =
-      EnvDouble("KF_FAULT_STALL_MULT", config.stall_multiplier);
+      EnvDouble("KF_FAULT_STALL_MULT", config.stall_multiplier, 1.0, HUGE_VAL);
   const double corrupt_all = EnvDouble("KF_FAULT_CORRUPT_RATE", 0.0);
   config.corrupt_h2d_rate = corrupt_all;
   config.corrupt_d2h_rate = corrupt_all;

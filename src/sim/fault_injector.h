@@ -54,7 +54,10 @@ struct FaultConfig {
 
   // Reads the KF_FAULT_* environment variables (unset fields keep their
   // defaults). Lets the soak job and ad-hoc runs turn faults on without a
-  // recompile; determinism still comes entirely from the seed.
+  // recompile; determinism still comes entirely from the seed. A set
+  // variable must parse whole: rates within [0, 1], the stall multiplier
+  // finite and >= 1, the seed decimal digits within 64 bits. Anything else
+  // throws kf::InvalidArgument naming the variable and its text.
   static FaultConfig FromEnv();
 };
 

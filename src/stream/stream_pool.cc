@@ -1,8 +1,8 @@
 #include "stream/stream_pool.h"
 
-#include <algorithm>
+#include <array>
+#include <cstdint>
 #include <limits>
-#include <string>
 #include <utility>
 
 #include "common/error.h"
@@ -35,13 +35,14 @@ StreamHandle StreamPool::GetAvailableStream() {
   return best;
 }
 
-sim::CommandId StreamPool::SetStreamCommand(StreamHandle stream, PoolCommand command) {
+sim::CommandId StreamPool::SetStreamCommand(StreamHandle stream,
+                                            sim::CommandSpec command) {
   KF_REQUIRE(stream >= 0 && stream < stream_count()) << "bad stream handle " << stream;
   KF_REQUIRE(!started()) << "pool already started; Terminate() before reuse";
   auto& st = streams_[static_cast<std::size_t>(stream)];
   st.in_use = true;
   // Fold in any pending point-to-point waits registered via SelectWait.
-  auto& deps = command.spec.dependencies;
+  auto& deps = command.dependencies;
   deps.insert(deps.end(), st.pending_waits.begin(), st.pending_waits.end());
   st.pending_waits.clear();
 
@@ -65,15 +66,13 @@ void StreamPool::SelectWait(StreamHandle waiter, StreamHandle signaler) {
 
 void StreamPool::StartStreams() {
   KF_REQUIRE(!started()) << "pool already started";
-  // Functional work first (issue order respects all dependencies)...
-  for (auto& command : commands_) {
-    if (command.action) command.action();
-  }
-  // ...then the timing simulation.
   sim::Timeline timeline = device_.NewTimeline();
   timeline.set_fault_injector(injector_);
+  constexpr auto kKinds = static_cast<std::size_t>(sim::CommandKind::kHostCompute) + 1;
+  std::array<std::uint64_t, kKinds> kind_counts{};  // by sim::CommandKind
   for (std::size_t i = 0; i < commands_.size(); ++i) {
-    timeline.AddCommand(command_stream_[i], commands_[i].spec);
+    ++kind_counts[static_cast<std::size_t>(commands_[i].kind)];
+    timeline.AddCommand(command_stream_[i], commands_[i]);
   }
   stats_ = timeline.Run();
 
@@ -93,10 +92,11 @@ void StreamPool::StartStreams() {
     return labels;
   };
   m.GetCounter("stream_pool.runs", device_labels).Increment();
-  for (const auto& command : commands_) {
-    m.GetCounter("stream_pool.commands",
-                 with_device({{"kind", sim::ToString(command.spec.kind)}}))
-        .Increment();
+  for (std::size_t k = 0; k < kind_counts.size(); ++k) {
+    if (kind_counts[k] == 0) continue;
+    const char* kind = sim::ToString(static_cast<sim::CommandKind>(k));
+    m.GetCounter("stream_pool.commands", with_device({{"kind", kind}}))
+        .Increment(kind_counts[k]);
   }
   m.GetHistogram("stream_pool.makespan_seconds", device_labels)
       .Record(stats_->makespan);
@@ -120,44 +120,6 @@ void StreamPool::StartStreams() {
   if (stats_->corrupted_count > 0) {
     m.GetCounter("stream_pool.corrupted_commands", device_labels)
         .Increment(stats_->corrupted_count);
-  }
-
-  // Per-command leaf spans from the issue-order command list: every stream
-  // command becomes a traced leaf carrying its simulated interval and any
-  // fault/stall/corruption outcome.
-  if (trace_.tracer != nullptr) {
-    for (std::size_t i = 0; i < commands_.size(); ++i) {
-      const sim::CommandSpec& spec = commands_[i].spec;
-      const sim::CommandTiming& timing = stats_->commands[i];
-      const obs::SpanId parent =
-          i < trace_.parents.size() && trace_.parents[i] != 0
-              ? trace_.parents[i]
-              : trace_.parent;
-      std::string category =
-          i < trace_.categories.size() ? trace_.categories[i] : std::string();
-      const std::string label =
-          spec.label.empty() ? sim::ToString(spec.kind) : spec.label;
-      const std::string lane =
-          "stream " + std::to_string(command_stream_[i]);
-      const obs::SpanId leaf = trace_.tracer->AddSpan(
-          trace_.context, parent, label, lane,
-          trace_.sim_base + timing.start, trace_.sim_base + timing.end,
-          std::move(category));
-      if (timing.fault != sim::FaultKind::kNone) {
-        const bool stall = timing.fault == sim::FaultKind::kStreamStall;
-        trace_.tracer->Annotate(trace_.context, leaf,
-                                stall ? obs::SpanAnnotationKind::kStall
-                                      : obs::SpanAnnotationKind::kFault,
-                                sim::ToString(timing.fault),
-                                trace_.sim_base + timing.end);
-      }
-      if (timing.corrupted) {
-        trace_.tracer->Annotate(trace_.context, leaf,
-                                obs::SpanAnnotationKind::kCorruption,
-                                "silent corruption",
-                                trace_.sim_base + timing.end);
-      }
-    }
   }
 }
 

@@ -16,48 +16,23 @@
 //   selectWait(a, b)          SelectWait(a, b) — a waits for b's last command
 //   terminate()               Terminate()
 //
-// Commands may carry an optional host action (a closure) executed when the
-// pool starts; actions run in issue order, which respects stream order and
-// all declared dependencies because dependencies always point backwards.
+// Commands are timing specs only: the data work of a simulated kernel runs
+// on the host before the pool is driven (DESIGN.md §6). The pool records
+// one summary of each run into its registry; per-command spans are the
+// caller's to emit from the stats WaitAll() returns.
 #ifndef KF_STREAM_STREAM_POOL_H_
 #define KF_STREAM_STREAM_POOL_H_
 
-#include <functional>
 #include <optional>
-#include <string>
-#include <utility>
 #include <vector>
 
-#include "obs/tracer.h"
+#include "obs/metrics_registry.h"
 #include "sim/device_simulator.h"
 #include "sim/timeline.h"
 
 namespace kf::stream {
 
 using StreamHandle = int;
-
-struct PoolCommand {
-  sim::CommandSpec spec;
-  // Optional functional work performed on the host when the pool starts
-  // (simulated kernels do their data work host-side; see DESIGN.md §6).
-  std::function<void()> action;
-};
-
-// Optional tracing attachment. When `tracer` is set, StartStreams() records
-// one leaf span per command from the pool's issue-order command list
-// (lane "stream <s>"), annotated with faults, stalls, and silent
-// corruption from the simulated run. `sim_base` re-bases the run's local
-// timeline (retry pools start after the primary run's makespan);
-// `parents`/`categories`, when non-empty, are parallel to issue order and
-// attach each leaf to its enclosing cluster span / stage category.
-struct PoolTraceSink {
-  obs::Tracer* tracer = nullptr;
-  obs::TraceContext context;
-  obs::SpanId parent = 0;
-  double sim_base = 0.0;
-  std::vector<obs::SpanId> parents;
-  std::vector<std::string> categories;
-};
 
 class StreamPool {
  public:
@@ -78,13 +53,15 @@ class StreamPool {
 
   // Appends `command` to `stream`'s in-order queue. Returns a command id
   // usable with SelectWait/dependencies.
-  sim::CommandId SetStreamCommand(StreamHandle stream, PoolCommand command);
+  sim::CommandId SetStreamCommand(StreamHandle stream, sim::CommandSpec command);
 
   // Makes the *next* command issued to `waiter` wait until the most recently
   // issued command of `signaler` has completed (point-to-point sync).
   void SelectWait(StreamHandle waiter, StreamHandle signaler);
 
-  // Runs all host actions (issue order) and simulates the timeline.
+  // Simulates the timeline and records the run: `stream_pool.runs`,
+  // `stream_pool.commands{kind}`, the makespan, engine busy times and
+  // fault/stall/corruption counts.
   void StartStreams();
 
   // Blocks until execution finishes (simulation is synchronous, so this
@@ -108,9 +85,6 @@ class StreamPool {
 
   bool started() const { return stats_.has_value(); }
 
-  // Attaches a tracing sink for the next StartStreams() (see PoolTraceSink).
-  void set_trace(PoolTraceSink sink) { trace_ = std::move(sink); }
-
  private:
   struct StreamState {
     std::vector<sim::CommandId> issued;           // global ids, issue order
@@ -122,10 +96,9 @@ class StreamPool {
   obs::MetricsRegistry* metrics_;
   const sim::FaultInjector* injector_;
   std::vector<StreamState> streams_;
-  std::vector<PoolCommand> commands_;             // issue order
+  std::vector<sim::CommandSpec> commands_;        // issue order
   std::vector<sim::StreamId> command_stream_;     // parallel to commands_
   std::optional<sim::TimelineStats> stats_;
-  PoolTraceSink trace_;
 };
 
 }  // namespace kf::stream

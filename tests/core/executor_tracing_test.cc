@@ -4,7 +4,12 @@
 // and fault / degrade / retry paths leave their typed annotations behind.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -199,6 +204,157 @@ TEST_F(ExecutorTracingTest, DegradeAnnotatesAndAddsHostRerunSpans) {
   }
   EXPECT_TRUE(saw_degraded_note);
   EXPECT_TRUE(saw_host_rerun);
+}
+
+// The stage categories a command's label allows.
+std::set<std::string> CategoriesFor(const std::string& label) {
+  const auto has = [&](const char* part) {
+    return label.find(part) != std::string::npos;
+  };
+  if (has("/crc-") || has("/audit")) return {"integrity"};
+  if (label.rfind("cpu-gather", 0) == 0) return {"host_gather"};
+  if (has("/h2d") || has("/d2h")) return {"input_output", "round_trip"};
+  return {"compute"};
+}
+
+// The stream a command's label implies when fission runs over `streams`
+// compute streams with transfer verification on: segment copies rotate over
+// the compute streams, gathers run on stream 0, checksum chasers on the
+// extra integrity stream. -1 when the label does not say.
+int StreamFor(const std::string& label, int streams) {
+  if (label.find("/crc-") != std::string::npos) return streams;
+  if (label.rfind("cpu-gather", 0) == 0) return 0;
+  const std::size_t tag = label.find('[');
+  const bool segment_copy = label.find("/h2d[") != std::string::npos ||
+                            label.find("/d2h[") != std::string::npos;
+  return segment_copy ? std::stoi(label.substr(tag + 1)) % streams : -1;
+}
+
+TEST_F(ExecutorTracingTest, LeafSpansMirrorEveryCommandOutcome) {
+  // One leaf per stream command: each main-run leaf carries its command's
+  // interval and exactly the stall, fault or corruption the timeline drew
+  // for it; retry leaves sit under their retry span, after its backoff; and
+  // the session exporter draws one slice per leaf.
+  sim::FaultConfig config;
+  config.seed = 17;
+  config.stall_rate = 0.3;
+  config.copy_fault_rate = 0.2;
+  config.kernel_fault_rate = 0.2;
+  config.corrupt_h2d_rate = 0.3;
+  config.corrupt_d2h_rate = 0.3;
+  config.corrupt_kernel_rate = 0.3;
+  const sim::FaultInjector injector(config, &registry_);
+
+  SelectChain chain = MakeSelectChain(20000, std::vector<double>{0.5, 0.5});
+  const std::map<NodeId, Table> sources{
+      {chain.source, MakeUniformInt32Table(20000)}};
+  ExecutorOptions options = Options(Strategy::kFusedFission);
+  options.fault_injector = &injector;
+  options.integrity.verify_transfers = true;
+  options.trace.query_id = tracer_.NextQueryId();
+  const ExecutionReport report = executor_.Execute(chain.graph, sources, options);
+  tracer_.FinishQuery(options.trace, /*failed=*/false, "");
+  const QueryTrace trace = tracer_.Snapshot(options.trace.query_id);
+  ASSERT_FALSE(trace.empty());
+
+  const auto starts_with = [](const std::string& text, const char* prefix) {
+    return text.rfind(prefix, 0) == 0;
+  };
+  std::vector<const obs::Span*> main_leaves;  // issue order
+  std::map<obs::SpanId, std::vector<const obs::Span*>> retry_leaves;
+  std::size_t retry_spans = 0;
+  for (const obs::Span& span : trace.spans) {
+    if (starts_with(span.name, "retry unit ")) ++retry_spans;
+    if (!starts_with(span.lane, "stream ")) continue;
+    const obs::Span* parent = trace.FindSpan(span.parent);
+    ASSERT_NE(parent, nullptr) << span.name;
+    if (starts_with(parent->name, "retry unit ")) {
+      retry_leaves[parent->id].push_back(&span);
+    } else {
+      EXPECT_TRUE(starts_with(parent->name, "segment ") ||
+                  starts_with(parent->name, "cluster ") || parent->id == 1)
+          << span.name << " under " << parent->name;
+      main_leaves.push_back(&span);
+    }
+  }
+
+  using Kind = obs::SpanAnnotationKind;
+  const auto kinds_of = [](const obs::Span& leaf) {
+    std::vector<Kind> kinds;
+    for (const obs::SpanAnnotation& note : leaf.annotations) kinds.push_back(note.kind);
+    return kinds;
+  };
+  const std::vector<sim::CommandTiming>& timings = report.timeline.commands;
+  ASSERT_EQ(main_leaves.size(), timings.size());
+  std::vector<Kind> seen;
+  std::size_t lanes_checked = 0;
+  for (std::size_t i = 0; i < timings.size(); ++i) {
+    const obs::Span& leaf = *main_leaves[i];
+    const sim::CommandTiming& timing = timings[i];
+    EXPECT_EQ(leaf.sim_start, timing.start) << leaf.name;
+    EXPECT_EQ(leaf.sim_end, timing.end) << leaf.name;
+    const int stream = std::stoi(leaf.lane.substr(7));
+    EXPECT_EQ(leaf.lane, "stream " + std::to_string(stream));
+    EXPECT_GE(stream, 0);
+    EXPECT_LE(stream, options.stream_count);  // compute streams + integrity
+    if (const int expected = StreamFor(leaf.name, options.stream_count); expected >= 0) {
+      EXPECT_EQ(stream, expected) << leaf.name;
+      ++lanes_checked;
+    }
+    EXPECT_EQ(CategoriesFor(leaf.name).count(leaf.category), 1u)
+        << leaf.name << " in " << leaf.category;
+    std::vector<Kind> expected;
+    if (timing.fault == sim::FaultKind::kStreamStall) {
+      expected.push_back(Kind::kStall);
+    } else if (timing.fault != sim::FaultKind::kNone) {
+      expected.push_back(Kind::kFault);
+    }
+    if (timing.corrupted) expected.push_back(Kind::kCorruption);
+    EXPECT_EQ(kinds_of(leaf), expected) << "command " << i << " " << leaf.name;
+    seen.insert(seen.end(), expected.begin(), expected.end());
+  }
+  for (Kind kind : {Kind::kStall, Kind::kFault, Kind::kCorruption}) {
+    EXPECT_NE(std::find(seen.begin(), seen.end(), kind), seen.end())
+        << obs::ToString(kind) << " never drawn";
+  }
+  EXPECT_GT(lanes_checked, timings.size() / 2);
+
+  // Every retry re-issues its unit on one fresh stream, after its backoff:
+  // its leaves start at the span's start plus that backoff and end with it.
+  ASSERT_GT(report.retry_attempts, 0u);
+  EXPECT_EQ(retry_spans, report.retry_attempts);
+  EXPECT_EQ(retry_leaves.size(), retry_spans);
+  for (const auto& [id, leaves] : retry_leaves) {
+    const obs::Span& retry = *trace.FindSpan(id);
+    const int attempt = std::stoi(retry.name.substr(retry.name.rfind(' ') + 1));
+    const SimTime backoff = options.resilience.backoff_base *
+                            std::pow(options.resilience.backoff_factor, attempt - 1);
+    double first = std::numeric_limits<double>::infinity();
+    double last = -first;
+    for (const obs::Span* leaf : leaves) {
+      EXPECT_EQ(leaf->lane, "stream 0");
+      EXPECT_EQ(CategoriesFor(leaf->name).count(leaf->category), 1u) << leaf->name;
+      first = std::min(first, leaf->sim_start);
+      last = std::max(last, leaf->sim_end);
+    }
+    EXPECT_DOUBLE_EQ(first, retry.sim_start + backoff) << retry.name;
+    EXPECT_DOUBLE_EQ(last, retry.sim_end) << retry.name;
+  }
+
+  // The session trace draws each leaf exactly once.
+  std::set<std::uint64_t> leaf_ids;
+  for (const obs::Span* leaf : main_leaves) leaf_ids.insert(leaf->id);
+  for (const auto& [id, leaves] : retry_leaves) {
+    for (const obs::Span* leaf : leaves) leaf_ids.insert(leaf->id);
+  }
+  std::size_t leaf_slices = 0;
+  const obs::Json session = obs::ToSessionTraceJson(tracer_, false);
+  for (const obs::Json& event : session.at("traceEvents").array()) {
+    if (event.at("ph").str() != "X") continue;
+    const auto span = static_cast<std::uint64_t>(event.at("args").at("span").number());
+    if (leaf_ids.count(span) != 0) ++leaf_slices;
+  }
+  EXPECT_EQ(leaf_slices, leaf_ids.size());
 }
 
 TEST_F(ExecutorTracingTest, TracedRunKeepsTheSameSimTiming) {

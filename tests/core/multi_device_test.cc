@@ -402,5 +402,38 @@ TEST(MultiDeviceEdge, EstimateOnlyScalesWithDevices) {
   EXPECT_GT(one / four, 3.0);
 }
 
+TEST(MultiDeviceEdge, ShardViewsRecordContentionInTheRunsRegistry) {
+  // Each shard runs on a contended view of its device; the run records one
+  // view and the derating it applied per shard, in the registry it records
+  // `sim.group.sharded_runs` into, never in the group's own.
+  const SelectChain chain = MakeSelectChain(40'000'000, std::vector<double>{0.5, 0.5});
+  obs::MetricsRegistry group_metrics;
+  const sim::DeviceGroup group = sim::DeviceGroup::Homogeneous(
+      4, sim::DeviceSpec::TeslaC2070(), sim::PcieConfig{}, sim::RootComplexConfig{},
+      &group_metrics);
+  MultiDeviceExecutor executor(group);
+  obs::MetricsRegistry run_metrics;
+  MultiDeviceOptions options;
+  options.base.strategy = Strategy::kFusedFission;
+  options.base.metrics = &run_metrics;
+
+  const MultiDeviceReport report =
+      executor.EstimateOnly(chain.graph, chain.expected_rows, options);
+  ASSERT_TRUE(report.sharded);
+  ASSERT_EQ(report.devices_used, 4);
+  EXPECT_EQ(run_metrics.GetCounter("sim.group.sharded_runs").value(), 1u);
+  EXPECT_EQ(run_metrics.GetCounter("sim.group.contended_views").value(), 4u);
+  EXPECT_DOUBLE_EQ(run_metrics.GetGauge("sim.group.transfer_derating").value(),
+                   group.TransferDerating(4));
+  EXPECT_DOUBLE_EQ(report.transfer_derating, group.TransferDerating(4));
+
+  // A second sharded run adds its four views; an unsharded one adds none.
+  (void)executor.EstimateOnly(chain.graph, chain.expected_rows, options);
+  options.devices = {2};
+  (void)executor.EstimateOnly(chain.graph, chain.expected_rows, options);
+  EXPECT_EQ(run_metrics.GetCounter("sim.group.contended_views").value(), 8u);
+  EXPECT_FALSE(group_metrics.ToJson().at("counters").Has("sim.group.contended_views"));
+}
+
 }  // namespace
 }  // namespace kf::core

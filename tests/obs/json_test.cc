@@ -2,6 +2,8 @@
 // construction, accessors, deterministic dumping, and parse round trips.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/error.h"
 #include "obs/json.h"
 
@@ -86,11 +88,40 @@ TEST(Json, ParseUnicodeEscape) {
 }
 
 TEST(Json, ParseErrorsCarryOffsets) {
-  EXPECT_THROW(Json::Parse(""), Error);
-  EXPECT_THROW(Json::Parse("{"), Error);
-  EXPECT_THROW(Json::Parse("[1,]"), Error);
-  EXPECT_THROW(Json::Parse("{\"a\":1} trailing"), Error);
-  EXPECT_THROW(Json::Parse("nul"), Error);
+  for (const char* malformed : {"", "{", "[1,]", "{\"a\":1} trailing", "nul",
+                                "\"\\x\"", "\"\\u12g4\"", "1e", "{1:2}"}) {
+    try {
+      (void)Json::Parse(malformed);
+      ADD_FAILURE() << "accepted: " << malformed;
+    } catch (const InvalidArgument& e) {
+      EXPECT_NE(std::string(e.what()).find("offset"), std::string::npos) << e.what();
+    }
+  }
+}
+
+TEST(Json, ParseRejectsNestingBeyondTheCap) {
+  // Recursion is bounded: 50,000 nested arrays are a typed rejection, not a
+  // stack overflow.
+  EXPECT_THROW(Json::Parse(std::string(50000, '[')), InvalidArgument);
+  const auto nested_arrays = [](int levels) {
+    return std::string(levels, '[') + std::string(levels, ']');
+  };
+  const auto nested_objects = [](int levels) {
+    std::string text;
+    for (int i = 0; i < levels; ++i) text += "{\"a\":";
+    return text + "1" + std::string(levels, '}');
+  };
+  EXPECT_THROW(Json::Parse(nested_arrays(257)), InvalidArgument);
+  EXPECT_THROW(Json::Parse(nested_objects(257)), InvalidArgument);
+
+  // Exactly at the cap (256 levels) parses.
+  const Json arrays = Json::Parse(nested_arrays(256));
+  int depth = 1;
+  for (const Json* level = &arrays; !level->array().empty(); level = &level->array()[0]) {
+    ++depth;
+  }
+  EXPECT_EQ(depth, 256);
+  EXPECT_NO_THROW(Json::Parse(nested_objects(256)));
 }
 
 TEST(Json, EqualityIsDeep) {

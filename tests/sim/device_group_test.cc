@@ -52,9 +52,7 @@ TEST(DeviceGroupTest, TransferDeratingFollowsRootComplexOversubscription) {
 }
 
 TEST(DeviceGroupTest, ContendedViewScalesTransferTimesNotCompute) {
-  obs::MetricsRegistry registry;
-  DeviceGroup group = DeviceGroup::Homogeneous(
-      4, DeviceSpec::TeslaC2070(), PcieConfig{}, RootComplexConfig{}, &registry);
+  DeviceGroup group = DeviceGroup::Homogeneous(4);
   const std::uint64_t bytes = 256 * 1024 * 1024;
 
   const CommandSpec solo = group.device(1).MakeCopy(
@@ -86,9 +84,6 @@ TEST(DeviceGroupTest, ContendedViewScalesTransferTimesNotCompute) {
   EXPECT_DOUBLE_EQ(view4.MakeKernel(profile).solo_duration,
                    group.device(1).MakeKernel(profile).solo_duration);
 
-  EXPECT_GE(registry.GetCounter("sim.group.contended_views").value(), 2u);
-  EXPECT_DOUBLE_EQ(registry.GetGauge("sim.group.transfer_derating").value(),
-                   derating);
 }
 
 TEST(DeviceGroupTest, BandwidthWeightsTrackDeviceSpecs) {

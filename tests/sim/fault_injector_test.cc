@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <string>
+#include <utility>
 
+#include "common/error.h"
 #include "obs/metrics_registry.h"
 #include "sim/timeline.h"
 
@@ -307,6 +310,44 @@ TEST(FaultConfig, FromEnvReadsCorruptionVariables) {
   EXPECT_EQ(config.corrupt_d2h_rate, 0.5);
   EXPECT_EQ(config.corrupt_kernel_rate, 0.25);
   EXPECT_TRUE(config.CorruptionEnabled());
+}
+
+TEST(FaultConfig, FromEnvRejectsMalformedValues) {
+  // Each variable must parse whole and lie in its range; a malformed value
+  // throws naming the variable and its text instead of running fault-free.
+  const std::pair<const char*, const char*> malformed[] = {
+      {"KF_FAULT_COPY_RATE", "abc"},     {"KF_FAULT_COPY_RATE", "0.1x"},
+      {"KF_FAULT_COPY_RATE", ""},        {"KF_FAULT_KERNEL_RATE", "-0.5"},
+      {"KF_FAULT_OOM_RATE", "1.5"},      {"KF_FAULT_STALL_RATE", "nan"},
+      {"KF_FAULT_CORRUPT_RATE", "inf"},  {"KF_FAULT_CORRUPT_H2D_RATE", "2"},
+      {"KF_FAULT_STALL_MULT", "0.5"},    {"KF_FAULT_STALL_MULT", "inf"},
+      {"KF_FAULT_SEED", "-1"},           {"KF_FAULT_SEED", "12x"},
+      {"KF_FAULT_SEED", " 7"},           {"KF_FAULT_SEED", "18446744073709551616"},
+  };
+  for (const auto& [name, text] : malformed) {
+    ::setenv(name, text, 1);
+    try {
+      (void)FaultConfig::FromEnv();
+      ADD_FAILURE() << name << "='" << text << "' was accepted";
+    } catch (const InvalidArgument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(name), std::string::npos) << what;
+      EXPECT_NE(what.find(std::string("'") + text + "'"), std::string::npos) << what;
+    }
+    ::unsetenv(name);
+  }
+
+  // The range ends are valid.
+  ::setenv("KF_FAULT_SEED", "18446744073709551615", 1);
+  ::setenv("KF_FAULT_COPY_RATE", "1", 1);
+  ::setenv("KF_FAULT_STALL_MULT", "1", 1);
+  const FaultConfig config = FaultConfig::FromEnv();
+  ::unsetenv("KF_FAULT_SEED");
+  ::unsetenv("KF_FAULT_COPY_RATE");
+  ::unsetenv("KF_FAULT_STALL_MULT");
+  EXPECT_EQ(config.seed, 18446744073709551615ull);
+  EXPECT_EQ(config.copy_fault_rate, 1.0);
+  EXPECT_EQ(config.stall_multiplier, 1.0);
 }
 
 TEST(Timeline, CorruptedCommandsSurfaceInStats) {
