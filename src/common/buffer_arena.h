@@ -15,8 +15,9 @@
 // accounted into the process-wide HostPerfCounters (hostperf.* metrics).
 //
 // Thread safety: all arena operations take a short internal lock (locking
-// does not allocate). For lock-free steady state, use one arena per worker
-// thread (QueryScheduler does) or the per-thread `ThreadLocal()` arena.
+// does not allocate). For uncontended steady state, use one arena per thread:
+// the fused pipeline takes its scratch from the calling thread's
+// `ThreadLocal()` arena, so each scheduler worker keeps its own warm pool.
 //
 // Pooled memory held by static/thread-local arenas at process exit is still
 // reachable, so LeakSanitizer does not flag it.
@@ -155,8 +156,8 @@ class BufferArena {
     pools_.clear();
   }
 
-  // Per-thread scratch arena for call sites without an explicit arena.
-  // Destroyed (and its capacity returned) when the thread exits.
+  // Per-thread scratch arena. Destroyed (and its capacity returned) when the
+  // thread exits.
   static BufferArena& ThreadLocal();
 
  private:

@@ -127,41 +127,16 @@ std::vector<double> CostModelCalibrator::CorrectionSnapshot() const {
 }
 
 void CostModelCalibrator::EndRun() {
-  obs::MetricsRegistry& metrics = options_.metrics != nullptr
-                                      ? *options_.metrics
-                                      : obs::MetricsRegistry::Default();
   std::lock_guard<std::mutex> lock(mutex_);
-  ++runs_;
   const std::vector<double> current = CorrectionSnapshot();
-  bool drifted = false;
   for (std::size_t i = 0; i < current.size(); ++i) {
     const double base = std::max(std::abs(epoch_snapshot_[i]), kTinyTime);
     if (std::abs(current[i] - epoch_snapshot_[i]) / base > options_.epoch_threshold) {
-      drifted = true;
-      break;
+      ++epoch_;
+      epoch_snapshot_ = current;
+      return;
     }
   }
-  if (drifted) {
-    ++epoch_;
-    ++epoch_bumps_;
-    epoch_snapshot_ = current;
-    metrics.GetCounter("calib.epoch_bumps").Increment();
-  }
-  metrics.GetGauge("calib.epoch").Set(static_cast<double>(epoch_));
-  metrics.GetGauge("calib.error").Set(error_ewma_);
-  metrics.GetGauge("calib.observations").Set(static_cast<double>(observations_));
-  metrics.GetGauge("calib.stall_rate")
-      .Set(stall_commands_ > 0
-               ? static_cast<double>(stall_stalled_) / static_cast<double>(stall_commands_)
-               : 0.0);
-  metrics
-      .GetGauge("calib.correction", obs::Labels{{"kind", "copy_h2d"}})
-      .Set(copy_dir_[0].value);
-  metrics
-      .GetGauge("calib.correction", obs::Labels{{"kind", "copy_d2h"}})
-      .Set(copy_dir_[1].value);
-  metrics.GetGauge("calib.correction", obs::Labels{{"kind", "kernel"}})
-      .Set(kernel_all_.value);
 }
 
 SimTime CostModelCalibrator::EstimateTransferTime(
@@ -265,7 +240,6 @@ std::uint64_t CostModelCalibrator::epoch() const {
 void CostModelCalibrator::AdvanceEpoch() {
   std::lock_guard<std::mutex> lock(mutex_);
   ++epoch_;
-  ++epoch_bumps_;
   epoch_snapshot_ = CorrectionSnapshot();
 }
 

@@ -43,7 +43,6 @@
 #include <vector>
 
 #include "common/units.h"
-#include "obs/metrics_registry.h"
 #include "sim/device_spec.h"
 #include "sim/kernel_cost_model.h"
 #include "sim/pcie_model.h"
@@ -82,10 +81,6 @@ struct CalibrationOptions {
 
   // Upper bound for adaptively chosen fission segment counts.
   int max_segments = 64;
-
-  // Registry EndRun() records `calib.*` gauges/counters into; nullptr means
-  // the process-wide default registry.
-  obs::MetricsRegistry* metrics = nullptr;
 };
 
 // Believed per-cluster pipeline shape, used by the adaptive fission planner.
@@ -118,8 +113,9 @@ class CostModelCalibrator {
                      SimTime observed);
   void ObserveStalls(std::size_t commands, std::size_t stalled);
   // Once per finished run: checks correction drift against the last epoch
-  // snapshot (bumping the epoch on > epoch_threshold movement) and records
-  // the `calib.*` metrics.
+  // snapshot and bumps the epoch on > epoch_threshold movement. Records
+  // nothing: the executor reads the state below into its run's `calib.*`
+  // series.
   void EndRun();
 
   // --- Calibrated estimates (believed model × learned correction). --------
@@ -209,14 +205,12 @@ class CostModelCalibrator {
 
   std::uint64_t epoch_ = 1;
   std::vector<double> epoch_snapshot_;
-  std::uint64_t epoch_bumps_ = 0;
 
   double error_ewma_ = 0.0;
   std::uint64_t error_samples_ = 0;
   std::uint64_t observations_ = 0;
   std::uint64_t stall_commands_ = 0;
   std::uint64_t stall_stalled_ = 0;
-  std::uint64_t runs_ = 0;
 };
 
 }  // namespace kf::core

@@ -856,7 +856,7 @@ ClusterExecution ExecuteBarrier(const OpGraph& graph, NodeId id,
 // Partition, compute and gather stages of a cluster without barriers.
 ClusterExecution ExecuteStreamed(const OpGraph& graph, const FusionCluster& cluster,
                                  const TableLookup& table_of, int chunk_count,
-                                 ThreadPool* pool, kf::BufferArena* arena) {
+                                 ThreadPool* pool) {
   const Table& primary = table_of(cluster.primary_input);
   const ClusterPlan plan = CompilePlan(graph, cluster, primary, table_of);
   if (plan.typed_selects > 0) {
@@ -874,8 +874,7 @@ ClusterExecution ExecuteStreamed(const OpGraph& graph, const FusionCluster& clus
   }
 
   // --- Partition stage. ------------------------------------------------------
-  kf::BufferArena& scratch_arena =
-      arena != nullptr ? *arena : kf::BufferArena::ThreadLocal();
+  kf::BufferArena& scratch_arena = kf::BufferArena::ThreadLocal();
   auto results = scratch_arena.Acquire<ChunkResults>();
   ChunkResults& res = *results;
   relational::PartitionInputInto(primary.row_count(), chunk_count, res.chunks);
@@ -983,8 +982,7 @@ ClusterExecution ExecuteStreamed(const OpGraph& graph, const FusionCluster& clus
 
 ClusterExecution ExecuteCluster(const OpGraph& graph, const FusionCluster& cluster,
                                 const TableLookup& table_of, int chunk_count,
-                                ThreadPool* pool, kf::BufferArena* arena,
-                                bool compute_checksums) {
+                                ThreadPool* pool, bool compute_checksums) {
   KF_REQUIRE(!cluster.nodes.empty()) << "empty fusion cluster";
   KF_REQUIRE_AS(::kf::InvalidArgument, chunk_count > 0) << "chunk count must be positive";
 
@@ -1008,7 +1006,7 @@ ClusterExecution ExecuteCluster(const OpGraph& graph, const FusionCluster& clust
 
   ClusterExecution result =
       barrier ? ExecuteBarrier(graph, cluster.nodes[0], table_of, chunk_count, pool)
-              : ExecuteStreamed(graph, cluster, table_of, chunk_count, pool, arena);
+              : ExecuteStreamed(graph, cluster, table_of, chunk_count, pool);
   if (compute_checksums) {
     for (const auto& [id, table] : result.outputs) {
       result.output_checksums[id] = ChecksumTable(table);

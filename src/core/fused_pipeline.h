@@ -73,7 +73,7 @@ using TableLookup = std::function<const relational::Table&(NodeId)>;
 
 // Executes `cluster` over `graph`. `table_of` must resolve the cluster's
 // primary input and every build input. Chunks run on `pool` when given;
-// scratch comes from `arena` when given, else the calling thread's arena.
+// scratch comes from the calling thread's arena.
 // Throws kf::Error when a barrier shares its cluster or a reduction feeds a
 // member (planner bugs), throws kf::InvalidArgument when `chunk_count` is
 // not positive, and rethrows an expression's kf::Error (e.g. division by
@@ -83,7 +83,6 @@ using TableLookup = std::function<const relational::Table&(NodeId)>;
 ClusterExecution ExecuteCluster(const OpGraph& graph, const FusionCluster& cluster,
                                 const TableLookup& table_of, int chunk_count = 448,
                                 ThreadPool* pool = nullptr,
-                                kf::BufferArena* arena = nullptr,
                                 bool compute_checksums = false);
 
 }  // namespace kf::core

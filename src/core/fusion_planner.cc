@@ -5,7 +5,6 @@
 
 #include "common/error.h"
 #include "core/calibration.h"
-#include "obs/metrics_registry.h"
 
 namespace kf::core {
 
@@ -150,16 +149,6 @@ FusionPlan PlanFusion(const OpGraph& graph, const FusionOptions& options) {
       if (escapes) cluster.outputs.push_back(member);
     }
     KF_REQUIRE(!cluster.outputs.empty()) << "cluster with no outputs";
-  }
-
-  obs::MetricsRegistry& m =
-      options.metrics != nullptr ? *options.metrics : obs::MetricsRegistry::Default();
-  m.GetCounter("planner.plans").Increment();
-  m.GetCounter("planner.clusters").Increment(plan.clusters.size());
-  m.GetCounter("planner.fused_clusters").Increment(plan.fused_cluster_count());
-  for (const FusionCluster& cluster : plan.clusters) {
-    m.GetHistogram("planner.cluster_registers")
-        .Record(static_cast<double>(cluster.register_estimate));
   }
   return plan;
 }

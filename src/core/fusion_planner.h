@@ -21,10 +21,6 @@
 #include "core/dependence.h"
 #include "core/op_graph.h"
 
-namespace kf::obs {
-class MetricsRegistry;
-}
-
 namespace kf::core {
 
 class CostModelCalibrator;
@@ -55,9 +51,6 @@ struct FusionOptions {
   // Baseline register cost of the staged-kernel skeleton (partition
   // cursors, buffer indices).
   int base_registers = 10;
-  // Registry that PlanFusion records planner counters into; nullptr means
-  // the process-wide default registry.
-  obs::MetricsRegistry* metrics = nullptr;
   // Feedback-driven replanning hook (core/calibration.h): when set, the
   // effective register budget is nudged by the measured kernel-cost
   // correction (kernels dearer than believed ⇒ fuse more, saving traffic).

@@ -79,6 +79,20 @@ Table SliceRows(const Table& table, std::uint64_t begin, std::uint64_t end) {
   return out;
 }
 
+// Shard-source row ranges: `bounds[k]..bounds[k+1]` is shard k, equal row
+// counts with the remainder rows on the first shards. Always monotone and
+// covering [0, total_rows].
+std::vector<std::uint64_t> ShardBounds(std::uint64_t total_rows, std::size_t shards) {
+  std::vector<std::uint64_t> bounds(shards + 1, 0);
+  bounds[shards] = total_rows;
+  const std::uint64_t base = total_rows / shards;
+  const std::uint64_t remainder = total_rows % shards;
+  for (std::size_t k = 1; k < shards; ++k) {
+    bounds[k] = bounds[k - 1] + base + (k <= remainder ? 1 : 0);
+  }
+  return bounds;
+}
+
 // One shard's assignment: a contiguous row range of the shard source.
 struct ShardSlot {
   int device = 0;
@@ -87,14 +101,6 @@ struct ShardSlot {
 };
 
 }  // namespace
-
-const char* ToString(ShardSplit split) {
-  switch (split) {
-    case ShardSplit::kStatic: return "static";
-    case ShardSplit::kBytesProportional: return "bytes_proportional";
-  }
-  return "unknown";
-}
 
 bool MultiDeviceExecutor::Shardable(const OpGraph& graph) {
   return FindShardSource(graph).has_value();
@@ -137,37 +143,6 @@ CostModelCalibrator* MultiDeviceExecutor::CalibrationFor(
   return options.base.calibration;
 }
 
-std::vector<std::uint64_t> MultiDeviceExecutor::ShardBounds(
-    std::uint64_t total_rows, const std::vector<int>& devices,
-    ShardSplit split) const {
-  const std::size_t n = devices.size();
-  std::vector<std::uint64_t> bounds(n + 1, 0);
-  bounds[n] = total_rows;
-  if (split == ShardSplit::kStatic) {
-    const std::uint64_t base = total_rows / n;
-    const std::uint64_t remainder = total_rows % n;
-    for (std::size_t k = 1; k < n; ++k) {
-      bounds[k] = bounds[k - 1] + base + (k <= remainder ? 1 : 0);
-    }
-  } else {
-    const std::vector<double> all_weights = group_.BandwidthWeights();
-    double total_weight = 0.0;
-    for (int d : devices) total_weight += all_weights[static_cast<std::size_t>(d)];
-    KF_REQUIRE_AS(::kf::InvalidArgument, total_weight > 0)
-        << "device bandwidth weights must be positive";
-    // Cumulative rounding keeps every boundary within one row of the exact
-    // proportional point, so shard sizes never drift with device count.
-    double cumulative = 0.0;
-    for (std::size_t k = 1; k < n; ++k) {
-      cumulative += all_weights[static_cast<std::size_t>(devices[k - 1])];
-      const double exact = static_cast<double>(total_rows) * cumulative / total_weight;
-      const auto boundary = static_cast<std::uint64_t>(std::llround(exact));
-      bounds[k] = std::clamp(boundary, bounds[k - 1], total_rows);
-    }
-  }
-  return bounds;
-}
-
 MultiDeviceReport MultiDeviceExecutor::Execute(
     const OpGraph& graph, const std::map<NodeId, relational::Table>& sources,
     const MultiDeviceOptions& options) const {
@@ -187,7 +162,7 @@ MultiDeviceReport MultiDeviceExecutor::Run(
   const std::vector<int> active = ActiveDevices(options);
   obs::MetricsRegistry& gm = options.base.metrics != nullptr
                                  ? *options.base.metrics
-                                 : group_.metrics();
+                                 : obs::MetricsRegistry::Default();
 
   // Single-device execution on group device `idx` (also the host-fallback
   // vehicle). Uses the persistent device directly — no contention, no
@@ -249,8 +224,7 @@ MultiDeviceReport MultiDeviceExecutor::Run(
         it != row_counts.end() ? it->second : graph.node(*shard_source).row_hint;
   }
 
-  const std::vector<std::uint64_t> bounds =
-      ShardBounds(total_rows, active, options.split);
+  const std::vector<std::uint64_t> bounds = ShardBounds(total_rows, active.size());
   std::vector<ShardSlot> slots;
   for (std::size_t k = 0; k < active.size(); ++k) {
     if (bounds[k + 1] > bounds[k]) {

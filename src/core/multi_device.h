@@ -22,24 +22,11 @@
 
 namespace kf::core {
 
-// How rows of the shard source are divided among devices.
-enum class ShardSplit : std::uint8_t {
-  // Equal row counts (remainder rows go to the first shards).
-  kStatic,
-  // Rows proportional to each device's sustained memory bandwidth — the
-  // throughput a streaming fission pipeline is bound by. Identical to
-  // kStatic for homogeneous groups.
-  kBytesProportional,
-};
-const char* ToString(ShardSplit split);
-
 struct MultiDeviceOptions {
   // Per-shard executor configuration (strategy, fission segments, streams,
   // resilience...). `base.fault_injector` applies to every shard unless a
   // per-device injector overrides it below.
   ExecutorOptions base;
-
-  ShardSplit split = ShardSplit::kStatic;
 
   // Optional per-device fault injectors, indexed by *group* device index
   // (shorter vectors / nullptr entries fall back to `base.fault_injector`).
@@ -127,12 +114,6 @@ class MultiDeviceExecutor {
                                         const MultiDeviceOptions& options) const;
   CostModelCalibrator* CalibrationFor(int device,
                                       const MultiDeviceOptions& options) const;
-
-  // Shard-source row ranges: `bounds[k]..bounds[k+1]` is shard k. Always
-  // monotone and covering [0, total_rows].
-  std::vector<std::uint64_t> ShardBounds(std::uint64_t total_rows,
-                                         const std::vector<int>& devices,
-                                         ShardSplit split) const;
 
   const sim::DeviceGroup& group_;
   OperatorCostModel cost_model_;

@@ -69,7 +69,7 @@ struct Residency {
   std::uint64_t bytes = 0;
   std::optional<sim::AllocationId> alloc;
   std::optional<CommandId> ready;  // command that made the data available
-  int pending_uses = 0;            // cluster reads + final sink download
+  int pending_uses = 0;            // cluster reads still to come
 };
 
 std::uint64_t DivCeil(std::uint64_t a, std::uint64_t b) { return (a + b - 1) / b; }
@@ -98,10 +98,8 @@ std::uint64_t EstimateRows(const OpGraph& graph, NodeId id,
 
 // --- The schedule: one record of every decision a run makes. ---------------
 
-// Segment of a command issued outside any fission segment, and of the final
-// sink downloads, which follow every cluster.
+// Segment of a command issued outside any fission segment.
 constexpr int kWholeCluster = -1;
-constexpr int kSinkDownload = -2;
 
 // One stream command, tagged with everything the phases after BuildSchedule
 // derive from it.
@@ -111,11 +109,10 @@ struct ScheduledCommand {
   Category category = Category::kCompute;
   std::uint64_t bytes = 0;  // bytes copied, checksummed or audited
   int launches = 0;         // kernel launches (stage sums count at least 1)
-  // Retry unit (see ResilienceOptions) and the cluster owning it; a final
-  // sink download belongs to the cluster that produced the sink.
+  // Retry unit (see ResilienceOptions) and the cluster owning it.
   int unit = 0;
   std::size_t cluster = 0;
-  int segment = kWholeCluster;  // fission segment, or one of the markers above
+  int segment = kWholeCluster;  // fission segment, or kWholeCluster
   int profile = -1;             // Schedule::profiles index, kernels only
 
   // Serialized duration: a kernel's solo time, any other command's own.
@@ -197,16 +194,14 @@ Planned Plan(RunContext& run) {
     plan_span = tracer->BeginSpan(trace.context, trace.root, "plan", "executor", 0.0);
   }
 
-  FusionOptions fusion_options = EffectiveFusionOptions(options);
-  if (fusion_options.metrics == nullptr) fusion_options.metrics = &run.metrics;
   if (options.plan != nullptr) {
     KF_REQUIRE_AS(::kf::InvalidArgument,
                   options.plan->cluster_of.size() == run.graph.node_count())
         << "precomputed fusion plan covers " << options.plan->cluster_of.size()
         << " nodes but the graph has " << run.graph.node_count();
   }
-  out.plan =
-      options.plan != nullptr ? *options.plan : PlanFusion(run.graph, fusion_options);
+  out.plan = options.plan != nullptr ? *options.plan
+                                     : PlanFusion(run.graph, EffectiveFusionOptions(options));
   if (tracer != nullptr) {
     const bool hit = options.plan != nullptr;
     tracer->EndSpan(trace.context, plan_span, 0.0);
@@ -282,7 +277,7 @@ FunctionalPass Functional(const RunContext& run, const Planned& planned,
   for (std::size_t c = 0; c < planned.plan.clusters.size(); ++c) {
     ClusterExecution exec =
         ExecuteCluster(graph, planned.plan.clusters[c], lookup, run.options.chunk_count,
-                       pool, run.options.arena, planned.audited[c] != 0);
+                       pool, planned.audited[c] != 0);
     for (const auto& [id, digest] : exec.output_checksums) {
       out.audit_checksums[id] = digest;
     }
@@ -299,9 +294,9 @@ FunctionalPass Functional(const RunContext& run, const Planned& planned,
 // --- BuildSchedule. -----------------------------------------------------------
 
 // Builds the schedule over a device-memory model: residency, capacity
-// spills, segmentation, CPU/GPU placement, audits and the final sink
-// downloads. Calibrated *decisions* happen here; every observation of the
-// run (trace, metrics, calibrator feed) is derived from the finished record.
+// spills, segmentation, CPU/GPU placement and audits. Calibrated *decisions*
+// happen here; every observation of the run (trace, metrics, calibrator
+// feed) is derived from the finished record.
 class ScheduleBuilder {
  public:
   ScheduleBuilder(const OpGraph& graph, const Planned& planned,
@@ -333,7 +328,7 @@ class ScheduleBuilder {
     crc_stream_ = integrity_stream ? schedule_.stream_count : 0;
 
     memory_.set_fault_injector(options.fault_injector);
-    // Pending uses: how many clusters read a node, plus one if it is a sink.
+    // Pending uses: how many clusters read a node.
     for (NodeId id = 0; id < graph.node_count(); ++id) {
       residency_[id].bytes = NodeBytes(id);
       residency_[id].on_host = graph.node(id).is_source;
@@ -342,10 +337,7 @@ class ScheduleBuilder {
       ++residency_[cluster.primary_input].pending_uses;
       for (NodeId build : cluster.build_inputs) ++residency_[build].pending_uses;
     }
-    for (NodeId sink : sinks_) {
-      is_sink_[sink] = 1;
-      ++residency_[sink].pending_uses;
-    }
+    for (NodeId sink : sinks_) is_sink_[sink] = 1;
     // Host-side cost of each cluster, needed when a cluster may run on the
     // CPU: every cluster under force_host, any persistently failing cluster
     // when an injector is attached (graceful degradation), every audited
@@ -360,17 +352,6 @@ class ScheduleBuilder {
   Schedule Build() && {
     schedule_.clusters.resize(plan_.clusters.size());
     for (std::size_t c = 0; c < plan_.clusters.size(); ++c) EmitCluster(c);
-    // Final downloads for sinks still on the device, each its own retry unit
-    // owned by the cluster that produced the sink.
-    segment_ = kSinkDownload;
-    for (NodeId sink : sinks_) {
-      if (residency_[sink].on_device) {
-        cluster_ = static_cast<std::size_t>(plan_.cluster_of[sink]);
-        BeginUnit();
-        SpillToHost(sink, Category::kInputOutput);
-      }
-      ReleaseUse(sink);
-    }
     schedule_.peak_device_bytes = memory_.high_water_mark();
     schedule_.leaked_device_bytes = memory_.used();
     return std::move(schedule_);
@@ -600,15 +581,13 @@ class ScheduleBuilder {
 
     const int segments =
         w.barrier || residency_[cluster.primary_input].on_device ? 1 : ChooseSegments(w);
-    // Output routing: an output goes to host when it is a sink nothing else
-    // reads, or when the round-trip policy evicts it; otherwise it stays
-    // resident. Outputs too large to keep resident must stream out.
+    // Output routing: an output goes to host when it is a sink, or when the
+    // round-trip policy evicts it; otherwise it stays resident. Outputs too
+    // large to keep resident must stream out.
     for (NodeId out : cluster.outputs) {
-      const bool has_consumers = residency_[out].pending_uses > is_sink_[out];
-      w.to_host.push_back(
-          (is_sink_[out] && !has_consumers) ||
-          (options_.intermediates == IntermediatePolicy::kRoundTrip && has_consumers) ||
-          (segments > 1 && w.outputs_bytes > device_budget_ / 2));
+      w.to_host.push_back(is_sink_[out] ||
+                          options_.intermediates == IntermediatePolicy::kRoundTrip ||
+                          (segments > 1 && w.outputs_bytes > device_budget_ / 2));
     }
     if (segments <= 1) {
       EmitResident(w);
@@ -912,8 +891,7 @@ Simulated Simulate(const RunContext& run, const Schedule& schedule) {
   out.timeline = pool.WaitAll();
 
   // Every row becomes a leaf, in issue order, under its innermost structural
-  // span (sink downloads sit at the root); a structural span covers the min
-  // start / max end of its commands.
+  // span; a structural span covers the min start / max end of its commands.
   std::vector<std::string> lanes;
   for (int s = 0; s < schedule.pool_streams; ++s) {
     lanes.push_back("stream " + std::to_string(s));
@@ -922,10 +900,6 @@ Simulated Simulate(const RunContext& run, const Schedule& schedule) {
     const ScheduledCommand& row = schedule.commands[i];
     const sim::CommandTiming& t = out.timeline.commands[i];
     const std::string& lane = lanes[static_cast<std::size_t>(row.stream)];
-    if (row.segment == kSinkDownload) {
-      AddLeaf(trace, trace.root, row, lane, t, 0.0);
-      continue;
-    }
     const std::size_t cluster = cluster_slot[row.cluster];
     const std::size_t inner = cluster + static_cast<std::size_t>(row.segment + 1);
     AddLeaf(trace, spans[inner].id, row, lane, t, 0.0);
@@ -1237,6 +1211,17 @@ void AccountCalibration(const RunContext& run, const Schedule& schedule,
   }
   run.metrics.GetGauge("calib.epoch", labels).Set(static_cast<double>(calib->epoch()));
   run.metrics.GetGauge("calib.estimate_error", labels).Set(calib->error());
+  run.metrics.GetGauge("calib.observations", labels)
+      .Set(static_cast<double>(calib->observations()));
+  run.metrics.GetGauge("calib.stall_rate", labels).Set(calib->StallRate());
+  const auto record_correction = [&](const char* kind, double correction) {
+    obs::Labels by_kind = labels;
+    by_kind.emplace_back("kind", kind);
+    run.metrics.GetGauge("calib.correction", by_kind).Set(correction);
+  };
+  record_correction("copy_h2d", calib->CopyCorrection(sim::CopyDirection::kHostToDevice));
+  record_correction("copy_d2h", calib->CopyCorrection(sim::CopyDirection::kDeviceToHost));
+  record_correction("kernel", calib->KernelCorrection());
 }
 
 // Stage sums (Fig 9's decomposition), transfer bytes, launches and the

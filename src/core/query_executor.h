@@ -29,7 +29,6 @@
 #include <optional>
 #include <string>
 
-#include "common/buffer_arena.h"
 #include "common/thread_pool.h"
 #include "obs/metrics_registry.h"
 #include "obs/tracer.h"
@@ -58,9 +57,9 @@ enum class IntermediatePolicy : std::uint8_t {
 };
 
 // Fault recovery policy. The retry unit is what the paper's fission pass
-// naturally provides: a resident cluster runs as one unit, every fission
-// segment is its own unit, and each final sink download is a unit. A failed
-// unit is re-issued on a fresh stream with exponential backoff charged to the
+// naturally provides: a resident cluster runs as one unit, sink downloads
+// included, and every fission segment is its own unit. A failed unit is
+// re-issued on a fresh stream with exponential backoff charged to the
 // simulated clock; a unit that exhausts its retries degrades its whole
 // cluster to the host (Ocelot-style translated execution, see core/hetero.h)
 // instead of failing the query. Functional results are computed host-side
@@ -124,13 +123,6 @@ struct ExecutorOptions {
   // Route every cluster to the host engine (circuit-breaker open, or an
   // explicit CPU run). No device commands are issued at all.
   bool force_host = false;
-
-  // Workspace pool for the functional pass (cluster kernels check their
-  // chunk scratch out of it, so repeated queries hit warm buffers). nullptr
-  // uses the executing thread's scratch arena. The arena
-  // only affects allocation behavior, never results — it is deliberately NOT
-  // part of any execution-compatibility key.
-  kf::BufferArena* arena = nullptr;
 
   // Adaptive cost-model calibration (core/calibration.h). When set, the run
   //   * replaces the fixed `fission_segments`/`stream_count` constants with

@@ -367,9 +367,6 @@ std::uint64_t QueryScheduler::EstimateBytes(const std::vector<JobPtr>& batch) {
 }
 
 void QueryScheduler::WorkerLoop() {
-  // Worker-private buffer pool: staged-kernel workspaces stay warm across
-  // every batch this worker executes, with no cross-worker contention.
-  kf::BufferArena arena;
   for (;;) {
     std::vector<JobPtr> batch;
     std::uint64_t batch_bytes = 0;
@@ -429,7 +426,7 @@ void QueryScheduler::WorkerLoop() {
       }
     }
 
-    ExecuteBatch(std::move(batch), &arena);
+    ExecuteBatch(std::move(batch));
 
     bool now_idle = false;
     {
@@ -507,8 +504,7 @@ QueryScheduler::Placement QueryScheduler::Place(const std::vector<JobPtr>& batch
   return placement;
 }
 
-void QueryScheduler::ExecuteBatch(std::vector<JobPtr> batch,
-                                  kf::BufferArena* arena) {
+void QueryScheduler::ExecuteBatch(std::vector<JobPtr> batch) {
   obs::Tracer* const tracer = options_.tracer;
   const double pickup_sim = sim_clock();
   Job& leader = *batch.front();
@@ -556,7 +552,6 @@ void QueryScheduler::ExecuteBatch(std::vector<JobPtr> batch,
 
     core::ExecutorOptions options = batch.front()->request.options;
     if (options.metrics == nullptr) options.metrics = &metrics();
-    if (options.arena == nullptr) options.arena = arena;
     if (options.fault_injector == nullptr) {
       options.fault_injector = options_.fault_injector;
     }
@@ -638,7 +633,6 @@ void QueryScheduler::ExecuteBatch(std::vector<JobPtr> batch,
         core::MultiDeviceOptions group_options;
         group_options.base = options;
         group_options.base.force_host = options.force_host || placement.host_route;
-        group_options.split = options_.shard_split;
         group_options.per_device_injectors = options_.device_injectors;
         group_options.per_device_calibrations = options_.device_calibrations;
         group_options.devices = placement.devices;
@@ -853,7 +847,7 @@ void QueryScheduler::ExecuteBatch(std::vector<JobPtr> batch,
       }
       std::vector<JobPtr> solo;
       solo.push_back(std::move(job));
-      ExecuteBatch(std::move(solo), arena);
+      ExecuteBatch(std::move(solo));
     }
   }
 }

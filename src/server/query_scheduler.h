@@ -143,7 +143,9 @@ struct SchedulerOptions {
   // A batch larger than the whole allowance still runs — alone.
   double admission_memory_fraction = 1.0;
 
-  // Registry for scheduler metrics (`server.*`); nullptr = process default.
+  // Registry the scheduler and its plan cache record into (`server.*`), and
+  // every execution whose request left `ExecutorOptions::metrics` unset;
+  // nullptr = process default.
   obs::MetricsRegistry* metrics = nullptr;
 
   // End-to-end tracer. When set, every submitted query gets a span tree
@@ -204,9 +206,6 @@ struct SchedulerOptions {
   // entries fall back to `fault_injector`).
   std::vector<const sim::FaultInjector*> device_injectors;
 
-  // How sharded queries split rows across devices.
-  core::ShardSplit shard_split = core::ShardSplit::kStatic;
-
   // --- Adaptive calibration (core/calibration.h). ------------------------
   // Scheduler-level calibrator applied to every execution whose request did
   // not attach its own (per-query `ExecutorOptions::calibration` wins).
@@ -226,7 +225,7 @@ struct SchedulerOptions {
 class QueryScheduler {
  public:
   // Serves a standalone device as a group of one: an owned one-device group
-  // with `device`'s spec, PCIe link, metrics registry and instance label.
+  // with `device`'s spec, PCIe link and instance label.
   explicit QueryScheduler(const sim::DeviceSimulator& device,
                           SchedulerOptions options = SchedulerOptions());
 
@@ -335,10 +334,7 @@ class QueryScheduler {
   // True when `candidate` can join a batch led by `leader`.
   static bool Compatible(const QueryRequest& leader, const QueryRequest& candidate);
   // Executes `batch` as one (possibly merged) run and fulfills its promises.
-  // `arena` is the executing worker's private buffer pool — repeated queries
-  // on one worker reuse warm staged-kernel workspaces without locking against
-  // other workers.
-  void ExecuteBatch(std::vector<JobPtr> batch, kf::BufferArena* arena);
+  void ExecuteBatch(std::vector<JobPtr> batch);
   // Estimated device footprint of a batch (sources + sinks, deduplicated
   // shared sources by name).
   static std::uint64_t EstimateBytes(const std::vector<JobPtr>& batch);

@@ -8,8 +8,8 @@
 namespace kf::sim {
 
 DeviceGroup::DeviceGroup(std::vector<DeviceSpec> specs, PcieConfig pcie,
-                         RootComplexConfig root, obs::MetricsRegistry* metrics)
-    : pcie_(pcie), root_(std::move(root)), metrics_(metrics) {
+                         RootComplexConfig root)
+    : pcie_(pcie), root_(std::move(root)) {
   KF_REQUIRE_AS(::kf::InvalidArgument, !specs.empty())
       << "a device group needs at least one device";
   KF_REQUIRE_AS(::kf::InvalidArgument, root_.aggregate_bandwidth_gbs > 0)
@@ -20,18 +20,14 @@ DeviceGroup::DeviceGroup(std::vector<DeviceSpec> specs, PcieConfig pcie,
     device->set_instance_label("dev" + std::to_string(i));
     devices_.push_back(std::move(device));
   }
-  this->metrics()
-      .GetGauge("sim.group.devices")
-      .Set(static_cast<double>(devices_.size()));
 }
 
 DeviceGroup DeviceGroup::Homogeneous(int device_count, DeviceSpec spec,
-                                     PcieConfig pcie, RootComplexConfig root,
-                                     obs::MetricsRegistry* metrics) {
+                                     PcieConfig pcie, RootComplexConfig root) {
   KF_REQUIRE_AS(::kf::InvalidArgument, device_count > 0)
       << "device_count must be positive, got " << device_count;
   std::vector<DeviceSpec> specs(static_cast<std::size_t>(device_count), spec);
-  return DeviceGroup(std::move(specs), pcie, std::move(root), metrics);
+  return DeviceGroup(std::move(specs), pcie, std::move(root));
 }
 
 double DeviceGroup::DeviceLinkPeakGbs(int i) const {
@@ -70,15 +66,6 @@ DeviceSimulator DeviceGroup::ContendedView(int i, int concurrent) const {
   DeviceSimulator view(device(i).spec(), derated);
   view.set_instance_label(device(i).instance_label());
   return view;
-}
-
-std::vector<double> DeviceGroup::BandwidthWeights() const {
-  std::vector<double> weights;
-  weights.reserve(devices_.size());
-  for (const auto& device : devices_) {
-    weights.push_back(device->spec().sustained_mem_bytes_per_second());
-  }
-  return weights;
 }
 
 }  // namespace kf::sim

@@ -22,7 +22,6 @@
 #include <string>
 #include <vector>
 
-#include "obs/metrics_registry.h"
 #include "sim/device_simulator.h"
 
 namespace kf::sim {
@@ -38,20 +37,17 @@ struct RootComplexConfig {
 class DeviceGroup {
  public:
   // One entry in `specs` per device; every device shares `pcie` link
-  // parameters and the root complex. `metrics` records `sim.group.devices`
-  // and is where MultiDeviceExecutor records its runs unless its options
-  // name another registry (nullptr: process-wide default registry).
+  // parameters and the root complex. The group records nothing: runs on it
+  // record into their executor options' registry.
   explicit DeviceGroup(std::vector<DeviceSpec> specs,
                        PcieConfig pcie = PcieConfig{},
-                       RootComplexConfig root = RootComplexConfig{},
-                       obs::MetricsRegistry* metrics = nullptr);
+                       RootComplexConfig root = RootComplexConfig{});
 
   // N identical devices (the common homogeneous-fleet case).
   static DeviceGroup Homogeneous(int device_count,
                                  DeviceSpec spec = DeviceSpec::TeslaC2070(),
                                  PcieConfig pcie = PcieConfig{},
-                                 RootComplexConfig root = RootComplexConfig{},
-                                 obs::MetricsRegistry* metrics = nullptr);
+                                 RootComplexConfig root = RootComplexConfig{});
 
   int device_count() const { return static_cast<int>(devices_.size()); }
 
@@ -79,20 +75,11 @@ class DeviceGroup {
   // reproduces the persistent device's transfer times exactly.
   DeviceSimulator ContendedView(int i, int concurrent) const;
 
-  // Per-device sharding weights proportional to sustained device-memory
-  // bandwidth — the throughput a streaming fission pipeline is bound by.
-  std::vector<double> BandwidthWeights() const;
-
-  obs::MetricsRegistry& metrics() const {
-    return metrics_ != nullptr ? *metrics_ : obs::MetricsRegistry::Default();
-  }
-
  private:
   // unique_ptr for address stability: executors hold `const DeviceSimulator&`.
   std::vector<std::unique_ptr<DeviceSimulator>> devices_;
   PcieConfig pcie_;
   RootComplexConfig root_;
-  obs::MetricsRegistry* metrics_ = nullptr;
 };
 
 }  // namespace kf::sim

@@ -19,14 +19,6 @@ constexpr std::uint64_t kSaltStall = 0x7374616c6cULL;    // "stall"
 constexpr std::uint64_t kSaltOom = 0x6f6f6dULL;          // "oom"
 constexpr std::uint64_t kSaltCorrupt = 0x666c6970ULL;    // "flip"
 
-const char* CorruptLabel(CommandKind kind) {
-  switch (kind) {
-    case CommandKind::kCopyH2D: return "corrupt_h2d";
-    case CommandKind::kCopyD2H: return "corrupt_d2h";
-    default: return "corrupt_kernel";
-  }
-}
-
 // A set variable must parse whole into a finite number within [lo, hi].
 double EnvDouble(const char* name, double fallback, double lo = 0.0, double hi = 1.0) {
   const char* value = std::getenv(name);
@@ -93,12 +85,6 @@ double FaultInjector::Draw(std::uint64_t epoch, std::uint64_t ordinal,
   return static_cast<double>(mixed >> 11) * 0x1.0p-53;
 }
 
-void FaultInjector::Count(FaultKind kind) const {
-  metrics()
-      .GetCounter("fault.injected", {{"kind", ToString(kind)}})
-      .Increment();
-}
-
 FaultDecision FaultInjector::Decide(std::uint64_t epoch,
                                     std::uint64_t command_id,
                                     CommandKind kind) const {
@@ -109,7 +95,6 @@ FaultDecision FaultInjector::Decide(std::uint64_t epoch,
       Draw(epoch, command_id, kSaltStall) < config_.stall_rate) {
     decision.fault = FaultKind::kStreamStall;
     decision.duration_multiplier = config_.stall_multiplier;
-    Count(FaultKind::kStreamStall);
   }
 
   const bool is_copy =
@@ -119,7 +104,6 @@ FaultDecision FaultInjector::Decide(std::uint64_t epoch,
   if (fail_rate > 0 && Draw(epoch, command_id, kSaltFail) < fail_rate) {
     decision.fault =
         is_copy ? FaultKind::kCopyTransient : FaultKind::kKernelFault;
-    Count(decision.fault);
   }
 
   // Silent corruption: only a command that otherwise succeeds can deliver
@@ -132,9 +116,6 @@ FaultDecision FaultInjector::Decide(std::uint64_t epoch,
       decision.fault != FaultKind::kKernelFault &&
       Draw(epoch, command_id, kSaltCorrupt) < corrupt_rate) {
     decision.corrupt = true;
-    metrics()
-        .GetCounter("fault.injected", {{"kind", CorruptLabel(kind)}})
-        .Increment();
   }
   return decision;
 }
@@ -142,11 +123,7 @@ FaultDecision FaultInjector::Decide(std::uint64_t epoch,
 bool FaultInjector::InjectOomOnReservation() const {
   if (config_.oom_rate <= 0) return false;
   const std::uint64_t ordinal = oom_draws_.fetch_add(1, std::memory_order_relaxed);
-  if (Draw(0, ordinal, kSaltOom) < config_.oom_rate) {
-    Count(FaultKind::kDeviceOom);
-    return true;
-  }
-  return false;
+  return Draw(0, ordinal, kSaltOom) < config_.oom_rate;
 }
 
 }  // namespace kf::sim

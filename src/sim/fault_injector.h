@@ -5,7 +5,9 @@
 // above the device model (StreamPool, QueryExecutor, QueryScheduler) must
 // absorb them. The injector is the single source of those events: the
 // Timeline consults it once per command, the DeviceMemoryModel once per
-// reservation, and every injected event is counted into `fault.*` metrics.
+// reservation. It records nothing itself: a faulted, stalled or corrupted
+// command surfaces in `TimelineStats`, an injected OOM as the
+// `kf::DeviceFault` the reservation throws.
 //
 // Determinism contract: every decision is a pure hash of (seed, epoch,
 // ordinal, salt) — no wall clock, no global RNG. The epoch advances once
@@ -18,7 +20,6 @@
 #include <atomic>
 #include <cstdint>
 
-#include "obs/metrics_registry.h"
 #include "sim/timeline.h"
 
 namespace kf::sim {
@@ -72,11 +73,7 @@ struct FaultDecision {
 
 class FaultInjector {
  public:
-  // `metrics` is where `fault.injected{kind=...}` counters are recorded;
-  // nullptr means the process-wide default registry.
-  explicit FaultInjector(FaultConfig config,
-                         obs::MetricsRegistry* metrics = nullptr)
-      : config_(config), metrics_(metrics) {}
+  explicit FaultInjector(FaultConfig config) : config_(config) {}
 
   const FaultConfig& config() const { return config_; }
 
@@ -103,14 +100,8 @@ class FaultInjector {
  private:
   double Draw(std::uint64_t epoch, std::uint64_t ordinal,
               std::uint64_t salt) const;
-  void Count(FaultKind kind) const;
-
-  obs::MetricsRegistry& metrics() const {
-    return metrics_ != nullptr ? *metrics_ : obs::MetricsRegistry::Default();
-  }
 
   FaultConfig config_;
-  obs::MetricsRegistry* metrics_;
   mutable std::atomic<std::uint64_t> epoch_{0};
   mutable std::atomic<std::uint64_t> oom_draws_{0};
 };

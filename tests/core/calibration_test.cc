@@ -206,11 +206,7 @@ TEST(Calibration, KernelClassesCalibrateIndependentlyWithFallback) {
 // --- Epochs. ----------------------------------------------------------------
 
 TEST(Calibration, EpochBumpsOnDriftThenStabilizes) {
-  obs::MetricsRegistry metrics;
-  CalibrationOptions options;
-  options.metrics = &metrics;
-  CostModelCalibrator calib(sim::DeviceSpec::TeslaC2070(), sim::PcieConfig{},
-                            options);
+  CostModelCalibrator calib(sim::DeviceSpec::TeslaC2070(), sim::PcieConfig{});
   EXPECT_EQ(calib.epoch(), 1u);
 
   const sim::PcieModel believed{};

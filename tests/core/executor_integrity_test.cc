@@ -92,7 +92,7 @@ TEST_F(ExecutorIntegrityTest, CorruptionDetectedAndHealedByteIdentical) {
   const ExecutionReport clean =
       executor_.Execute(chain.graph, sources, Options());
 
-  sim::FaultInjector injector(CorruptAll(0.2, 9), &registry_);
+  sim::FaultInjector injector(CorruptAll(0.2, 9));
   ExecutorOptions options = Options();
   options.fault_injector = &injector;
   options.integrity = FullVerification();
@@ -125,7 +125,7 @@ TEST_F(ExecutorIntegrityTest, SingleCorruptSegmentIsDetectedAndHealed) {
 
   bool found = false;
   for (std::uint64_t seed = 1; seed <= 64 && !found; ++seed) {
-    sim::FaultInjector injector(CorruptAll(0.01, seed), &registry_);
+    sim::FaultInjector injector(CorruptAll(0.01, seed));
     ExecutorOptions options = Options();
     options.fault_injector = &injector;
     options.integrity = FullVerification();
@@ -154,7 +154,7 @@ TEST_F(ExecutorIntegrityTest, ChecksumsOffMeansSilentWrongAnswer) {
   sim::FaultConfig config;
   config.seed = 3;
   config.corrupt_kernel_rate = 1.0;
-  sim::FaultInjector injector(config, &registry_);
+  sim::FaultInjector injector(config);
   ExecutorOptions options = Options();
   options.fault_injector = &injector;
   const ExecutionReport report =
@@ -174,7 +174,7 @@ TEST_F(ExecutorIntegrityTest, PersistentCorruptionThrowsTypedDataCorruption) {
   sim::FaultConfig config;
   config.seed = 1;
   config.corrupt_kernel_rate = 1.0;  // every attempt corrupts again
-  sim::FaultInjector injector(config, &registry_);
+  sim::FaultInjector injector(config);
   ExecutorOptions options = Options();
   options.fault_injector = &injector;
   options.integrity = FullVerification();
@@ -198,7 +198,7 @@ TEST_F(ExecutorIntegrityTest, PersistentCorruptionDegradesToHost) {
   sim::FaultConfig config;
   config.seed = 1;
   config.corrupt_kernel_rate = 1.0;
-  sim::FaultInjector injector(config, &registry_);
+  sim::FaultInjector injector(config);
   ExecutorOptions options = Options();
   options.fault_injector = &injector;
   options.integrity = FullVerification();
@@ -258,14 +258,12 @@ TEST(MultiDeviceIntegrity, ShardedCorruptionDetectedAndHealed) {
   }
   const std::map<NodeId, Table> truth = ReferenceResults(q);
 
-  sim::DeviceGroup group = sim::DeviceGroup::Homogeneous(
-      2, sim::DeviceSpec{}, sim::PcieConfig{}, sim::RootComplexConfig{},
-      &registry);
+  sim::DeviceGroup group = sim::DeviceGroup::Homogeneous(2);
   MultiDeviceExecutor multi(group);
 
   std::size_t total_corrupted = 0;
   for (std::uint64_t seed = 1; seed <= 16; ++seed) {
-    sim::FaultInjector injector(CorruptAll(0.1, seed), &registry);
+    sim::FaultInjector injector(CorruptAll(0.1, seed));
     MultiDeviceOptions options;
     options.base.strategy = Strategy::kFusedFission;
     options.base.chunk_count = 4;

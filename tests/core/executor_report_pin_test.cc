@@ -310,11 +310,8 @@ SequenceDigests SequenceDigest(Arm arm, Strategy strategy, obs::Tracer* tracer,
   const QueryExecutor executor(device);
   obs::MetricsRegistry metrics;
   const sim::FaultConfig faults = FaultsOf(arm);
-  const sim::FaultInjector injector(faults, &metrics);
-  CalibrationOptions calibration_options;
-  calibration_options.metrics = &metrics;
-  CostModelCalibrator calibrator(PessimisticSpec(), PessimisticPcie(),
-                                 calibration_options);
+  const sim::FaultInjector injector(faults);
+  CostModelCalibrator calibrator(PessimisticSpec(), PessimisticPcie());
 
   Digest digest;
   std::uint64_t runs = 0;
@@ -383,71 +380,71 @@ constexpr Pin kPins[] = {
     {Arm::kPlain,
      {0x7fbfa2b73acb79a3ull, 0xcecd8e63b18338dfull,
       0x74068ec7db3edb25ull, 0xcbb70371b4209ef5ull},
-     {0x760a7e14b9b434aaull, 0xb5d082e7d17d4209ull,
-      0xc772311072393ec7ull, 0x72ee49a8cecbf523ull},
+     {0x23e2b4383aba59f0ull, 0xe8a44ec95355bc9full,
+      0xd578444c4f560129ull, 0xd30543c3777f3c5bull},
      {0xc95991e5125bbf82ull, 0x15262552c2b18948ull,
       0x276269a16ea11096ull, 0x3a9b2598bd3e383cull}},
     {Arm::kRoundTrip,
      {0xdedd92336ebffe5ull, 0x1f567bc509a09fd5ull,
       0x4023f41d41df8fd5ull, 0xb60415be2414410dull},
-     {0x1c4a8bec8bdcbabeull, 0xdcc9f8c5e1078afull,
-      0x5b23822133dc333ull, 0x633d7bd96471bb94ull},
+     {0x43568e91d1173e54ull, 0x87641a5d5f3659dfull,
+      0x20704d0573f614bdull, 0x5be068ea0d748be8ull},
      {0x2d6dfcde9ed1eae0ull, 0xeb69aa737870b38ull,
       0x76fb41fec40fb22eull, 0x780bd6d314609e3aull}},
     {Arm::kSmallDevice,
      {0xd388979eb748f643ull, 0xddb420a151094a75ull,
       0xe1eb275477f14dafull, 0x98565a497860c02full},
-     {0x5bf23039f493cf2dull, 0xc8377d217d32650cull,
-      0x535c4ac1d73a7364ull, 0xb3b11e778b41e719ull},
+     {0xae3c58f081cef535ull, 0xaabc853d519c7bbaull,
+      0xd1dbdd988900c040ull, 0xf5dae085165879b3ull},
      {0x35847f9058ab935aull, 0x7f80d03007374734ull,
       0x6d9ed634ec483228ull, 0x84ebff4b14191d2aull}},
     {Arm::kFaults,
      {0x92a30fe4121de0adull, 0xad3418822eacfc2dull,
       0xb30bf665897ed20bull, 0xb432daaee23e0857ull},
-     {0x47f3f895315cde9aull, 0x9f240c68f5c43586ull,
-      0x2ad701d5f8b4e27bull, 0x1184f1ee955ae8baull},
+     {0x2267abd33619f95cull, 0xffefe7e86b970190ull,
+      0x6e86ee4ea71fca7full, 0x36d5fb77add66e6aull},
      {0x3c7793dda6659dd9ull, 0xf964c3cf999e2d91ull,
       0x7c8f27319495e19full, 0xb58d706d26fbc6adull}},
     {Arm::kDegrade,
      {0x7cc3ed2933fb1b05ull, 0x44be0430a73df205ull,
       0x89ad562c466881cdull, 0x1c0916bb05ee7ca3ull},
-     {0x7c930baa862037c8ull, 0x9a99a6ca473d6535ull,
-      0x2ecfa4d2c1061901ull, 0xea09a14ba1320a57ull},
+     {0x5ab8e07af8fa6e14ull, 0xa31584913e575d1bull,
+      0x5fc749ad58c357adull, 0xbffed37f11e89682ull},
      {0x82b07616d3174b6ull, 0xb35c36eab43fe348ull,
       0xc6827a47a061de32ull, 0x2d66224bbdaac120ull}},
     {Arm::kVerifiedCorruption,
      {0x2bfe8baa2eafb066ull, 0xf6fd02976f964ab5ull,
       0xc175d83a43601ff4ull, 0xbac7164529459a57ull},
-     {0x2bec00323b3fbf80ull, 0x54fcfff87f683e47ull,
-      0x22c8937fafc1bac8ull, 0xa3f8c92a0c813464ull},
+     {0x5750a71118c08cedull, 0xaa19d663448e59f9ull,
+      0x7b3f8a4316a1f5a1ull, 0x182a137c5d5eb713ull},
      {0x14ca7a5743ad2e6dull, 0xdf573f74b27f9c8aull,
       0xac32f6e34f6d16c2ull, 0xb0b20e41cdf96baeull}},
     {Arm::kSilentCorruption,
      {0xe3b7ddad59c40db8ull, 0xa47c05341a77a611ull,
       0xf1bc654b22550dcbull, 0x71d1d66591084439ull},
-     {0xc2240f83d25fadedull, 0xb8f48c3e3e6580c8ull,
-      0x16812547149793aeull, 0x59d34b1684199378ull},
+     {0xb6c2abf5c3937862ull, 0x2ff1103fd0bc5c2cull,
+      0x8237673726f67de2ull, 0x2bd8090e198c88edull},
      {0x52cdeeb7d96222a4ull, 0x9f644f71d850008dull,
       0xbfa1b05a401a7e23ull, 0xecbef182a9e3aa0dull}},
     {Arm::kCalibrated,
      {0xa36850982e46b5b5ull, 0x90deda3218a07c29ull,
       0xa36850982e46b5b5ull, 0x90deda3218a07c29ull},
-     {0xa2711fcd14386bbdull, 0x42739f74ffff115aull,
-      0x9eb2861abcdc1983ull, 0xfe5564428be70a0eull},
+     {0x4f90e5a95b503adfull, 0x5b8f27676fdfc41aull,
+      0x3029b2fab6b72f4cull, 0x47cc93e10f0d061eull},
      {0x2ee6356b6c2ac7a6ull, 0x991910c2b2c74c1ull,
       0x644f18a05b672dcaull, 0x832cf4262c57e825ull}},
     {Arm::kForceHost,
      {0x46ecdfe76c44126dull, 0x6c3b465e5a4a7799ull,
       0x46ecdfe76c44126dull, 0x6c3b465e5a4a7799ull},
-     {0xcf454ef92a7ac72aull, 0xf154a6e6e4e61352ull,
-      0x27ce0aa2fcff80eeull, 0xea94c00e999e2422ull},
+     {0x9c96927776fc0ba6ull, 0x8241fac7c4783a9eull,
+      0x31bba2ec8ce1fe5cull, 0x1c4c9e43f8b4552eull},
      {0xdc2904458aa51530ull, 0x13caf685c2d1b9b0ull,
       0x38d5c22d89918c8cull, 0xbe6b80f10a32f4f0ull}},
     {Arm::kEstimate,
      {0x2fd5cc4a0fa4d9efull, 0xfe9f856b98e23f07ull,
       0x59067812ff8909e5ull, 0x62bc23cf8745c185ull},
-     {0x760a7e14b9b434aaull, 0xb5d082e7d17d4209ull,
-      0xc772311072393ec7ull, 0x72ee49a8cecbf523ull},
+     {0x23e2b4383aba59f0ull, 0xe8a44ec95355bc9full,
+      0xd578444c4f560129ull, 0xd30543c3777f3c5bull},
      {0x1581bc78bbad4a62ull, 0x6105b18f2890c92cull,
       0x67748a48198a2a06ull, 0x8067854905025fecull}},
 };

@@ -45,7 +45,7 @@ TEST_F(ExecutorResilienceTest, ZeroRateInjectorChangesNothing) {
   const ExecutionReport clean =
       executor_.Execute(chain.graph, sources, Options());
 
-  sim::FaultInjector injector(sim::FaultConfig{}, &registry_);
+  sim::FaultInjector injector(sim::FaultConfig{});
   ExecutorOptions options = Options();
   options.fault_injector = &injector;
   const ExecutionReport injected =
@@ -69,7 +69,7 @@ TEST_F(ExecutorResilienceTest, TransientFaultsRetrySegmentsAndPreserveResults) {
   config.seed = 7;
   config.copy_fault_rate = 0.3;
   config.kernel_fault_rate = 0.3;
-  sim::FaultInjector injector(config, &registry_);
+  sim::FaultInjector injector(config);
   ExecutorOptions options = Options();
   options.fault_injector = &injector;
   const ExecutionReport report =
@@ -95,7 +95,7 @@ TEST_F(ExecutorResilienceTest, RetriesAreDeterministicPerSeed) {
   config.kernel_fault_rate = 0.25;
 
   auto run_once = [&] {
-    sim::FaultInjector injector(config, &registry_);  // fresh epoch counter
+    sim::FaultInjector injector(config);  // fresh epoch counter
     ExecutorOptions options = Options();
     options.fault_injector = &injector;
     return executor_.Execute(chain.graph, sources, options);
@@ -117,7 +117,7 @@ TEST_F(ExecutorResilienceTest, PersistentFaultsDegradeToHost) {
   sim::FaultConfig config;
   config.seed = 1;
   config.kernel_fault_rate = 1.0;  // every kernel fails, retries included
-  sim::FaultInjector injector(config, &registry_);
+  sim::FaultInjector injector(config);
   ExecutorOptions options = Options();
   options.fault_injector = &injector;
   options.resilience.max_retries = 2;
@@ -141,7 +141,7 @@ TEST_F(ExecutorResilienceTest, DegradeDisabledThrowsTypedDeviceFault) {
   sim::FaultConfig config;
   config.seed = 1;
   config.kernel_fault_rate = 1.0;
-  sim::FaultInjector injector(config, &registry_);
+  sim::FaultInjector injector(config);
   ExecutorOptions options = Options();
   options.fault_injector = &injector;
   options.resilience.max_retries = 1;

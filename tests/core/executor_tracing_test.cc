@@ -158,7 +158,7 @@ TEST_F(ExecutorTracingTest, FaultsAnnotateTheTree) {
   config.seed = 7;
   config.copy_fault_rate = 0.3;
   config.kernel_fault_rate = 0.3;
-  sim::FaultInjector injector(config, &registry_);
+  sim::FaultInjector injector(config);
 
   ExecutionReport report;
   const QueryTrace trace = Run(Strategy::kFusedFission, &report, &injector);
@@ -180,7 +180,7 @@ TEST_F(ExecutorTracingTest, DegradeAnnotatesAndAddsHostRerunSpans) {
   sim::FaultConfig config;
   config.seed = 1;
   config.kernel_fault_rate = 1.0;
-  sim::FaultInjector injector(config, &registry_);
+  sim::FaultInjector injector(config);
 
   SelectChain chain = MakeSelectChain(20000, std::vector<double>{0.5, 0.5});
   const std::map<NodeId, Table> sources{
@@ -243,7 +243,7 @@ TEST_F(ExecutorTracingTest, LeafSpansMirrorEveryCommandOutcome) {
   config.corrupt_h2d_rate = 0.3;
   config.corrupt_d2h_rate = 0.3;
   config.corrupt_kernel_rate = 0.3;
-  const sim::FaultInjector injector(config, &registry_);
+  const sim::FaultInjector injector(config);
 
   SelectChain chain = MakeSelectChain(20000, std::vector<double>{0.5, 0.5});
   const std::map<NodeId, Table> sources{

@@ -52,23 +52,21 @@ TEST_P(StrategyDifferential, EveryStrategyByteIdenticalToScalarReference) {
   }
 }
 
-TEST_P(StrategyDifferential, ArenaRunsByteIdenticalToScalarReference) {
-  // Same sweep as above but with a caller-provided BufferArena: pooled
-  // workspaces must never change a byte of output, across repeated (warm)
-  // runs included.
+TEST_P(StrategyDifferential, WarmThreadArenaRunsByteIdenticalToScalarReference) {
+  // Same sweep as above, run twice: the second run takes its workspaces warm
+  // from the thread's BufferArena, and pooled workspaces must never change a
+  // byte of output.
   const RandomQuery q =
       MakeRandomQuery(static_cast<std::uint64_t>(GetParam()) * 911 + 5);
   const std::map<NodeId, Table> truth = ReferenceResults(q);
 
   sim::DeviceSimulator device;
   QueryExecutor executor(device);
-  kf::BufferArena arena;
   for (Strategy strategy : {Strategy::kSerial, Strategy::kFused,
                             Strategy::kFission, Strategy::kFusedFission}) {
     ExecutorOptions options;
     options.strategy = strategy;
     options.chunk_count = 4;
-    options.arena = &arena;
     for (int run = 0; run < 2; ++run) {  // second run reuses warm pools
       const ExecutionReport report =
           executor.Execute(q.graph, q.sources, options);
@@ -166,14 +164,12 @@ TEST_P(StrategyDifferential, TypedSelectChainByteIdenticalToScalarReference) {
 
       sim::DeviceSimulator device;
       QueryExecutor executor(device);
-      kf::BufferArena arena;
       for (Strategy strategy : {Strategy::kSerial, Strategy::kFused,
                                 Strategy::kFission, Strategy::kFusedFission}) {
         for (std::size_t chunks : {std::size_t{1}, std::size_t{4}}) {
           ExecutorOptions options;
           options.strategy = strategy;
           options.chunk_count = chunks;
-          options.arena = &arena;
           const ExecutionReport report =
               executor.Execute(q.graph, q.sources, options);
           for (NodeId sink : q.graph.Sinks()) {

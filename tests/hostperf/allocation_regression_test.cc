@@ -9,7 +9,6 @@
 #include <map>
 #include <vector>
 
-#include "common/buffer_arena.h"
 #include "core/fused_pipeline.h"
 #include "core/fusion_planner.h"
 #include "core/query_executor.h"
@@ -33,8 +32,8 @@ class AllocationRegressionTest : public ::testing::Test {
 };
 
 TEST_F(AllocationRegressionTest, ExecutorReachesAllocationSteadyState) {
-  // Whole-query runs allocate (fresh result tables, reports), but with a
-  // caller-provided arena the per-run allocation count must stabilize: run N
+  // Whole-query runs allocate (fresh result tables, reports), but once the
+  // thread's arena is warm the per-run allocation count must stabilize: run N
   // and run N+1 are identical workloads, so any growth would be a leak of
   // warm-path pooling.
   sim::DeviceSimulator device;
@@ -44,12 +43,10 @@ TEST_F(AllocationRegressionTest, ExecutorReachesAllocationSteadyState) {
   const relational::Table data = core::MakeUniformInt32Table(50000, 11);
   const std::map<core::NodeId, relational::Table> sources{
       {chain.source, data}};
-  BufferArena arena;
   obs::MetricsRegistry registry;  // isolate from other tests' metric traffic
   core::ExecutorOptions options;
   options.strategy = core::Strategy::kFused;
   options.chunk_count = 16;
-  options.arena = &arena;
   options.metrics = &registry;
 
   auto measure = [&] {
@@ -101,10 +98,9 @@ TEST_F(AllocationRegressionTest, WarmFusedClusterAllocationsIgnoreChunkCount) {
   const core::FusionPlan plan = core::PlanFusion(graph);
   ASSERT_EQ(plan.clusters.size(), 1u);
   auto lookup = [&](core::NodeId) -> const relational::Table& { return data; };
-  BufferArena arena;
   auto measure = [&](int chunks) {
     AllocationScope scope;
-    (void)core::ExecuteCluster(graph, plan.clusters[0], lookup, chunks, nullptr, &arena);
+    (void)core::ExecuteCluster(graph, plan.clusters[0], lookup, chunks);
     return scope.delta();
   };
   (void)measure(4);

@@ -62,7 +62,7 @@ TEST(IntegritySoak, CorruptedServingStaysByteIdenticalOrFailsTyped) {
 
   sim::DeviceSimulator device;
   obs::MetricsRegistry registry;
-  sim::FaultInjector injector(FivePercentCorruption(2026), &registry);
+  sim::FaultInjector injector(FivePercentCorruption(2026));
   // With KF_TRACE_DIR set (the CI soak jobs do), any query failing with a
   // typed error dumps its full span tree there for post-mortem triage.
   obs::Tracer tracer;
@@ -146,7 +146,7 @@ TEST(IntegritySoak, ShardedServingUnderCorruptionStaysClean) {
   const std::size_t n = std::max<std::size_t>(SoakQueryCount() / 4, 10);
 
   obs::MetricsRegistry registry;
-  sim::FaultInjector injector(FivePercentCorruption(4049), &registry);
+  sim::FaultInjector injector(FivePercentCorruption(4049));
   sim::DeviceGroup group = sim::DeviceGroup::Homogeneous(2);
   obs::Tracer tracer;
 

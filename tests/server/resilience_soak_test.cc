@@ -46,7 +46,7 @@ TEST(ResilienceSoak, RandomGraphsSucceedDegradeOrFailTyped) {
     config.stall_rate = 0.2;
     config.oom_rate = 0.05;
   }
-  sim::FaultInjector injector(config, &registry);
+  sim::FaultInjector injector(config);
 
   // With KF_TRACE_DIR set (the CI soak jobs do), any query failing with a
   // typed error dumps its full span tree there for post-mortem triage.

@@ -1,6 +1,7 @@
 // QueryScheduler group mode: least-loaded placement across a DeviceGroup,
 // sharded serving, per-device circuit breakers (a permanently broken device
-// drains to the healthy ones), and per-device virtual-clock accounting.
+// drains to the healthy ones), per-device virtual-clock accounting, and
+// runs that record only into the registries their options name.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,7 +13,9 @@
 
 #include "common/error.h"
 #include "common/random.h"
+#include "core/calibration.h"
 #include "core/multi_device.h"
+#include "core/select_chain.h"
 #include "obs/metrics_registry.h"
 #include "server/query_scheduler.h"
 #include "sim/device_group.h"
@@ -247,7 +250,7 @@ TEST(SchedulerGroupTest, GroupOfOneServesLikeAStandaloneDevice) {
   // solo batches, its own injector with the same seed).
   auto serve = [&](const auto& make) {
     obs::MetricsRegistry registry;
-    const sim::FaultInjector injector(config, &registry);
+    const sim::FaultInjector injector(config);
     SchedulerOptions options;
     options.worker_count = 1;
     options.start_paused = true;
@@ -322,6 +325,82 @@ TEST(SchedulerGroupTest, GroupOfOneServesLikeAStandaloneDevice) {
   EXPECT_GT(corrupt_batches, 0u);
   EXPECT_FALSE(standalone.quarantined);
   EXPECT_FALSE(grouped.quarantined);
+}
+
+TEST(RunRegistry, PrivateRegistriesLeaveTheProcessRegistryUntouched) {
+  // Every series a run causes lands in the registry its options name. Served
+  // under injected faults and verification, sharded, calibrated and
+  // estimated with private registries, nothing reaches the process default.
+  const std::string before = obs::MetricsRegistry::Default().ToJson().Dump();
+
+  sim::FaultConfig config;
+  config.copy_fault_rate = 0.05;
+  config.kernel_fault_rate = 0.05;
+  config.oom_rate = 0.05;
+  config.stall_rate = 0.05;
+  config.corrupt_h2d_rate = 0.05;
+  config.corrupt_d2h_rate = 0.05;
+  config.corrupt_kernel_rate = 0.05;
+  config.seed = 11;
+  const sim::FaultInjector dev0(config);
+  config.seed = 12;
+  const sim::FaultInjector dev1(config);
+  {
+    sim::DeviceGroup group = sim::DeviceGroup::Homogeneous(2);
+    obs::MetricsRegistry registry;
+    SchedulerOptions options;
+    options.worker_count = 1;
+    options.start_paused = true;
+    options.metrics = &registry;
+    options.device_injectors = {&dev0, &dev1};
+    options.integrity.verify_transfers = true;
+    options.integrity.audit_fraction = 0.5;
+    QueryScheduler scheduler(group, options);
+    std::vector<std::future<QueryResult>> futures;
+    for (std::uint64_t seed = 0; seed < 12; ++seed) {
+      futures.push_back(scheduler.Submit(
+          MakeRequest(MakeChainQuery(500 + seed, 2000), /*allow_sharding=*/true)));
+    }
+    scheduler.Start();
+    std::size_t sharded = 0;
+    for (std::future<QueryResult>& future : futures) {
+      try {
+        sharded += future.get().sharded ? 1 : 0;
+      } catch (const kf::Error&) {
+        // A query out of whole-query retries fails typed; still recorded.
+      }
+    }
+    EXPECT_GT(sharded, 0u);
+    EXPECT_GT(registry.GetCounter("server.completed").value(), 0u);
+  }
+
+  {
+    sim::DeviceSimulator device;
+    core::QueryExecutor executor(device);
+    core::CostModelCalibrator calibrator;
+    obs::MetricsRegistry registry;
+    core::ExecutorOptions options;
+    options.strategy = core::Strategy::kFusedFission;
+    options.calibration = &calibrator;
+    options.metrics = &registry;
+    const core::RandomQuery q = MakeChainQuery(9, 2000);
+    for (int run = 0; run < 2; ++run) (void)executor.Execute(q.graph, q.sources, options);
+    EXPECT_GT(calibrator.observations(), 0u);
+  }
+
+  {
+    const core::SelectChain chain =
+        core::MakeSelectChain(4'000'000, std::vector<double>{0.5, 0.5});
+    const sim::DeviceGroup group = sim::DeviceGroup::Homogeneous(2);
+    core::MultiDeviceExecutor executor(group);
+    obs::MetricsRegistry registry;
+    core::MultiDeviceOptions options;
+    options.base.strategy = core::Strategy::kFusedFission;
+    options.base.metrics = &registry;
+    EXPECT_TRUE(executor.EstimateOnly(chain.graph, chain.expected_rows, options).sharded);
+  }
+
+  EXPECT_EQ(obs::MetricsRegistry::Default().ToJson().Dump(), before);
 }
 
 }  // namespace

@@ -69,7 +69,7 @@ TEST(SchedulerResilience, BreakerOpensRoutesHostAndStaysCorrect) {
   sim::FaultConfig config;
   config.seed = 1;
   config.kernel_fault_rate = 1.0;
-  sim::FaultInjector injector(config, &registry);
+  sim::FaultInjector injector(config);
 
   SchedulerOptions options;
   options.worker_count = 1;
@@ -119,7 +119,7 @@ TEST(SchedulerResilience, BreakerClosesAfterSuccessfulProbe) {
   sim::FaultConfig config;
   config.seed = 1;
   config.kernel_fault_rate = 1.0;
-  sim::FaultInjector faulty(config, &registry);
+  sim::FaultInjector faulty(config);
 
   SchedulerOptions options;
   options.worker_count = 1;
@@ -162,7 +162,7 @@ TEST(SchedulerResilience, ExhaustedQueryRetriesFailTyped) {
   sim::FaultConfig config;
   config.seed = 1;
   config.oom_rate = 1.0;  // every device reservation fails
-  sim::FaultInjector injector(config, &registry);
+  sim::FaultInjector injector(config);
 
   SchedulerOptions options;
   options.worker_count = 1;
@@ -195,7 +195,7 @@ TEST(SchedulerResilience, QueryRetryRecoversFromTransientReservationFault) {
   sim::FaultConfig config;
   config.seed = 9;
   config.oom_rate = 0.2;  // transient: some reservation sequence succeeds
-  sim::FaultInjector injector(config, &registry);
+  sim::FaultInjector injector(config);
 
   SchedulerOptions options;
   options.worker_count = 1;

@@ -110,7 +110,7 @@ TEST(SchedulerTracing, SeededRunsExportByteIdenticalTraces) {
     sim::FaultConfig config;
     config.seed = 13;
     config.kernel_fault_rate = 0.2;
-    const sim::FaultInjector injector(config, &registry);
+    const sim::FaultInjector injector(config);
 
     SchedulerOptions options;
     options.worker_count = 1;       // serialized batches: deterministic
@@ -158,7 +158,7 @@ TEST(SchedulerTracing, FaultyServingKeepsCoverageAndAnnotations) {
   config.stall_rate = 0.10;
   config.corrupt_h2d_rate = 0.01;
   config.corrupt_d2h_rate = 0.01;
-  const sim::FaultInjector injector(config, &registry);
+  const sim::FaultInjector injector(config);
 
   SchedulerOptions options;
   options.worker_count = 1;
@@ -256,7 +256,7 @@ TEST(SchedulerTracing, FailedQueryDumpsItsFlightRecorderTree) {
   sim::FaultConfig config;
   config.seed = 1;
   config.oom_rate = 1.0;  // every reservation faults: retries exhaust
-  const sim::FaultInjector injector(config, &registry);
+  const sim::FaultInjector injector(config);
 
   SchedulerOptions options;
   options.worker_count = 1;

@@ -5,20 +5,16 @@
 #include <gtest/gtest.h>
 
 #include "common/error.h"
-#include "obs/metrics_registry.h"
 #include "sim/device_spec.h"
 
 namespace kf::sim {
 namespace {
 
 TEST(DeviceGroupTest, HomogeneousBuildsLabeledIndependentDevices) {
-  obs::MetricsRegistry registry;
-  DeviceGroup group = DeviceGroup::Homogeneous(
-      3, DeviceSpec::TeslaC2070(), PcieConfig{}, RootComplexConfig{}, &registry);
+  DeviceGroup group = DeviceGroup::Homogeneous(3);
   ASSERT_EQ(group.device_count(), 3);
   EXPECT_EQ(group.device(0).instance_label(), "dev0");
   EXPECT_EQ(group.device(2).instance_label(), "dev2");
-  EXPECT_EQ(registry.GetGauge("sim.group.devices").value(), 3.0);
 
   // Memory models are independent: an allocation on dev0 is invisible to
   // dev1's accounting.
@@ -84,19 +80,6 @@ TEST(DeviceGroupTest, ContendedViewScalesTransferTimesNotCompute) {
   EXPECT_DOUBLE_EQ(view4.MakeKernel(profile).solo_duration,
                    group.device(1).MakeKernel(profile).solo_duration);
 
-}
-
-TEST(DeviceGroupTest, BandwidthWeightsTrackDeviceSpecs) {
-  std::vector<DeviceSpec> specs{DeviceSpec::TeslaC2070(),
-                                DeviceSpec::TinyTestDevice()};
-  DeviceGroup group(std::move(specs));
-  const std::vector<double> weights = group.BandwidthWeights();
-  ASSERT_EQ(weights.size(), 2u);
-  EXPECT_DOUBLE_EQ(weights[0],
-                   group.device(0).spec().sustained_mem_bytes_per_second());
-  EXPECT_DOUBLE_EQ(weights[1],
-                   group.device(1).spec().sustained_mem_bytes_per_second());
-  EXPECT_GT(weights[0], weights[1]);
 }
 
 }  // namespace

@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "common/error.h"
-#include "obs/metrics_registry.h"
 #include "sim/timeline.h"
 
 namespace kf::sim {
@@ -25,8 +24,7 @@ FaultConfig AllFaults(double rate, std::uint64_t seed = 42) {
 TEST(FaultConfig, DefaultInjectsNothing) {
   const FaultConfig config;
   EXPECT_FALSE(config.AnyEnabled());
-  obs::MetricsRegistry registry;
-  FaultInjector injector(config, &registry);
+  FaultInjector injector(config);
   for (std::uint64_t id = 0; id < 100; ++id) {
     const FaultDecision d = injector.Decide(1, id, CommandKind::kKernel);
     EXPECT_EQ(d.fault, FaultKind::kNone);
@@ -36,9 +34,8 @@ TEST(FaultConfig, DefaultInjectsNothing) {
 }
 
 TEST(FaultInjector, DecisionsAreDeterministicPerSeed) {
-  obs::MetricsRegistry registry;
-  FaultInjector a(AllFaults(0.3), &registry);
-  FaultInjector b(AllFaults(0.3), &registry);
+  FaultInjector a(AllFaults(0.3));
+  FaultInjector b(AllFaults(0.3));
   for (std::uint64_t epoch = 1; epoch < 5; ++epoch) {
     for (std::uint64_t id = 0; id < 200; ++id) {
       const FaultDecision da = a.Decide(epoch, id, CommandKind::kCopyH2D);
@@ -50,9 +47,8 @@ TEST(FaultInjector, DecisionsAreDeterministicPerSeed) {
 }
 
 TEST(FaultInjector, DifferentSeedsDisagree) {
-  obs::MetricsRegistry registry;
-  FaultInjector a(AllFaults(0.3, 1), &registry);
-  FaultInjector b(AllFaults(0.3, 2), &registry);
+  FaultInjector a(AllFaults(0.3, 1));
+  FaultInjector b(AllFaults(0.3, 2));
   int differing = 0;
   for (std::uint64_t id = 0; id < 500; ++id) {
     if (a.Decide(1, id, CommandKind::kKernel).fault !=
@@ -66,8 +62,7 @@ TEST(FaultInjector, DifferentSeedsDisagree) {
 TEST(FaultInjector, EpochsGiveFreshDraws) {
   // A retried command must not hit the same fault forever: decisions for one
   // command id differ across epochs.
-  obs::MetricsRegistry registry;
-  FaultInjector injector(AllFaults(0.5), &registry);
+  FaultInjector injector(AllFaults(0.5));
   int faulted = 0;
   for (std::uint64_t epoch = 1; epoch <= 64; ++epoch) {
     if (injector.Decide(epoch, 7, CommandKind::kKernel).fault ==
@@ -80,11 +75,10 @@ TEST(FaultInjector, EpochsGiveFreshDraws) {
 }
 
 TEST(FaultInjector, ObservedRatesTrackConfiguredRates) {
-  obs::MetricsRegistry registry;
   FaultConfig config;
   config.seed = 7;
   config.kernel_fault_rate = 0.2;
-  FaultInjector injector(config, &registry);
+  FaultInjector injector(config);
   const int n = 5000;
   int failures = 0;
   for (std::uint64_t id = 0; id < n; ++id) {
@@ -98,8 +92,7 @@ TEST(FaultInjector, ObservedRatesTrackConfiguredRates) {
 }
 
 TEST(FaultInjector, HostCommandsNeverFault) {
-  obs::MetricsRegistry registry;
-  FaultInjector injector(AllFaults(1.0), &registry);
+  FaultInjector injector(AllFaults(1.0));
   for (std::uint64_t id = 0; id < 50; ++id) {
     const FaultDecision d = injector.Decide(1, id, CommandKind::kHostCompute);
     EXPECT_EQ(d.fault, FaultKind::kNone);
@@ -108,11 +101,10 @@ TEST(FaultInjector, HostCommandsNeverFault) {
 }
 
 TEST(FaultInjector, CopyAndKernelRatesAreIndependent) {
-  obs::MetricsRegistry registry;
   FaultConfig config;
   config.seed = 11;
   config.copy_fault_rate = 1.0;  // copies always fail...
-  FaultInjector injector(config, &registry);
+  FaultInjector injector(config);
   EXPECT_EQ(injector.Decide(1, 0, CommandKind::kCopyH2D).fault,
             FaultKind::kCopyTransient);
   EXPECT_EQ(injector.Decide(1, 0, CommandKind::kCopyD2H).fault,
@@ -122,38 +114,25 @@ TEST(FaultInjector, CopyAndKernelRatesAreIndependent) {
 }
 
 TEST(FaultInjector, StallStretchesDuration) {
-  obs::MetricsRegistry registry;
   FaultConfig config;
   config.seed = 3;
   config.stall_rate = 1.0;
   config.stall_multiplier = 4.0;
-  FaultInjector injector(config, &registry);
+  FaultInjector injector(config);
   const FaultDecision d = injector.Decide(1, 0, CommandKind::kKernel);
   EXPECT_EQ(d.fault, FaultKind::kStreamStall);
   EXPECT_EQ(d.duration_multiplier, 4.0);
 }
 
 TEST(FaultInjector, OomDrawsAdvanceDeterministically) {
-  obs::MetricsRegistry registry;
   FaultConfig config;
   config.seed = 5;
   config.oom_rate = 0.25;
-  FaultInjector a(config, &registry);
-  FaultInjector b(config, &registry);
+  FaultInjector a(config);
+  FaultInjector b(config);
   for (int i = 0; i < 200; ++i) {
     EXPECT_EQ(a.InjectOomOnReservation(), b.InjectOomOnReservation());
   }
-}
-
-TEST(FaultInjector, CountsInjectedFaults) {
-  obs::MetricsRegistry registry;
-  FaultConfig config;
-  config.seed = 1;
-  config.kernel_fault_rate = 1.0;
-  FaultInjector injector(config, &registry);
-  (void)injector.Decide(1, 0, CommandKind::kKernel);
-  EXPECT_EQ(registry.GetCounter("fault.injected", {{"kind", "kernel"}}).value(),
-            1u);
 }
 
 TEST(FaultConfig, FromEnvReadsVariables) {
@@ -172,11 +151,10 @@ TEST(FaultConfig, FromEnvReadsVariables) {
 }
 
 TEST(Timeline, FaultedCommandsSurfaceInStats) {
-  obs::MetricsRegistry registry;
   FaultConfig config;
   config.seed = 1;
   config.kernel_fault_rate = 1.0;
-  FaultInjector injector(config, &registry);
+  FaultInjector injector(config);
 
   Timeline timeline(DeviceSpec::TeslaC2070());
   timeline.set_fault_injector(&injector);
@@ -201,12 +179,11 @@ TEST(Timeline, FaultedCommandsSurfaceInStats) {
 }
 
 TEST(Timeline, StallDelaysCompletion) {
-  obs::MetricsRegistry registry;
   FaultConfig config;
   config.seed = 1;
   config.stall_rate = 1.0;
   config.stall_multiplier = 8.0;
-  FaultInjector injector(config, &registry);
+  FaultInjector injector(config);
 
   Timeline timeline(DeviceSpec::TeslaC2070());
   timeline.set_fault_injector(&injector);
@@ -222,7 +199,6 @@ TEST(Timeline, StallDelaysCompletion) {
 }
 
 TEST(FaultInjector, CorruptionDrawsAreDeterministicAndSilent) {
-  obs::MetricsRegistry registry;
   FaultConfig config;
   config.seed = 21;
   config.corrupt_h2d_rate = 0.3;
@@ -230,8 +206,8 @@ TEST(FaultInjector, CorruptionDrawsAreDeterministicAndSilent) {
   config.corrupt_kernel_rate = 0.3;
   EXPECT_TRUE(config.CorruptionEnabled());
   EXPECT_TRUE(config.AnyEnabled());
-  FaultInjector a(config, &registry);
-  FaultInjector b(config, &registry);
+  FaultInjector a(config);
+  FaultInjector b(config);
   int corrupted = 0;
   for (std::uint64_t id = 0; id < 300; ++id) {
     const FaultDecision da = a.Decide(1, id, CommandKind::kKernel);
@@ -247,30 +223,25 @@ TEST(FaultInjector, CorruptionDrawsAreDeterministicAndSilent) {
 }
 
 TEST(FaultInjector, CorruptionRatesArePerKind) {
-  obs::MetricsRegistry registry;
   FaultConfig config;
   config.seed = 13;
   config.corrupt_h2d_rate = 1.0;  // uploads always corrupt...
-  FaultInjector injector(config, &registry);
+  FaultInjector injector(config);
   EXPECT_TRUE(injector.Decide(1, 0, CommandKind::kCopyH2D).corrupt);
   // ...downloads and kernels never do.
   EXPECT_FALSE(injector.Decide(1, 0, CommandKind::kCopyD2H).corrupt);
   EXPECT_FALSE(injector.Decide(1, 0, CommandKind::kKernel).corrupt);
-  EXPECT_EQ(
-      registry.GetCounter("fault.injected", {{"kind", "corrupt_h2d"}}).value(),
-      1u);
 }
 
 TEST(FaultInjector, HostCommandsNeverCorrupt) {
   // Host executions are the trusted reference (the audit re-executes against
   // them), so corruption only ever targets device-side commands.
-  obs::MetricsRegistry registry;
   FaultConfig config;
   config.seed = 5;
   config.corrupt_h2d_rate = 1.0;
   config.corrupt_d2h_rate = 1.0;
   config.corrupt_kernel_rate = 1.0;
-  FaultInjector injector(config, &registry);
+  FaultInjector injector(config);
   for (std::uint64_t id = 0; id < 50; ++id) {
     EXPECT_FALSE(injector.Decide(1, id, CommandKind::kHostCompute).corrupt);
   }
@@ -279,7 +250,6 @@ TEST(FaultInjector, HostCommandsNeverCorrupt) {
 TEST(FaultInjector, LoudFaultExcludesCorruption) {
   // A command that fails loudly delivers no bytes, so it cannot also deliver
   // corrupted ones: fault and corrupt are mutually exclusive per decision.
-  obs::MetricsRegistry registry;
   FaultConfig config;
   config.seed = 17;
   config.copy_fault_rate = 0.5;
@@ -287,7 +257,7 @@ TEST(FaultInjector, LoudFaultExcludesCorruption) {
   config.corrupt_h2d_rate = 0.5;
   config.corrupt_d2h_rate = 0.5;
   config.corrupt_kernel_rate = 0.5;
-  FaultInjector injector(config, &registry);
+  FaultInjector injector(config);
   for (std::uint64_t id = 0; id < 500; ++id) {
     for (CommandKind kind : {CommandKind::kCopyH2D, CommandKind::kCopyD2H,
                              CommandKind::kKernel}) {
@@ -351,11 +321,10 @@ TEST(FaultConfig, FromEnvRejectsMalformedValues) {
 }
 
 TEST(Timeline, CorruptedCommandsSurfaceInStats) {
-  obs::MetricsRegistry registry;
   FaultConfig config;
   config.seed = 1;
   config.corrupt_kernel_rate = 1.0;
-  FaultInjector injector(config, &registry);
+  FaultInjector injector(config);
 
   Timeline timeline(DeviceSpec::TeslaC2070());
   timeline.set_fault_injector(&injector);

@@ -71,11 +71,10 @@ TEST(DeviceMemoryModel, GenuineExhaustionThrowsCapacityExceeded) {
 }
 
 TEST(DeviceMemoryModel, InjectedOomThrowsDeviceFault) {
-  obs::MetricsRegistry registry;
   FaultConfig config;
   config.seed = 1;
   config.oom_rate = 1.0;  // every reservation fails
-  FaultInjector injector(config, &registry);
+  FaultInjector injector(config);
   DeviceMemoryModel mem(MiB(100));
   mem.set_fault_injector(&injector);
   EXPECT_THROW(mem.Allocate(MiB(1), "victim"), DeviceFault);
@@ -87,11 +86,10 @@ TEST(DeviceMemoryModel, InjectedOomThrowsDeviceFault) {
 }
 
 TEST(DeviceMemoryModel, InjectedOomIsTransient) {
-  obs::MetricsRegistry registry;
   FaultConfig config;
   config.seed = 3;
   config.oom_rate = 0.5;
-  FaultInjector injector(config, &registry);
+  FaultInjector injector(config);
   DeviceMemoryModel mem(MiB(100));
   mem.set_fault_injector(&injector);
   // With rate 0.5 some reservation must eventually succeed; accounting then

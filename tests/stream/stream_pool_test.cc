@@ -134,7 +134,7 @@ TEST_F(StreamPoolTest, FaultOutcomesSurfaceThroughWaitAll) {
   sim::FaultConfig config;
   config.seed = 1;
   config.kernel_fault_rate = 1.0;
-  sim::FaultInjector injector(config, &registry);
+  sim::FaultInjector injector(config);
 
   StreamPool pool(device_, 2, &registry, &injector);
   const StreamHandle s = pool.GetAvailableStream();
@@ -154,6 +154,47 @@ TEST_F(StreamPoolTest, FaultOutcomesSurfaceThroughWaitAll) {
   ASSERT_EQ(failed.size(), 1u);
   EXPECT_EQ(failed[0], kernel_id);
   EXPECT_EQ(registry.GetCounter("stream_pool.faulted_commands").value(), 1u);
+}
+
+TEST_F(StreamPoolTest, RecordsEveryFaultStallAndCorruptionOfTheRun) {
+  // The injector records nothing; the pool's run record counts each faulted,
+  // stalled and corrupted command, exactly as the timeline tallies them.
+  obs::MetricsRegistry registry;
+  sim::FaultConfig config;
+  config.seed = 7;
+  config.copy_fault_rate = 0.2;
+  config.kernel_fault_rate = 0.2;
+  config.stall_rate = 0.2;
+  config.corrupt_h2d_rate = 0.2;
+  config.corrupt_d2h_rate = 0.2;
+  config.corrupt_kernel_rate = 0.2;
+  sim::FaultInjector injector(config);
+
+  StreamPool pool(device_, 3, &registry, &injector);
+  for (int segment = 0; segment < 30; ++segment) {
+    const StreamHandle s = segment % 3;
+    sim::CommandSpec up;
+    up.kind = sim::CommandKind::kCopyH2D;
+    up.duration = 1.0;
+    pool.SetStreamCommand(s, up);
+    pool.SetStreamCommand(s, Kernel(1.0));
+    sim::CommandSpec down;
+    down.kind = sim::CommandKind::kCopyD2H;
+    down.duration = 1.0;
+    pool.SetStreamCommand(s, down);
+  }
+  pool.StartStreams();
+
+  const sim::TimelineStats& stats = pool.WaitAll();
+  ASSERT_GT(stats.fault_count, 0u);
+  ASSERT_GT(stats.stall_count, 0u);
+  ASSERT_GT(stats.corrupted_count, 0u);
+  EXPECT_EQ(registry.GetCounter("stream_pool.faulted_commands").value(),
+            stats.fault_count);
+  EXPECT_EQ(registry.GetCounter("stream_pool.stalled_commands").value(),
+            stats.stall_count);
+  EXPECT_EQ(registry.GetCounter("stream_pool.corrupted_commands").value(),
+            stats.corrupted_count);
 }
 
 TEST_F(StreamPoolTest, NoInjectorMeansNoFailedCommands) {

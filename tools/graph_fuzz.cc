@@ -9,7 +9,7 @@
 // ±inf). For each it computes the scalar operator-at-a-time
 // reference, then sweeps the executor configuration space:
 //
-//   * all four ExecutionStrategies, cold and with a shared BufferArena,
+//   * all four ExecutionStrategies,
 //   * adaptive calibration on and off (a learning CostModelCalibrator is
 //     shared across the iteration's runs, so later runs execute replanned
 //     segment/stream/placement choices),
@@ -48,7 +48,6 @@
 #include <string>
 #include <vector>
 
-#include "common/buffer_arena.h"
 #include "common/error.h"
 #include "core/calibration.h"
 #include "core/multi_device.h"
@@ -202,7 +201,7 @@ bool RunGraph(const core::RandomQuery& q, std::uint64_t seed,
   obs::MetricsRegistry metrics;  // keep fuzz traffic out of the default
   sim::FaultConfig fault_config = profile.config;
   fault_config.seed = seed * 31 + 7;
-  const sim::FaultInjector injector(fault_config, &metrics);
+  const sim::FaultInjector injector(fault_config);
 
   // A learning calibrator shared across the iteration: the first runs feed
   // it, later runs execute its replanned segments/streams/placements.
@@ -210,15 +209,13 @@ bool RunGraph(const core::RandomQuery& q, std::uint64_t seed,
 
   sim::DeviceSimulator device;
   core::QueryExecutor executor(device);
-  kf::BufferArena arena;
 
-  const auto run_single = [&](core::Strategy strategy, bool use_arena,
-                              bool calibrated, const char* label) {
+  const auto run_single = [&](core::Strategy strategy, bool calibrated,
+                              const char* label) {
     core::ExecutorOptions options;
     options.strategy = strategy;
     options.chunk_count = 4;
     options.metrics = &metrics;
-    if (use_arena) options.arena = &arena;
     if (calibrated) options.calibration = &calibrator;
     if (faults) options.fault_injector = &injector;
     options.integrity = profile.integrity;
@@ -272,12 +269,8 @@ bool RunGraph(const core::RandomQuery& q, std::uint64_t seed,
   for (core::Strategy strategy :
        {core::Strategy::kSerial, core::Strategy::kFused,
         core::Strategy::kFission, core::Strategy::kFusedFission}) {
-    if (!run_single(strategy, /*use_arena=*/false, /*calibrated=*/false,
-                    "cold")) {
-      return false;
-    }
-    if (!run_single(strategy, /*use_arena=*/true, /*calibrated=*/true,
-                    "arena+calib")) {
+    if (!run_single(strategy, /*calibrated=*/false, "cold") ||
+        !run_single(strategy, /*calibrated=*/true, "calib")) {
       return false;
     }
   }
@@ -285,9 +278,7 @@ bool RunGraph(const core::RandomQuery& q, std::uint64_t seed,
   // Multi-device sharding across two cards (calibrated base options), when
   // the graph shape supports it.
   if (core::MultiDeviceExecutor::Shardable(q.graph)) {
-    sim::DeviceGroup group = sim::DeviceGroup::Homogeneous(
-        2, sim::DeviceSpec{}, sim::PcieConfig{}, sim::RootComplexConfig{},
-        &metrics);
+    sim::DeviceGroup group = sim::DeviceGroup::Homogeneous(2);
     core::MultiDeviceExecutor multi(group);
     core::MultiDeviceOptions options;
     options.base.strategy = core::Strategy::kFusedFission;
