@@ -42,8 +42,8 @@ struct HostPerfCounters {
   std::atomic<std::uint64_t> pool_hits{0};
   std::atomic<std::uint64_t> pool_misses{0};
   std::atomic<std::uint64_t> arena_reused_bytes{0};
-  // Fused-pipeline SELECT members evaluated per row through EvalExpr
-  // because CompilePredicate could not lower them...
+  // Fused-pipeline SELECT members run as typed column programs because
+  // CompilePredicate could not lower them onto an int32 kernel...
   std::atomic<std::uint64_t> fallback_predicates{0};
   // ...and members run on a typed (vectorizable) predicate kernel.
   std::atomic<std::uint64_t> typed_predicates{0};

@@ -12,11 +12,12 @@
 //              vectors held in per-worker arena scratch (the kernel's
 //              registers and shared memory): SELECT compacts a selection
 //              (typed FilterInt32 kernels for every predicate
-//              CompilePredicate lowers on an int32 column, EvalExpr over a
-//              reused scratch row otherwise), PROJECT remaps columns, ARITH
-//              appends a typed column, JOIN/PRODUCT expand probe/build
-//              row-id pairs against an index built once per cluster, and
-//              AGGREGATE folds into per-chunk partials;
+//              CompilePredicate lowers on an int32 column, a typed column
+//              program compiled once per cluster otherwise), PROJECT remaps
+//              columns, ARITH appends a column its program computes,
+//              JOIN/PRODUCT expand probe/build row-id pairs against an index
+//              built once per cluster, and AGGREGATE folds into per-chunk
+//              partials;
 //   gather     each cluster output is materialized once, into typed
 //              columns, chunk after chunk; aggregate partials merge in
 //              chunk order.
@@ -26,10 +27,10 @@
 //
 // A barrier (SORT, UNIQUE, UNION, INTERSECTION, DIFFERENCE) needs its whole
 // input, so it is always alone in its cluster: SORT orders row ids (the
-// staged radix argsort for one int32 key, else a stable sort with typed
-// compares), UNIQUE and the set operators keep first-seen rows through a
-// hash table of canonical key words, and every output column is gathered
-// once, by type.
+// staged radix argsort for integer keys, a stable sort with typed compares
+// when a key is float64), UNIQUE and the set operators keep first-seen rows
+// through a hash table of canonical key words, and every output column is
+// gathered once, by type.
 //
 // relational::ApplyOperator is the reference this must match: the same rows
 // in the same order (chunk, then probe, then build order), the same value

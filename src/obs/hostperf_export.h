@@ -10,7 +10,7 @@
 //   hostperf.pool_hit_rate_ppm    hits / (hits+misses), parts per million
 //   hostperf.arena_reused_bytes   capacity handed back out instead of malloc'd
 //   hostperf.typed_predicates     SELECT members run on typed kernels
-//   hostperf.fallback_predicates  SELECT members run per row through EvalExpr
+//   hostperf.fallback_predicates  SELECT members run as typed column programs
 //
 // Call it wherever a run's metrics are finalized (QueryExecutor does after
 // every execution). Counters are cumulative since process start; the gauges
