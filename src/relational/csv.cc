@@ -2,6 +2,7 @@
 
 #include <charconv>
 #include <iomanip>
+#include <limits>
 #include <sstream>
 #include <vector>
 
@@ -125,9 +126,15 @@ Table ReadCsv(std::istream& is) {
         KF_REQUIRE_AS(::kf::InvalidArgument,
                       ec == std::errc{} && ptr == cell.data() + cell.size())
             << "CSV line " << line_number << ": bad integer '" << cell << "'";
-        row[c] = fields[c].type == DataType::kInt32
-                     ? Value::Int32(static_cast<std::int32_t>(value))
-                     : Value::Int64(value);
+        if (fields[c].type == DataType::kInt32) {
+          KF_REQUIRE_AS(::kf::InvalidArgument,
+                        value >= std::numeric_limits<std::int32_t>::min() &&
+                            value <= std::numeric_limits<std::int32_t>::max())
+              << "CSV line " << line_number << ": i32 cell '" << cell << "' out of range";
+          row[c] = Value::Int32(static_cast<std::int32_t>(value));
+        } else {
+          row[c] = Value::Int64(value);
+        }
       }
     }
     table.AppendRow(row);

@@ -19,8 +19,8 @@ void WriteCsv(const Table& table, std::ostream& os);
 std::string ToCsv(const Table& table);
 
 // Parses a CSV produced by WriteCsv (or hand-written in the same dialect).
-// Throws kf::Error on malformed headers, unknown types, ragged rows, or
-// unparseable numbers.
+// Throws kf::InvalidArgument on malformed headers, unknown types, ragged
+// rows, unparseable numbers, or i32 cells outside int32.
 Table ReadCsv(std::istream& is);
 Table FromCsv(const std::string& text);
 

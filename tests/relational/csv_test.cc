@@ -88,6 +88,24 @@ TEST(Csv, MalformedInputsThrowTypedInvalidArgument) {
   expect_invalid("a:i32\n99999999999999999999\n", "integer out of range");
 }
 
+// An i32 cell beyond int32 is an error naming its line and cell; it used to
+// wrap silently (4294967296 loaded as 0, 2147483648 as -2147483648).
+TEST(Csv, OutOfRangeInt32CellsThrowNamingLineAndCell) {
+  for (const std::string cell : {"4294967296", "2147483648", "-2147483649"}) {
+    try {
+      (void)FromCsv("a:i64,b:i32\n1,7\n2," + cell + "\n");
+      ADD_FAILURE() << "expected kf::InvalidArgument for " << cell;
+    } catch (const kf::InvalidArgument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("line 3"), std::string::npos) << what;
+      EXPECT_NE(what.find("'" + cell + "'"), std::string::npos) << what;
+    }
+  }
+  const Table edges = FromCsv("a:i32\n2147483647\n-2147483648\n");
+  EXPECT_EQ(edges.column(0).AsInt32(),
+            (std::vector<std::int32_t>{2147483647, -2147483647 - 1}));
+}
+
 TEST(Csv, OverlongLinesThrowTypedInvalidArgument) {
   // Lines beyond the 1 MiB guard are rejected up front, header or data.
   const std::string long_cell(std::size_t{1} << 21, '7');
