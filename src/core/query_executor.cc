@@ -937,7 +937,7 @@ struct UnitOutcome {
 };
 
 // Fault + corruption recovery: troubled retry units re-issue on a fresh
-// single-stream pool with exponential backoff in virtual time. A unit
+// single-stream timeline with exponential backoff in virtual time. A unit
 // retries when a command failed outright (loud) OR a verification point
 // caught corrupted bytes; units that exhaust their budget degrade their
 // cluster to the host engine (or throw, typed by cause).
@@ -1056,9 +1056,9 @@ class Recoverer {
   }
 
   // One re-issue of a unit after its backoff. The unit's commands are
-  // rebuilt on a fresh stream, where members[k] becomes command k:
-  // dependencies inside the unit follow, dependencies on other units are
-  // dropped — their producers completed in the original run.
+  // rebuilt on one stream of a fresh timeline, where members[k] becomes
+  // command k: dependencies inside the unit follow, dependencies on other
+  // units are dropped — their producers completed in the original run.
   UnitOutcome Retry(int unit, int attempt, const std::vector<std::size_t>& members,
                     const UnitOutcome& previous) {
     const SimTime retry_start = recovery_.makespan;
@@ -1087,8 +1087,11 @@ class Recoverer {
       }
     }
 
-    stream::StreamPool pool(run_.device, 1, &run_.metrics, options_.fault_injector);
-    const stream::StreamHandle stream = pool.GetAvailableStream();
+    // One stream and no cross-stream waits: the unit runs on the device's
+    // timeline directly, and the run's one Stream Pool record stays the
+    // main run's.
+    sim::Timeline timeline = run_.device.NewTimeline();
+    timeline.set_fault_injector(options_.fault_injector);
     for (std::size_t i : members) {
       CommandSpec spec = rows_[i].spec;
       std::erase_if(spec.dependencies, [&](CommandId dep) {
@@ -1097,12 +1100,11 @@ class Recoverer {
       for (CommandId& dep : spec.dependencies) {
         dep = std::lower_bound(members.begin(), members.end(), dep) - members.begin();
       }
-      pool.SetStreamCommand(stream, std::move(spec));
+      timeline.AddCommand(0, std::move(spec));
     }
-    pool.StartStreams();
-    const sim::TimelineStats& stats = pool.WaitAll();
+    const sim::TimelineStats stats = timeline.Run();
     if (tracer != nullptr) {  // leaves start after the backoff
-      const std::string lane = "stream " + std::to_string(stream);
+      const std::string lane = "stream 0";
       for (std::size_t k = 0; k < members.size(); ++k) {
         AddLeaf(trace_, span, rows_[members[k]], lane, stats.commands[k],
                 recovery_.makespan);

@@ -401,22 +401,22 @@ constexpr Pin kPins[] = {
     {Arm::kFaults,
      {0x92a30fe4121de0adull, 0xad3418822eacfc2dull,
       0xb30bf665897ed20bull, 0xb432daaee23e0857ull},
-     {0x2267abd33619f95cull, 0xffefe7e86b970190ull,
-      0x6e86ee4ea71fca7full, 0x36d5fb77add66e6aull},
+     {0xc82493e5154c8c4eull, 0x7d89684ad90d6214ull,
+      0x5909ae8aaf456a60ull, 0x4dd50814133a6d9bull},
      {0x3c7793dda6659dd9ull, 0xf964c3cf999e2d91ull,
       0x7c8f27319495e19full, 0xb58d706d26fbc6adull}},
     {Arm::kDegrade,
      {0x7cc3ed2933fb1b05ull, 0x44be0430a73df205ull,
       0x89ad562c466881cdull, 0x1c0916bb05ee7ca3ull},
-     {0x5ab8e07af8fa6e14ull, 0xa31584913e575d1bull,
-      0x5fc749ad58c357adull, 0xbffed37f11e89682ull},
+     {0xae9c1463a425f6dcull, 0xfd5366b028791008ull,
+      0x556c21a8ed839522ull, 0x90b2d0453dd50dd5ull},
      {0x82b07616d3174b6ull, 0xb35c36eab43fe348ull,
       0xc6827a47a061de32ull, 0x2d66224bbdaac120ull}},
     {Arm::kVerifiedCorruption,
      {0x2bfe8baa2eafb066ull, 0xf6fd02976f964ab5ull,
       0xc175d83a43601ff4ull, 0xbac7164529459a57ull},
-     {0x5750a71118c08cedull, 0xaa19d663448e59f9ull,
-      0x7b3f8a4316a1f5a1ull, 0x182a137c5d5eb713ull},
+     {0x1d16126524e69138ull, 0x4b28e4c6dfdb0b76ull,
+      0x8df62f3db4eb3279ull, 0xc83725bf1c93c315ull},
      {0x14ca7a5743ad2e6dull, 0xdf573f74b27f9c8aull,
       0xac32f6e34f6d16c2ull, 0xb0b20e41cdf96baeull}},
     {Arm::kSilentCorruption,
