@@ -6,6 +6,7 @@
 #ifndef KF_RELATIONAL_COLUMN_H_
 #define KF_RELATIONAL_COLUMN_H_
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -69,10 +70,21 @@ struct ValueEq {
   bool operator()(const Value& a, const Value& b) const { return a == b; }
 };
 
-// A single typed column.
+// A single typed column. Copies share their rows: the typed vector sits
+// behind a reference count, and only a mutating member (Reserve, Append,
+// Clear and the non-const typed accessors) detaches. It copies the rows
+// first when another Column still shares them (Clear just lets go of them).
+// A `std::vector&` from a non-const accessor therefore writes this column
+// only, as long as the column is not copied while the reference is held.
+// A moved-from Column is an empty column of its type.
 class Column {
  public:
-  explicit Column(DataType type = DataType::kInt64);
+  explicit Column(DataType type = DataType::kInt64) : type_(type) {}
+  Column(const Column& other) noexcept;
+  Column(Column&& other) noexcept;
+  Column& operator=(const Column& other) noexcept;
+  Column& operator=(Column&& other) noexcept;
+  ~Column();
 
   DataType type() const { return type_; }
   std::size_t size() const;
@@ -93,9 +105,27 @@ class Column {
   const std::vector<double>& AsFloat64() const;
 
  private:
+  using Vectors =
+      std::variant<std::vector<std::int32_t>, std::vector<std::int64_t>, std::vector<double>>;
+  struct Storage {
+    explicit Storage(const Vectors& rows) : data(rows) {}
+    std::atomic<std::size_t> refs{1};
+    Vectors data;
+  };
+
+  // The rows of an empty column, indexed by DataType.
+  static const Vectors kEmpty[];
+
+  // The rows (an empty vector of the column's type while it holds none).
+  const Vectors& Read() const;
+  // The rows, owned by this column alone.
+  Vectors& Write();
+  // Gives this column its own copy of the rows.
+  void Detach();
+  void Release() noexcept;
+
   DataType type_;
-  std::variant<std::vector<std::int32_t>, std::vector<std::int64_t>, std::vector<double>>
-      data_;
+  Storage* storage_ = nullptr;  // null: no rows yet
 };
 
 }  // namespace kf::relational

@@ -542,7 +542,7 @@ void QueryScheduler::ExecuteBatch(std::vector<JobPtr> batch) {
       }
       for (std::size_t j = 0; j < batch.size(); ++j) {
         for (const auto& [id, table] : batch[j]->request.sources) {
-          merged_sources.emplace(mappings[j].at(id), table);
+          merged_sources.try_emplace(mappings[j].at(id), table);
         }
       }
       exec_graph = &merged_graph;
@@ -781,11 +781,6 @@ void QueryScheduler::ExecuteBatch(std::vector<JobPtr> batch) {
           result.results.emplace(sink, job->request.sources.at(sink));
         }
       }
-      // Free the request (graph and source tables) before fulfilling its
-      // promise: a caller woken by the result then never races this
-      // thread's frees, so where its next allocations land in the heap does
-      // not depend on thread timing.
-      job->request = QueryRequest{};
       result.wall_latency_seconds = SecondsSince(job->wall_submit);
       result.trace_query_id = job->trace.query_id;
       metrics().GetHistogram("server.query_latency_seconds")

@@ -66,6 +66,8 @@ namespace kf::server {
 // into one execution, and the caller guarantees that same-named sources
 // across the class are bound to identical tables (the scheduler verifies
 // schemas and row counts, not contents). An empty class never merges.
+// Tables share their rows between copies (relational::Column is copy-on-
+// write), so submitting, merging and routing results copy no rows.
 struct QueryRequest {
   core::OpGraph graph;
   std::map<core::NodeId, relational::Table> sources;

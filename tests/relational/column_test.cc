@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "common/error.h"
 
 namespace kf::relational {
@@ -80,6 +85,97 @@ TEST(Column, ClearEmpties) {
 TEST(Column, GetOutOfRangeThrows) {
   Column c(DataType::kInt32);
   EXPECT_THROW(c.Get(0), std::out_of_range);
+}
+
+Column Int32Column(std::initializer_list<std::int32_t> values) {
+  Column c(DataType::kInt32);
+  c.AsInt32() = values;
+  return c;
+}
+
+const std::int32_t* RowsOf(const Column& c) { return c.AsInt32().data(); }
+
+TEST(Column, CopySharesRows) {
+  const Column original = Int32Column({1, 2, 3});
+  const Column copy = original;
+  EXPECT_EQ(RowsOf(copy), RowsOf(original));
+  Column assigned(DataType::kInt32);
+  assigned = copy;
+  EXPECT_EQ(RowsOf(assigned), RowsOf(original));
+  EXPECT_EQ(assigned.AsInt32(), (std::vector<std::int32_t>{1, 2, 3}));
+}
+
+// Each mutator, applied to either side of a copy, gives that side its own
+// rows and leaves the other side's values and storage as they were.
+TEST(Column, EveryMutatorDetaches) {
+  const std::vector<std::pair<const char*, void (*)(Column&)>> mutators = {
+      {"Append", [](Column& c) { c.Append(Value::Int32(9)); }},
+      {"Reserve", [](Column& c) { c.Reserve(64); }},
+      {"Clear", [](Column& c) { c.Clear(); }},
+      {"AsInt32", [](Column& c) { c.AsInt32()[0] = 9; }},
+  };
+  for (const auto& [name, mutate] : mutators) {
+    for (const bool mutate_copy : {true, false}) {
+      SCOPED_TRACE(std::string(name) + (mutate_copy ? " on the copy" : " on the original"));
+      Column original = Int32Column({1, 2, 3});
+      Column copy = original;
+      const std::int32_t* shared = RowsOf(original);
+      Column& written = mutate_copy ? copy : original;
+      const Column& kept = mutate_copy ? original : copy;
+      mutate(written);
+      EXPECT_EQ(RowsOf(kept), shared);
+      EXPECT_EQ(kept.AsInt32(), (std::vector<std::int32_t>{1, 2, 3}));
+      EXPECT_NE(RowsOf(written), shared);
+    }
+  }
+}
+
+TEST(Column, WideTypedAccessorsDetach) {
+  Column i64(DataType::kInt64);
+  i64.Append(Value::Int64(5));
+  const Column i64_copy = i64;
+  i64.AsInt64()[0] = 6;
+  EXPECT_EQ(i64_copy.Get(0).as_int(), 5);
+  EXPECT_EQ(i64.Get(0).as_int(), 6);
+
+  Column f64(DataType::kFloat64);
+  f64.Append(Value::Float64(0.5));
+  const Column f64_copy = f64;
+  f64.AsFloat64()[0] = 1.5;
+  EXPECT_DOUBLE_EQ(f64_copy.Get(0).as_double(), 0.5);
+  EXPECT_DOUBLE_EQ(f64.Get(0).as_double(), 1.5);
+}
+
+TEST(Column, SoleOwnerWritesInPlace) {
+  Column c = Int32Column({1, 2, 3});
+  const std::int32_t* rows = RowsOf(c);
+  c.AsInt32()[1] = 7;
+  EXPECT_EQ(RowsOf(c), rows);
+  {
+    const Column copy = c;
+  }
+  c.AsInt32()[2] = 8;  // the copy is gone: no detach
+  EXPECT_EQ(RowsOf(c), rows);
+  EXPECT_EQ(c.AsInt32(), (std::vector<std::int32_t>{1, 7, 8}));
+}
+
+TEST(Column, MovedFromIsEmptyOfItsType) {
+  Column source = Int32Column({1, 2, 3});
+  const std::int32_t* rows = RowsOf(source);
+  Column moved = std::move(source);
+  EXPECT_EQ(RowsOf(moved), rows);
+  EXPECT_TRUE(source.empty());
+  EXPECT_EQ(source.type(), DataType::kInt32);
+  EXPECT_TRUE(source.AsInt32().empty());
+  source.Append(Value::Int32(4));
+  EXPECT_EQ(source.Get(0).as_int(), 4);
+
+  Column assigned(DataType::kFloat64);
+  assigned = std::move(moved);
+  EXPECT_EQ(assigned.type(), DataType::kInt32);
+  EXPECT_EQ(RowsOf(assigned), rows);
+  EXPECT_TRUE(moved.empty());
+  EXPECT_EQ(moved.type(), DataType::kInt32);
 }
 
 }  // namespace

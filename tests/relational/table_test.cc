@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+#include <utility>
+#include <vector>
+
 #include "common/error.h"
+#include "core/integrity.h"
 
 namespace kf::relational {
 namespace {
@@ -100,6 +106,99 @@ TEST(Table, ToStringTruncates) {
   const std::string s = t.ToString(5);
   EXPECT_NE(s.find("rows=30"), std::string::npos);
   EXPECT_NE(s.find("25 more"), std::string::npos);
+}
+
+Table Numbered(std::size_t rows) {
+  Table t(TwoColSchema());
+  for (std::size_t r = 0; r < rows; ++r) {
+    t.AppendRow({Value::Int64(static_cast<std::int64_t>(r)),
+                 Value::Float64(static_cast<double>(r) / 2)});
+  }
+  return t;
+}
+
+TEST(Table, CopySharesEveryColumn) {
+  const Table original = Numbered(100);
+  Table copy = original;
+  EXPECT_EQ(std::as_const(copy).column(0).AsInt64().data(), original.column(0).AsInt64().data());
+  EXPECT_EQ(std::as_const(copy).column(1).AsFloat64().data(),
+            original.column(1).AsFloat64().data());
+  copy.AppendRow({Value::Int64(-1), Value::Float64(-1.0)});
+  EXPECT_EQ(original.row_count(), 100u);
+  EXPECT_EQ(original.column(0).size(), 100u);
+  EXPECT_EQ(copy.GetRow(100)[0].as_int(), -1);
+}
+
+// A silent-corruption flip on a table that shares its rows (an executor's
+// bare-source sink result shares the caller's source) writes its own rows.
+TEST(Table, FlipRandomBitOnACopyLeavesTheOriginal) {
+  const Table original = Numbered(64);
+  const std::uint64_t before = core::ChecksumTable(original);
+  for (std::uint64_t seed = 0; seed < 16; ++seed) {
+    Table copy = original;
+    ASSERT_TRUE(core::FlipRandomBit(copy, seed));
+    EXPECT_NE(core::ChecksumTable(copy), before);
+    EXPECT_EQ(core::ChecksumTable(original), before);
+  }
+}
+
+// Writers copy one shared table and rewrite their copies while readers
+// checksum the shared one: nobody sees another thread's writes.
+TEST(Table, ConcurrentCopiesAndWritesStayApart) {
+  const Table shared = Numbered(4096);
+  const std::uint64_t expected = core::ChecksumTable(shared);
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> threads;
+  for (int w = 0; w < 3; ++w) {
+    threads.emplace_back([&, w] {
+      for (int round = 0; round < 20; ++round) {
+        Table mine = shared;
+        const auto mark = static_cast<std::int64_t>(-(w * 100 + round) - 1);
+        for (std::int64_t& k : mine.column(0).AsInt64()) k = mark;
+        mine.column(1).AsFloat64().front() = static_cast<double>(mark);
+        mine.AppendRow({Value::Int64(mark), Value::Float64(0.0)});
+        for (std::int64_t k : std::as_const(mine).column(0).AsInt64()) {
+          if (k != mark) ++wrong;
+        }
+        if (mine.column(1).Get(0).as_double() != static_cast<double>(mark)) ++wrong;
+      }
+    });
+  }
+  for (int r = 0; r < 2; ++r) {
+    threads.emplace_back([&] {
+      for (int round = 0; round < 20; ++round) {
+        if (core::ChecksumTable(shared) != expected) ++wrong;
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_EQ(core::ChecksumTable(shared), expected);
+}
+
+// Once every copy is gone, the owner writes its rows in place. The copies'
+// holders signal only through relaxed atomics, so under TSan it is the
+// column's sole-owner check that orders their last reads before that write.
+TEST(Table, SoleOwnerWritesInPlaceAfterEveryCopyLetGo) {
+  Table owner = Numbered(4096);
+  const std::uint64_t expected = core::ChecksumTable(owner);
+  const std::int64_t* rows = std::as_const(owner).column(0).AsInt64().data();
+  std::vector<Table> copies(3, owner);
+  std::atomic<int> wrong{0}, released{0};
+  std::vector<std::thread> readers;
+  for (Table& copy : copies) {
+    readers.emplace_back([&] {
+      if (core::ChecksumTable(copy) != expected) ++wrong;
+      copy = Table();
+      released.fetch_add(1, std::memory_order_relaxed);
+    });
+  }
+  while (released.load(std::memory_order_relaxed) < 3) std::this_thread::yield();
+  owner.column(0).AsInt64()[0] = -1;
+  EXPECT_EQ(std::as_const(owner).column(0).AsInt64().data(), rows);
+  for (std::thread& t : readers) t.join();
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_EQ(owner.column(0).Get(0).as_int(), -1);
 }
 
 }  // namespace

@@ -3,6 +3,9 @@
 // shutdown semantics, and virtual-clock accounting.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "common/error.h"
 #include "core/query_executor.h"
 #include "core/select_chain.h"
@@ -118,6 +121,56 @@ TEST(QueryScheduler, BatchesCompatibleQueriesAndSharesScans) {
   EXPECT_LT(scheduler.sim_clock(), 4 * solo);
   EXPECT_EQ(registry.GetCounter("server.batches").value(), 1u);
   EXPECT_EQ(registry.GetCounter("server.merged_queries").value(), 4u);
+}
+
+// Submitting, merging and routing share the caller's rows: a merged batch of
+// queries bound to one table executes over the caller's storage, and a
+// bare-source query's result is that storage.
+TEST(QueryScheduler, MergedBatchesAndBareSourcesShareTheCallersRows) {
+  const std::vector<double> selectivities = {0.5};
+  const core::SelectChain chain = core::MakeSelectChain(10'000, selectivities);
+  const Table input = core::MakeUniformInt32Table(10'000);
+  const std::int32_t* rows = input.column(0).AsInt32().data();
+  QueryRequest bare;
+  bare.sources.emplace(bare.graph.AddSource("input", input.schema(), input.row_count()),
+                       input);
+  bare.options.strategy = Strategy::kFusedFission;
+
+  sim::DeviceSimulator device;
+  SchedulerOptions sched_options;
+  sched_options.worker_count = 1;
+  sched_options.max_batch = 2;
+  sched_options.start_paused = true;
+  QueryScheduler scheduler(device, sched_options);
+  std::vector<std::future<QueryResult>> futures;
+  // Two bare sources merge into one source node, which stays a sink: its
+  // result comes back from the merged execution's sources.
+  bare.merge_class = "bare";
+  futures.push_back(scheduler.Submit(bare));
+  futures.push_back(scheduler.Submit(bare));
+  // Beside a chain that reads it, the bare source is routed from the request.
+  bare.merge_class = "mixed";
+  futures.push_back(scheduler.Submit(ChainRequest(chain, input, "mixed")));
+  futures.push_back(scheduler.Submit(bare));
+  scheduler.Start();
+
+  for (std::size_t i = 0; i < futures.size(); ++i) {
+    SCOPED_TRACE("query " + std::to_string(i));
+    const QueryResult result = futures[i].get();
+    EXPECT_TRUE(result.merged);
+    EXPECT_EQ(result.batch_size, 2u);
+    ASSERT_EQ(result.results.size(), 1u);
+    const Table& table = result.results.begin()->second;
+    if (i == 2) {
+      const auto& values = input.column(0).AsInt32();
+      EXPECT_EQ(table.row_count(),
+                static_cast<std::size_t>(std::count_if(
+                    values.begin(), values.end(),
+                    [&](std::int32_t v) { return v < chain.thresholds.front(); })));
+    } else {
+      EXPECT_EQ(table.column(0).AsInt32().data(), rows);
+    }
+  }
 }
 
 TEST(QueryScheduler, EmptyMergeClassNeverMerges) {
