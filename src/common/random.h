@@ -54,12 +54,14 @@ class Rng {
   // Uniform integer in [lo, hi] (inclusive). Uses Lemire's multiply-shift
   // rejection-free approximation, adequate for workload synthesis. The
   // 64x64 -> high-64 multiply is done in 32-bit limbs to stay within
-  // standard C++ (no __int128).
+  // standard C++ (no __int128). The span and the offset are computed in
+  // uint64, so ranges wider than INT64_MAX do not overflow.
   std::int64_t UniformInt(std::int64_t lo, std::int64_t hi) {
     KF_REQUIRE(lo <= hi) << "empty range [" << lo << ", " << hi << "]";
-    const auto span = static_cast<std::uint64_t>(hi - lo) + 1;
+    const auto base = static_cast<std::uint64_t>(lo);
+    const std::uint64_t span = static_cast<std::uint64_t>(hi) - base + 1;
     if (span == 0) return static_cast<std::int64_t>((*this)());  // full 64-bit range
-    return lo + static_cast<std::int64_t>(MulHigh((*this)(), span));
+    return static_cast<std::int64_t>(base + MulHigh((*this)(), span));
   }
 
   // Uniform double in [0, 1).
