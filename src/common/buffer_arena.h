@@ -11,8 +11,9 @@
 // acquire/release cycle performs no heap allocation.
 //
 // Pools are keyed by type; any default-constructible type can be pooled. If
-// the type exposes `std::size_t CapacityBytes() const`, reused capacity is
-// accounted into the process-wide HostPerfCounters (hostperf.* metrics).
+// the type exposes `std::size_t CapacityBytes() const` (the heap bytes its
+// buffers hold), each hit adds it to the process-wide HostPerfCounters
+// (hostperf.arena_reused_bytes); a type without one counts no bytes.
 //
 // Thread safety: all arena operations take a short internal lock (locking
 // does not allocate). For uncontended steady state, use one arena per thread:
@@ -172,7 +173,7 @@ class BufferArena {
     if constexpr (internal::HasCapacityBytes<T>::value) {
       return object.CapacityBytes();
     } else {
-      return sizeof(T);
+      return 0;
     }
   }
 

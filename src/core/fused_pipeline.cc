@@ -87,10 +87,22 @@ Value ValueAt(const ColRef& col, std::size_t i) {
   return Value::Float64(Typed<double>(col)[i]);
 }
 
+// Heap bytes a vector holds, with those its elements hold: what a pooled
+// object hands back out of the arena (hostperf.arena_reused_bytes).
+template <typename T>
+std::size_t HeapBytes(const std::vector<T>& v) {
+  std::size_t bytes = v.capacity() * sizeof(T);
+  if constexpr (requires(const T& item) { item.CapacityBytes(); }) {
+    for (const T& item : v) bytes += item.CapacityBytes();
+  }
+  return bytes;
+}
+
 // Uninitialized typed storage that keeps its capacity across chunks and,
 // pooled through the arena, across clusters.
 class Vec {
  public:
+  std::size_t CapacityBytes() const { return capacity_; }
   std::byte* Reserve(DataType type, std::size_t n) {
     type_ = type;
     return Grow(n * relational::SizeOf(type));
@@ -169,6 +181,10 @@ struct ProgramScratch {
   std::vector<const std::byte*> vals;    // each instruction's values, by row
   std::size_t fail_row = 0;              // first failure: row, then instruction
   std::uint32_t fail_at = 0;
+
+  std::size_t CapacityBytes() const {
+    return HeapBytes(regs) + HeapBytes(open) + HeapBytes(vals);
+  }
 };
 
 // A SELECT predicate or ARITH expression compiled once per cluster against
@@ -585,18 +601,23 @@ Value FromBits(DataType type, std::uint64_t raw) {
 // Groups are found through an open-addressing index over canonical key words.
 class GroupTable {
  public:
+  // A reused table sizes its index for its previous use's groups too, so a
+  // steady state of similar uses never rehashes.
   void Reset(std::size_t key_width, std::size_t aggregate_count,
              std::size_t expected_groups = 8) {
+    index_.assign(std::bit_ceil(2 * std::max(expected_groups, groups_)), 0);
     width_ = key_width;
     aggregates_ = aggregate_count;
     groups_ = 0;
     raw_.clear();
     canon_.clear();
     slots_.clear();
-    index_.assign(std::bit_ceil(2 * expected_groups), 0);
   }
 
   std::size_t groups() const { return groups_; }
+  std::size_t CapacityBytes() const {
+    return HeapBytes(raw_) + HeapBytes(canon_) + HeapBytes(slots_) + HeapBytes(index_);
+  }
   const std::uint64_t* raw_key(std::size_t g) const { return raw_.data() + g * width_; }
   AggSlot* slots(std::size_t g) { return slots_.data() + g * aggregates_; }
   const AggSlot* slots(std::size_t g) const { return slots_.data() + g * aggregates_; }
@@ -857,6 +878,12 @@ struct ChunkScratch {
   std::vector<std::uint32_t> probe, build;  // JOIN/PRODUCT row-id pairs
   ProgramScratch program;                   // SELECT/ARITH column programs
   std::vector<std::uint64_t> raw, canon;    // one group key
+
+  std::size_t CapacityBytes() const {
+    return HeapBytes(refs) + HeapBytes(rows) + HeapBytes(cols) + HeapBytes(sel) +
+           HeapBytes(probe) + HeapBytes(build) + program.CapacityBytes() + HeapBytes(raw) +
+           HeapBytes(canon);
+  }
 };
 
 // Per-chunk results kept until the gather stage, indexed [chunk][...].
@@ -866,6 +893,11 @@ struct ChunkResults {
   std::vector<GroupTable> partials;        // aggregate partials
   std::vector<std::size_t> member_rows;    // rows each member produced
   std::vector<std::exception_ptr> errors;  // pool runs: first failure wins
+
+  std::size_t CapacityBytes() const {
+    return HeapBytes(chunks) + HeapBytes(cols) + HeapBytes(partials) +
+           HeapBytes(member_rows) + HeapBytes(errors);
+  }
 };
 
 std::size_t RunSelect(const Step& step, const ColRef* in, std::size_t rows,

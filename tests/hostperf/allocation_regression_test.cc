@@ -9,6 +9,7 @@
 #include <map>
 #include <vector>
 
+#include "common/buffer_arena.h"
 #include "core/fused_pipeline.h"
 #include "core/fusion_planner.h"
 #include "core/query_executor.h"
@@ -106,6 +107,26 @@ TEST_F(AllocationRegressionTest, WarmFusedClusterAllocationsIgnoreChunkCount) {
   (void)measure(4);
   (void)measure(448);
   EXPECT_EQ(measure(448), measure(4));
+}
+
+// hostperf.arena_reused_bytes counts the heap capacity a pool hit hands
+// back: a warm rerun of a SELECT over 2^16 int32 rows reuses at least the
+// buffers its compacted column took.
+TEST(ArenaReusedBytes, WarmSelectReusesItsColumnBytes) {
+  constexpr std::uint64_t kRows = std::uint64_t{1} << 16;
+  core::SelectChain chain = core::MakeSelectChain(kRows, std::vector<double>{0.5});
+  const relational::Table data = core::MakeUniformInt32Table(kRows, 5);
+  const core::FusionPlan plan = core::PlanFusion(chain.graph);
+  ASSERT_EQ(plan.clusters.size(), 1u);
+  auto lookup = [&](core::NodeId) -> const relational::Table& { return data; };
+  auto reused = [&] {
+    const auto& counter = HostPerfCounters::Global().arena_reused_bytes;
+    const std::uint64_t before = counter.load();
+    (void)core::ExecuteCluster(chain.graph, plan.clusters[0], lookup, 8);
+    return counter.load() - before;
+  };
+  (void)reused();
+  EXPECT_GE(reused(), kRows * sizeof(std::int32_t));
 }
 
 }  // namespace
