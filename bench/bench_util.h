@@ -29,6 +29,7 @@
 #include <string>
 #include <vector>
 
+#include "common/buffer_arena.h"
 #include "common/error.h"
 #include "common/table_printer.h"
 #include "common/units.h"
@@ -209,12 +210,41 @@ inline obs::Json SessionToJson(const Session& session,
   return doc;
 }
 
-// Writes the JSON document if --json was given. Returns the process exit
-// code (nonzero when the file cannot be written).
+// Snapshots the process-wide host-substrate counters into gauges:
+//   hostperf.pool_hits            arena checkouts served from the pool
+//   hostperf.pool_misses          checkouts that had to construct fresh
+//   hostperf.pool_hit_rate_ppm    hits / (hits+misses), parts per million
+//   hostperf.arena_reused_bytes   capacity handed back out instead of malloc'd
+//   hostperf.typed_predicates     SELECT members run on typed kernels
+//   hostperf.fallback_predicates  SELECT members run as typed column programs
+// The counters are cumulative since process start and shared by every run
+// and thread, so no run records them; the harness reads them once, here.
+inline void RecordHostPerf(obs::MetricsRegistry& registry) {
+  const HostPerfCounters& counters = HostPerfCounters::Global();
+  const std::uint64_t hits = counters.pool_hits.load(std::memory_order_relaxed);
+  const std::uint64_t misses = counters.pool_misses.load(std::memory_order_relaxed);
+  registry.GetGauge("hostperf.pool_hits").Set(hits);
+  registry.GetGauge("hostperf.pool_misses").Set(misses);
+  const std::uint64_t total = hits + misses;
+  registry.GetGauge("hostperf.pool_hit_rate_ppm")
+      .Set(total == 0 ? 0 : hits * 1'000'000 / total);
+  registry.GetGauge("hostperf.arena_reused_bytes")
+      .Set(counters.arena_reused_bytes.load(std::memory_order_relaxed));
+  registry.GetGauge("hostperf.typed_predicates")
+      .Set(counters.typed_predicates.load(std::memory_order_relaxed));
+  registry.GetGauge("hostperf.fallback_predicates")
+      .Set(counters.fallback_predicates.load(std::memory_order_relaxed));
+}
+
+// Writes the JSON document if --json was given, with the host-substrate
+// counters snapshotted into the default registry first. Returns the process
+// exit code (nonzero when the file cannot be written).
 inline int Finish() {
   Session& session = CurrentSession();
   if (session.json_path.empty()) return 0;
-  const obs::Json doc = SessionToJson(session, obs::MetricsRegistry::Default());
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Default();
+  RecordHostPerf(registry);
+  const obs::Json doc = SessionToJson(session, registry);
   std::ofstream out(session.json_path);
   if (!out) {
     std::cerr << "cannot write JSON output to '" << session.json_path << "'\n";

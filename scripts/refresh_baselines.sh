@@ -1,22 +1,26 @@
 #!/usr/bin/env bash
-# Regenerate the checked-in bench baselines used by the CI bench-smoke job.
+# Run the benches the CI bench-smoke job gates, at their pinned scales, and
+# write one kf-bench-v1 document per bench.
 #
-# Usage: scripts/refresh_baselines.sh [build-dir]
+# Usage: scripts/refresh_baselines.sh [build-dir] [out-dir]
 #
-# The scales here MUST match the ones used by the bench-smoke job in
-# .github/workflows/ci.yml — the simulation is deterministic, so a baseline
-# regenerated at the same scale reproduces exactly on any machine.
+# Paths are relative to the repository root unless absolute. out-dir defaults
+# to bench/baselines, which regenerates the checked-in baselines; CI writes to
+# bench-out/ and gates each baseline against the output of the same name. The
+# simulation is deterministic, so a run at these scales reproduces the
+# baselines' series and summaries exactly on any machine.
 set -euo pipefail
 
-BUILD_DIR="${1:-build}"
 REPO_ROOT="$(cd "$(dirname "$0")/.." && pwd)"
-OUT_DIR="$REPO_ROOT/bench/baselines"
+resolve() { case "$1" in /*) echo "$1" ;; *) echo "$REPO_ROOT/$1" ;; esac; }
+BUILD_DIR="$(resolve "${1:-build}")"
+OUT_DIR="$(resolve "${2:-bench/baselines}")"
 mkdir -p "$OUT_DIR"
 
 run() {
   local bench="$1" scale="$2"
   echo "== $bench (scale $scale) =="
-  "$REPO_ROOT/$BUILD_DIR/bench/$bench" \
+  "$BUILD_DIR/bench/$bench" \
     --json "$OUT_DIR/BENCH_${bench#bench_}.json" --scale "$scale" >/dev/null
 }
 

@@ -37,8 +37,9 @@
 namespace kf {
 
 // Process-wide, lock-free counters for the host-performance substrate.
-// Updated from hot paths with relaxed atomics; exported into the metrics
-// registry by obs::RecordHostPerfMetrics (cold path).
+// Updated from hot paths with relaxed atomics; no run records them. The bench
+// harness snapshots them into `hostperf.*` gauges when it writes its JSON
+// (bench/bench_util.h).
 struct HostPerfCounters {
   std::atomic<std::uint64_t> pool_hits{0};
   std::atomic<std::uint64_t> pool_misses{0};

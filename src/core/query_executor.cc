@@ -1,6 +1,7 @@
 #include "core/query_executor.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <exception>
 #include <limits>
@@ -9,9 +10,7 @@
 #include "common/error.h"
 #include "common/random.h"
 #include "core/hetero.h"
-#include "obs/hostperf_export.h"
 #include "relational/operators.h"
-#include "stream/stream_pool.h"
 
 namespace kf::core {
 
@@ -62,6 +61,11 @@ bool IsCopy(sim::CommandKind kind) {
   return kind == sim::CommandKind::kCopyH2D || kind == sim::CommandKind::kCopyD2H;
 }
 
+// Serialized duration: a kernel's solo time, any other command's own.
+SimTime SerialDuration(const CommandSpec& spec) {
+  return spec.kind == sim::CommandKind::kKernel ? spec.solo_duration : spec.duration;
+}
+
 // Where a node's data currently lives while the schedule is built.
 struct Residency {
   bool on_device = false;
@@ -101,11 +105,9 @@ std::uint64_t EstimateRows(const OpGraph& graph, NodeId id,
 // Segment of a command issued outside any fission segment.
 constexpr int kWholeCluster = -1;
 
-// One stream command, tagged with everything the phases after BuildSchedule
-// derive from it.
+// The executor's tags on one timeline command: everything the phases after
+// BuildSchedule derive from it beyond its spec and stream.
 struct ScheduledCommand {
-  CommandSpec spec;
-  stream::StreamHandle stream = 0;
   Category category = Category::kCompute;
   std::uint64_t bytes = 0;  // bytes copied, checksummed or audited
   int launches = 0;         // kernel launches (stage sums count at least 1)
@@ -114,11 +116,6 @@ struct ScheduledCommand {
   std::size_t cluster = 0;
   int segment = kWholeCluster;  // fission segment, or kWholeCluster
   int profile = -1;             // Schedule::profiles index, kernels only
-
-  // Serialized duration: a kernel's solo time, any other command's own.
-  SimTime duration() const {
-    return spec.kind == sim::CommandKind::kKernel ? spec.solo_duration : spec.duration;
-  }
 };
 
 struct ScheduledCluster {
@@ -131,14 +128,15 @@ struct ScheduledCluster {
   int segments = 0;          // fission segments; 0 when not segmented
 };
 
-// Rows are stream commands in pool issue order, so commands[i] is pool
-// command i and dependencies name row indices.
+// `timeline` holds every stream command once, in issue order, and
+// commands[i] tags timeline command i, so dependencies name row indices.
 struct Schedule {
-  std::vector<ScheduledCommand> commands;
-  std::vector<sim::KernelProfile> profiles;
-  std::vector<ScheduledCluster> clusters;  // one per plan cluster
+  sim::Timeline timeline;
+  std::vector<ScheduledCommand> commands = {};
+  std::vector<sim::KernelProfile> profiles = {};
+  std::vector<ScheduledCluster> clusters = {};  // one per plan cluster
   int stream_count = 1;          // compute streams
-  int pool_streams = 1;          // plus the integrity stream when verifying
+  int lanes = 1;                 // plus the integrity stream when verifying
   int calibrated_segments = 0;   // last calibrated segment count; 0 if none
   std::size_t spill_count = 0;
   std::uint64_t checksummed_bytes = 0;
@@ -159,6 +157,9 @@ struct RunContext {
   const ExecutorOptions& options;
   const sim::DeviceSimulator& device;
   obs::MetricsRegistry& metrics;
+  // Labels of every series the run records: its strategy, and the device's
+  // instance label when the device belongs to a group.
+  obs::Labels labels;
   RunTrace trace = {};
 };
 
@@ -312,7 +313,8 @@ class ScheduleBuilder {
             static_cast<double>(device.spec().mem_capacity_bytes) *
             options.device_memory_budget)),
         sinks_(graph.Sinks()), is_sink_(graph.node_count(), 0),
-        memory_(device.spec().mem_capacity_bytes), residency_(graph.node_count()) {
+        memory_(device.spec().mem_capacity_bytes), residency_(graph.node_count()),
+        schedule_{device.NewTimeline()} {
     // Adaptive stream-count selection: fission pipelines get one stream per
     // overlappable engine leg (H2D/compute/D2H) from the calibrator, plus a
     // spare under measured stall pressure, instead of the fixed constant.
@@ -324,7 +326,7 @@ class ScheduleBuilder {
     // stream so it never serializes behind compute-stream commands and the
     // compute schedule is unchanged whether verification is on or off.
     const bool integrity_stream = options.integrity.verify_transfers || audit_on_;
-    schedule_.pool_streams = schedule_.stream_count + (integrity_stream ? 1 : 0);
+    schedule_.lanes = schedule_.stream_count + (integrity_stream ? 1 : 0);
     crc_stream_ = integrity_stream ? schedule_.stream_count : 0;
 
     memory_.set_fault_injector(options.fault_injector);
@@ -376,28 +378,27 @@ class ScheduleBuilder {
 
   void BeginUnit() { unit_ = next_unit_++; }
 
-  // Appends one row tagged with the current unit, cluster and segment, plus
-  // the transfer-verification chaser: with verify_transfers, every copy gets
-  // a host-engine checksum pass over the same bytes on the integrity stream
-  // — an H2D stages the host buffer's digest (no dependency: it overlaps the
-  // upload), a D2H verifies the downloaded bytes (depends on the copy). The
-  // chaser joins the copy's retry unit, so re-executed units re-verify too.
-  CommandId Issue(stream::StreamHandle stream, CommandSpec spec, Category category,
+  // Adds one command to the timeline and its row, tagged with the current
+  // unit, cluster and segment, plus the transfer-verification chaser: with
+  // verify_transfers, every copy gets a host-engine checksum pass over the
+  // same bytes on the integrity stream — an H2D stages the host buffer's
+  // digest (no dependency: it overlaps the upload), a D2H verifies the
+  // downloaded bytes (depends on the copy). The chaser joins the copy's retry
+  // unit, so re-executed units re-verify too.
+  CommandId Issue(sim::StreamId stream, CommandSpec spec, Category category,
                   std::uint64_t bytes, int launches = 0, int profile = -1) {
-    const sim::CommandKind kind = spec.kind;
-    const bool chase = options_.integrity.verify_transfers && IsCopy(kind) && bytes > 0;
-    const std::string label = chase ? spec.label : std::string();
-    const CommandId id = schedule_.commands.size();
+    const CommandId id = schedule_.timeline.AddCommand(stream, std::move(spec));
     schedule_.commands.push_back(
-        {std::move(spec), stream, category, bytes, launches, unit_, cluster_, segment_,
-         profile});
-    if (chase) {
-      const bool h2d = kind == sim::CommandKind::kCopyH2D;
-      CommandSpec crc =
-          device_.MakeHostWork(bytes, label + (h2d ? "/crc-stage" : "/crc-verify"));
+        {category, bytes, launches, unit_, cluster_, segment_, profile});
+    const CommandSpec& issued = schedule_.timeline.command(id);
+    if (options_.integrity.verify_transfers && IsCopy(issued.kind) && bytes > 0) {
+      const bool h2d = issued.kind == sim::CommandKind::kCopyH2D;
+      CommandSpec crc = device_.MakeHostWork(
+          bytes, issued.label + (h2d ? "/crc-stage" : "/crc-verify"));
       if (!h2d) crc.dependencies.push_back(id);
-      schedule_.commands.push_back({std::move(crc), crc_stream_, Category::kIntegrity,
-                                    bytes, 0, unit_, cluster_, segment_, -1});
+      schedule_.timeline.AddCommand(crc_stream_, std::move(crc));
+      schedule_.commands.push_back(
+          {Category::kIntegrity, bytes, 0, unit_, cluster_, segment_, -1});
       schedule_.checksummed_bytes += bytes;
     }
     return id;
@@ -700,7 +701,7 @@ class ScheduleBuilder {
   }
 
   // Segmented execution (Fig 13/15): H2D, kernels, D2H per segment; fission
-  // spreads segments over the stream pool, serial keeps one stream so
+  // spreads segments over the compute streams, serial keeps one stream so
   // everything serializes (Fig 14's baseline).
   void EmitSegmented(ClusterWork& w, int segments) {
     const FusionCluster& cluster = w.cluster;
@@ -737,7 +738,7 @@ class ScheduleBuilder {
       BeginUnit();  // each segment retries independently
       segment_ = s;
       const std::string tag = "[" + std::to_string(s) + "]";
-      const stream::StreamHandle stream = fission_ ? s % schedule_.stream_count : 0;
+      const sim::StreamId stream = fission_ ? s % schedule_.stream_count : 0;
       const std::uint64_t in_bytes = per_segment(w.input_bytes);
       Issue(stream,
             device_.MakeCopy(in_bytes, sim::CopyDirection::kHostToDevice,
@@ -799,7 +800,7 @@ class ScheduleBuilder {
   std::vector<Residency> residency_;  // by node id
 
   Schedule schedule_;
-  stream::StreamHandle crc_stream_ = 0;  // the integrity stream (or stream 0)
+  sim::StreamId crc_stream_ = 0;  // the integrity stream (or stream 0)
   // Tags of the rows being issued.
   int next_unit_ = 0;
   int unit_ = 0;
@@ -821,16 +822,18 @@ struct Simulated {
   std::vector<obs::SpanId> cluster_spans;  // per cluster; empty untraced
 };
 
-// Records one command of a pool run as a leaf span under `parent`: its label
-// (or kind), lane, stage category and interval shifted by `base`, annotated
-// with its fault or stall and any silent corruption.
-void AddLeaf(const RunTrace& trace, obs::SpanId parent, const ScheduledCommand& row,
-             const std::string& lane, const sim::CommandTiming& timing, SimTime base) {
+// Records schedule command `i` of a run as a leaf span under `parent`: its
+// label (or kind), lane, stage category and interval shifted by `base`,
+// annotated with its fault or stall and any silent corruption.
+void AddLeaf(const RunTrace& trace, obs::SpanId parent, const Schedule& schedule,
+             std::size_t i, const std::string& lane, const sim::CommandTiming& timing,
+             SimTime base) {
   obs::Tracer& tracer = *trace.tracer;
+  const CommandSpec& spec = schedule.timeline.command(i);
   const obs::SpanId leaf = tracer.AddSpan(
-      trace.context, parent,
-      row.spec.label.empty() ? sim::ToString(row.spec.kind) : row.spec.label, lane,
-      base + timing.start, base + timing.end, CategoryName(row.category));
+      trace.context, parent, spec.label.empty() ? sim::ToString(spec.kind) : spec.label,
+      lane, base + timing.start, base + timing.end,
+      CategoryName(schedule.commands[i].category));
   if (timing.fault != sim::FaultKind::kNone) {
     const bool stall = timing.fault == sim::FaultKind::kStreamStall;
     tracer.Annotate(
@@ -844,21 +847,15 @@ void AddLeaf(const RunTrace& trace, obs::SpanId parent, const ScheduledCommand& 
   }
 }
 
-// Runs the schedule through the Stream Pool. With a tracer, the cluster and
-// segment spans open first, in schedule order; then every row becomes a leaf
-// under the span it names, in issue order, and each structural span takes
-// the interval of its commands.
+// Runs the schedule's timeline. With a tracer, the cluster and segment spans
+// open first, in schedule order; then every row becomes a leaf under the span
+// it names, in issue order, and each structural span takes the interval of
+// its commands.
 Simulated Simulate(const RunContext& run, const Schedule& schedule) {
   const RunTrace& trace = run.trace;
-  stream::StreamPool pool(run.device, schedule.pool_streams, &run.metrics,
-                          run.options.fault_injector);
-  for (const ScheduledCommand& row : schedule.commands) {
-    pool.SetStreamCommand(row.stream, row.spec);
-  }
   Simulated out;
   if (trace.tracer == nullptr) {
-    pool.StartStreams();
-    out.timeline = pool.WaitAll();
+    out.timeline = schedule.timeline.Run(run.options.fault_injector);
     return out;
   }
   // Structural spans in opening order: each cluster, then its segments.
@@ -887,22 +884,20 @@ Simulated Simulate(const RunContext& run, const Schedule& schedule) {
       spans.push_back({tracer.BeginSpan(trace.context, span, name, "executor", 0.0)});
     }
   }
-  pool.StartStreams();
-  out.timeline = pool.WaitAll();
+  out.timeline = schedule.timeline.Run(run.options.fault_injector);
 
   // Every row becomes a leaf, in issue order, under its innermost structural
   // span; a structural span covers the min start / max end of its commands.
   std::vector<std::string> lanes;
-  for (int s = 0; s < schedule.pool_streams; ++s) {
-    lanes.push_back("stream " + std::to_string(s));
-  }
+  for (int s = 0; s < schedule.lanes; ++s) lanes.push_back("stream " + std::to_string(s));
   for (std::size_t i = 0; i < schedule.commands.size(); ++i) {
     const ScheduledCommand& row = schedule.commands[i];
     const sim::CommandTiming& t = out.timeline.commands[i];
-    const std::string& lane = lanes[static_cast<std::size_t>(row.stream)];
+    const auto stream = static_cast<std::size_t>(schedule.timeline.stream(i));
+    const std::string& lane = lanes[stream];
     const std::size_t cluster = cluster_slot[row.cluster];
     const std::size_t inner = cluster + static_cast<std::size_t>(row.segment + 1);
-    AddLeaf(trace, spans[inner].id, row, lane, t, 0.0);
+    AddLeaf(trace, spans[inner].id, schedule, i, lane, t, 0.0);
     for (std::size_t slot : {cluster, inner}) {
       spans[slot].lo = std::min(spans[slot].lo, t.start);
       spans[slot].hi = std::max(spans[slot].hi, t.end);
@@ -946,8 +941,8 @@ class Recoverer {
   Recoverer(const RunContext& run, const Schedule& schedule, const Simulated& simulated,
             ExecutionReport& report)
       : options_(run.options), res_(run.options.resilience), run_(run), trace_(run.trace),
-        rows_(schedule.commands), clusters_(schedule.clusters), simulated_(simulated),
-        report_(report) {}
+        schedule_(schedule), rows_(schedule.commands), clusters_(schedule.clusters),
+        simulated_(simulated), report_(report) {}
 
   Recovery Run() && {
     recovery_.makespan = simulated_.timeline.makespan;
@@ -969,21 +964,20 @@ class Recoverer {
         << "s (simulated clock at " << recovery_.makespan << "s)";
   }
 
-  // Folds one command's result into `outcome`. Corruption is caught for
-  // transfers by the checksum chasers and for kernels by the owning
-  // cluster's host audit; host commands never corrupt.
-  void Classify(const sim::CommandTiming& timing, const ScheduledCommand& row,
-                UnitOutcome& outcome) {
+  // Folds the result of schedule command `i` into `outcome`. Corruption is
+  // caught for transfers by the checksum chasers and for kernels by the
+  // owning cluster's host audit; host commands never corrupt.
+  void Classify(const sim::CommandTiming& timing, std::size_t i, UnitOutcome& outcome) {
     if (!timing.ok) {
       outcome.loud = true;
       return;
     }
     if (!timing.corrupted) return;
     ++report_.corrupted_commands;
-    const bool caught = IsCopy(row.spec.kind)
-                            ? options_.integrity.verify_transfers
-                            : row.spec.kind == sim::CommandKind::kKernel &&
-                                  clusters_[row.cluster].audited;
+    const sim::CommandKind kind = schedule_.timeline.command(i).kind;
+    const bool caught = IsCopy(kind) ? options_.integrity.verify_transfers
+                                     : kind == sim::CommandKind::kKernel &&
+                                           clusters_[rows_[i].cluster].audited;
     if (caught) {
       ++report_.corruption_detected;
       outcome.detected = true;
@@ -1005,7 +999,7 @@ class Recoverer {
     for (std::size_t i = 0; i < rows_.size(); ++i) {
       const sim::CommandTiming& timing = simulated_.timeline.commands[i];
       if (!timing.ok || timing.corrupted) {
-        Classify(timing, rows_[i], outcomes[rows_[i].unit]);
+        Classify(timing, i, outcomes[rows_[i].unit]);
       }
     }
     if (outcomes.empty()) return;
@@ -1087,13 +1081,10 @@ class Recoverer {
       }
     }
 
-    // One stream and no cross-stream waits: the unit runs on the device's
-    // timeline directly, and the run's one Stream Pool record stays the
-    // main run's.
+    // One stream and no cross-stream waits: the unit runs on a fresh timeline.
     sim::Timeline timeline = run_.device.NewTimeline();
-    timeline.set_fault_injector(options_.fault_injector);
     for (std::size_t i : members) {
-      CommandSpec spec = rows_[i].spec;
+      CommandSpec spec = schedule_.timeline.command(i);
       std::erase_if(spec.dependencies, [&](CommandId dep) {
         return !std::binary_search(members.begin(), members.end(), dep);
       });
@@ -1102,11 +1093,11 @@ class Recoverer {
       }
       timeline.AddCommand(0, std::move(spec));
     }
-    const sim::TimelineStats stats = timeline.Run();
+    const sim::TimelineStats stats = timeline.Run(options_.fault_injector);
     if (tracer != nullptr) {  // leaves start after the backoff
       const std::string lane = "stream 0";
       for (std::size_t k = 0; k < members.size(); ++k) {
-        AddLeaf(trace_, span, rows_[members[k]], lane, stats.commands[k],
+        AddLeaf(trace_, span, schedule_, members[k], lane, stats.commands[k],
                 recovery_.makespan);
       }
     }
@@ -1119,7 +1110,7 @@ class Recoverer {
 
     UnitOutcome outcome;
     for (std::size_t k = 0; k < members.size(); ++k) {
-      Classify(stats.commands[k], rows_[members[k]], outcome);
+      Classify(stats.commands[k], members[k], outcome);
     }
     return outcome;
   }
@@ -1149,6 +1140,7 @@ class Recoverer {
   const ResilienceOptions& res_;
   const RunContext& run_;
   const RunTrace& trace_;
+  const Schedule& schedule_;
   const std::vector<ScheduledCommand>& rows_;
   const std::vector<ScheduledCluster>& clusters_;
   const Simulated& simulated_;
@@ -1174,7 +1166,7 @@ void AccountCalibration(const RunContext& run, const Schedule& schedule,
   const RunTrace& trace = run.trace;
   CostModelCalibrator* const calib = run.options.calibration;
   if (calib == nullptr) return;
-  const obs::Labels labels{{"strategy", ToString(run.options.strategy)}};
+  const obs::Labels& labels = run.labels;
   if (Fissions(run.options.strategy)) {
     run.metrics.GetGauge("calib.stream_count", labels)
         .Set(static_cast<double>(schedule.stream_count));
@@ -1190,19 +1182,21 @@ void AccountCalibration(const RunContext& run, const Schedule& schedule,
 
   const std::vector<ScheduledCommand>& rows = schedule.commands;
   for (std::size_t i = 0; i < rows.size(); ++i) {
+    const sim::CommandKind kind = schedule.timeline.command(i).kind;
     const sim::CommandTiming& timing = timeline.commands[i];
-    if (!IsCopy(rows[i].spec.kind) || !timing.ok) continue;
-    calib->ObserveCopy(rows[i].spec.kind == sim::CommandKind::kCopyH2D
+    if (!IsCopy(kind) || !timing.ok) continue;
+    calib->ObserveCopy(kind == sim::CommandKind::kCopyH2D
                            ? sim::CopyDirection::kHostToDevice
                            : sim::CopyDirection::kDeviceToHost,
                        run.options.host_memory, rows[i].bytes, timing.end - timing.start);
   }
   for (std::size_t i = 0; i < rows.size(); ++i) {
-    if (rows[i].spec.kind != sim::CommandKind::kKernel) continue;
+    const CommandSpec& spec = schedule.timeline.command(i);
+    if (spec.kind != sim::CommandKind::kKernel) continue;
     if (!timeline.commands[i].ok) continue;
     calib->ObserveKernel(schedule.clusters[rows[i].cluster].kernel_class,
                          schedule.profiles[static_cast<std::size_t>(rows[i].profile)],
-                         rows[i].duration());
+                         spec.solo_duration);
   }
   calib->ObserveStalls(timeline.commands.size(), timeline.stall_count);
   calib->EndRun();
@@ -1237,8 +1231,10 @@ void SumStages(const Schedule& schedule, ExecutionReport& report) {
     report.host_placed_clusters += info.host_placed ? 1 : 0;
     report.audited_clusters += info.audited ? 1 : 0;
   }
-  for (const ScheduledCommand& row : schedule.commands) {
-    const SimTime duration = row.duration();
+  for (std::size_t i = 0; i < schedule.commands.size(); ++i) {
+    const ScheduledCommand& row = schedule.commands[i];
+    const CommandSpec& spec = schedule.timeline.command(i);
+    const SimTime duration = SerialDuration(spec);
     report.*kStageSums[static_cast<std::size_t>(row.category)] += duration;
     if (row.category == Category::kCompute) {
       const auto launches = static_cast<std::size_t>(std::max(1, row.launches));
@@ -1246,8 +1242,8 @@ void SumStages(const Schedule& schedule, ExecutionReport& report) {
       report.cluster_timings[row.cluster].compute += duration;
       report.cluster_timings[row.cluster].launches += launches;
     }
-    if (row.spec.kind == sim::CommandKind::kCopyH2D) report.h2d_bytes += row.bytes;
-    if (row.spec.kind == sim::CommandKind::kCopyD2H) report.d2h_bytes += row.bytes;
+    if (spec.kind == sim::CommandKind::kCopyH2D) report.h2d_bytes += row.bytes;
+    if (spec.kind == sim::CommandKind::kCopyD2H) report.d2h_bytes += row.bytes;
   }
 }
 
@@ -1288,26 +1284,27 @@ void DeliverSinks(const RunContext& run, const FusionPlan& plan,
   }
 }
 
-// Records the run into the metrics registry, labeled by strategy. Counters
-// accumulate across runs; gauges hold the most recent run; histograms keep
-// every simulated duration.
+// Records the run into the metrics registry under the run's labels; with
+// AccountCalibration's `calib.*` gauges, this is everything a run writes.
+// Counters accumulate across runs; gauges hold the most recent run;
+// histograms keep every simulated duration.
 void RecordMetrics(const RunContext& run, const Schedule& schedule,
                    const ExecutionReport& report) {
   obs::MetricsRegistry& metrics = run.metrics;
   const ExecutorOptions& options = run.options;
-  const obs::Labels by_strategy{{"strategy", ToString(options.strategy)}};
-  metrics.GetCounter("executor.runs", by_strategy).Increment();
-  metrics.GetCounter("executor.kernel_launches", by_strategy)
+  const obs::Labels& by_run = run.labels;
+  metrics.GetCounter("executor.runs", by_run).Increment();
+  metrics.GetCounter("executor.kernel_launches", by_run)
       .Increment(report.kernel_launches);
-  metrics.GetCounter("executor.h2d_bytes", by_strategy).Increment(report.h2d_bytes);
-  metrics.GetCounter("executor.d2h_bytes", by_strategy).Increment(report.d2h_bytes);
-  metrics.GetCounter("executor.spills", by_strategy).Increment(report.spill_count);
-  metrics.GetCounter("executor.clusters", by_strategy).Increment(report.cluster_count);
-  metrics.GetCounter("executor.fused_clusters", by_strategy)
+  metrics.GetCounter("executor.h2d_bytes", by_run).Increment(report.h2d_bytes);
+  metrics.GetCounter("executor.d2h_bytes", by_run).Increment(report.d2h_bytes);
+  metrics.GetCounter("executor.spills", by_run).Increment(report.spill_count);
+  metrics.GetCounter("executor.clusters", by_run).Increment(report.cluster_count);
+  metrics.GetCounter("executor.fused_clusters", by_run)
       .Increment(report.fused_cluster_count);
-  metrics.GetHistogram("executor.makespan_seconds", by_strategy).Record(report.makespan);
+  metrics.GetHistogram("executor.makespan_seconds", by_run).Record(report.makespan);
   const auto record_stage = [&](const char* stage, SimTime duration) {
-    obs::Labels labels = by_strategy;
+    obs::Labels labels = by_run;
     labels.emplace_back("stage", stage);
     metrics.GetHistogram("executor.stage_seconds", labels).Record(duration);
   };
@@ -1316,7 +1313,7 @@ void RecordMetrics(const RunContext& run, const Schedule& schedule,
   record_stage("compute", report.compute_time);
   record_stage("host_gather", report.host_gather_time);
   const auto record_busy = [&](const char* engine, SimTime busy) {
-    obs::Labels labels = by_strategy;
+    obs::Labels labels = by_run;
     labels.emplace_back("engine", engine);
     metrics.GetGauge("executor.engine_busy_seconds", labels).Set(busy);
   };
@@ -1324,18 +1321,31 @@ void RecordMetrics(const RunContext& run, const Schedule& schedule,
   record_busy("d2h", report.timeline.d2h_busy);
   record_busy("compute", report.timeline.compute_busy);
   record_busy("host", report.timeline.host_busy);
-  metrics.GetGauge("executor.peak_device_bytes", by_strategy)
+  metrics.GetGauge("executor.peak_device_bytes", by_run)
       .Set(static_cast<double>(report.peak_device_bytes));
+  // The main run's command mix; kinds it never issued get no series.
+  std::array<std::uint64_t, static_cast<std::size_t>(sim::CommandKind::kHostCompute) + 1>
+      kinds{};
+  for (CommandId id = 0; id < schedule.timeline.command_count(); ++id) {
+    ++kinds[static_cast<std::size_t>(schedule.timeline.command(id).kind)];
+  }
+  for (std::size_t k = 0; k < kinds.size(); ++k) {
+    if (kinds[k] == 0) continue;
+    obs::Labels labels = by_run;
+    labels.emplace_back("kind", sim::ToString(static_cast<sim::CommandKind>(k)));
+    metrics.GetCounter("executor.commands", labels).Increment(kinds[k]);
+  }
   // Counters that stay at zero are not created.
   const auto count = [&](const char* name, std::uint64_t value) {
-    if (value > 0) metrics.GetCounter(name, by_strategy).Increment(value);
+    if (value > 0) metrics.GetCounter(name, by_run).Increment(value);
   };
   if (options.fault_injector != nullptr || options.force_host) {
     count("resilience.faults_observed", report.fault_count);
+    count("resilience.stalled_commands", report.timeline.stall_count);
     count("resilience.unit_retries", report.retry_attempts);
     count("resilience.degraded_clusters", report.degraded_clusters);
     if (report.backoff_time > 0) {
-      metrics.GetHistogram("resilience.backoff_seconds", by_strategy)
+      metrics.GetHistogram("resilience.backoff_seconds", by_run)
           .Record(report.backoff_time);
     }
     count("resilience.host_runs", report.ran_on_host ? 1 : 0);
@@ -1349,9 +1359,6 @@ void RecordMetrics(const RunContext& run, const Schedule& schedule,
     count("integrity.reexecutions", report.corruption_reexecutions);
     if (options.integrity.Enabled()) record_stage("integrity", report.integrity_time);
   }
-  // Snapshot of the host-substrate counters (arena reuse, typed/fallback
-  // predicate mix) — updated cold, here, never from the kernel hot paths.
-  obs::RecordHostPerfMetrics(metrics);
 }
 
 // Derives the report, sink results, calibrator feed, root span and registry
@@ -1428,7 +1435,11 @@ ExecutionReport QueryExecutor::Run(const OpGraph& graph,
                                    const ExecutorOptions& options) const {
   RunContext run{graph, options, device_,
                  options.metrics != nullptr ? *options.metrics
-                                            : obs::MetricsRegistry::Default()};
+                                            : obs::MetricsRegistry::Default(),
+                 {{"strategy", ToString(options.strategy)}}};
+  if (!device_.instance_label().empty()) {
+    run.labels.emplace_back("device", device_.instance_label());
+  }
   const Planned planned = Plan(run);
   FunctionalPass functional = Functional(run, planned, sources, row_counts, pool_);
   const Schedule schedule =

@@ -36,9 +36,9 @@ class DeviceSimulator {
   const DeviceMemoryModel& memory() const { return memory_; }
 
   // Instance label distinguishing devices of a DeviceGroup ("dev0", "dev1",
-  // ...). Empty for a standalone device; consumers (StreamPool) add a
-  // `device` metric label only when set, so single-device metrics keep their
-  // original label sets.
+  // ...). Empty for a standalone device; QueryExecutor adds a `device` label
+  // to every series a run records only when set, so single-device metrics
+  // keep their original label sets.
   void set_instance_label(std::string label) { instance_label_ = std::move(label); }
   const std::string& instance_label() const { return instance_label_; }
 

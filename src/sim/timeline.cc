@@ -52,7 +52,7 @@ CommandId Timeline::AddCommand(StreamId stream, CommandSpec spec) {
   return commands_.size() - 1;
 }
 
-TimelineStats Timeline::Run() const {
+TimelineStats Timeline::Run(const FaultInjector* injector) const {
   const std::size_t n = commands_.size();
   TimelineStats stats;
   stats.commands.resize(n);
@@ -62,10 +62,10 @@ TimelineStats Timeline::Run() const {
   // stall stretches the command's duration; a failing fault lets the command
   // occupy its engine normally and marks it failed at completion.
   std::vector<FaultDecision> decisions(n);
-  if (injector_ != nullptr) {
-    const std::uint64_t epoch = injector_->NextEpoch();
+  if (injector != nullptr) {
+    const std::uint64_t epoch = injector->NextEpoch();
     for (CommandId id = 0; id < n; ++id) {
-      decisions[id] = injector_->Decide(epoch, id, commands_[id].spec.kind);
+      decisions[id] = injector->Decide(epoch, id, commands_[id].spec.kind);
     }
   }
   auto effective_duration = [&](CommandId id) {

@@ -106,18 +106,17 @@ class Timeline {
   CommandId AddCommand(StreamId stream, CommandSpec spec);
 
   std::size_t command_count() const { return commands_.size(); }
-
-  // Attaches a fault injector consulted once per command during Run().
-  // nullptr (the default) runs fault-free. The injector must outlive Run().
-  void set_fault_injector(const FaultInjector* injector) { injector_ = injector; }
+  const CommandSpec& command(CommandId id) const { return commands_[id].spec; }
+  StreamId stream(CommandId id) const { return commands_[id].stream; }
 
   // Runs the simulation to completion and returns per-command timings and
-  // outcomes. A failed command still occupies its engine for its (possibly
-  // stalled) duration — the fault is detected at completion, as with a CUDA
-  // sync — and its dependents still run; re-issuing failed work is the
-  // caller's job (the executor retries at fission-segment granularity).
-  // Throws kf::Error on dependency deadlock.
-  TimelineStats Run() const;
+  // outcomes. `injector` (nullptr: fault-free) is consulted once per command,
+  // under a fresh epoch per call. A failed command still occupies its engine
+  // for its (possibly stalled) duration — the fault is detected at
+  // completion, as with a CUDA sync — and its dependents still run;
+  // re-issuing failed work is the caller's job (the executor retries at
+  // fission-segment granularity). Throws kf::Error on dependency deadlock.
+  TimelineStats Run(const FaultInjector* injector = nullptr) const;
 
  private:
   struct Entry {
@@ -134,7 +133,6 @@ class Timeline {
   // `Timeline(DeviceSpec::TeslaC2070())`, so a reference would dangle.
   DeviceSpec spec_;
   std::vector<Entry> commands_;
-  const FaultInjector* injector_ = nullptr;
 };
 
 }  // namespace kf::sim

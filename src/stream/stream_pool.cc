@@ -1,7 +1,5 @@
 #include "stream/stream_pool.h"
 
-#include <array>
-#include <cstdint>
 #include <limits>
 #include <utility>
 
@@ -10,9 +8,8 @@
 namespace kf::stream {
 
 StreamPool::StreamPool(const sim::DeviceSimulator& device, int stream_count,
-                       obs::MetricsRegistry* metrics,
                        const sim::FaultInjector* injector)
-    : device_(device), metrics_(metrics), injector_(injector) {
+    : device_(device), injector_(injector), timeline_(device.NewTimeline()) {
   KF_REQUIRE(stream_count > 0) << "stream pool needs at least one stream";
   streams_.resize(static_cast<std::size_t>(stream_count));
 }
@@ -44,11 +41,8 @@ sim::CommandId StreamPool::SetStreamCommand(StreamHandle stream,
   // Fold in any pending point-to-point waits registered via SelectWait.
   auto& deps = command.dependencies;
   deps.insert(deps.end(), st.pending_waits.begin(), st.pending_waits.end());
+  const sim::CommandId id = timeline_.AddCommand(stream, std::move(command));
   st.pending_waits.clear();
-
-  const sim::CommandId id = commands_.size();
-  commands_.push_back(std::move(command));
-  command_stream_.push_back(stream);
   st.issued.push_back(id);
   return id;
 }
@@ -66,61 +60,7 @@ void StreamPool::SelectWait(StreamHandle waiter, StreamHandle signaler) {
 
 void StreamPool::StartStreams() {
   KF_REQUIRE(!started()) << "pool already started";
-  sim::Timeline timeline = device_.NewTimeline();
-  timeline.set_fault_injector(injector_);
-  constexpr auto kKinds = static_cast<std::size_t>(sim::CommandKind::kHostCompute) + 1;
-  std::array<std::uint64_t, kKinds> kind_counts{};  // by sim::CommandKind
-  for (std::size_t i = 0; i < commands_.size(); ++i) {
-    ++kind_counts[static_cast<std::size_t>(commands_[i].kind)];
-    timeline.AddCommand(command_stream_[i], commands_[i]);
-  }
-  stats_ = timeline.Run();
-
-  // Record the run into the registry: command mix, simulated makespan, and
-  // how busy each hardware engine was (gauges hold the most recent run).
-  // Devices belonging to a DeviceGroup carry an instance label; their pool
-  // series gain a `device` label so per-device utilization stays separable.
-  // Standalone devices keep the original unlabeled series.
-  obs::MetricsRegistry& m =
-      metrics_ != nullptr ? *metrics_ : obs::MetricsRegistry::Default();
-  obs::Labels device_labels;
-  if (!device_.instance_label().empty()) {
-    device_labels.emplace_back("device", device_.instance_label());
-  }
-  auto with_device = [&](obs::Labels labels) {
-    labels.insert(labels.end(), device_labels.begin(), device_labels.end());
-    return labels;
-  };
-  m.GetCounter("stream_pool.runs", device_labels).Increment();
-  for (std::size_t k = 0; k < kind_counts.size(); ++k) {
-    if (kind_counts[k] == 0) continue;
-    const char* kind = sim::ToString(static_cast<sim::CommandKind>(k));
-    m.GetCounter("stream_pool.commands", with_device({{"kind", kind}}))
-        .Increment(kind_counts[k]);
-  }
-  m.GetHistogram("stream_pool.makespan_seconds", device_labels)
-      .Record(stats_->makespan);
-  m.GetGauge("stream_pool.engine_busy_seconds", with_device({{"engine", "h2d"}}))
-      .Set(stats_->h2d_busy);
-  m.GetGauge("stream_pool.engine_busy_seconds", with_device({{"engine", "d2h"}}))
-      .Set(stats_->d2h_busy);
-  m.GetGauge("stream_pool.engine_busy_seconds",
-             with_device({{"engine", "compute"}}))
-      .Set(stats_->compute_busy);
-  m.GetGauge("stream_pool.engine_busy_seconds", with_device({{"engine", "host"}}))
-      .Set(stats_->host_busy);
-  if (stats_->fault_count > 0) {
-    m.GetCounter("stream_pool.faulted_commands", device_labels)
-        .Increment(stats_->fault_count);
-  }
-  if (stats_->stall_count > 0) {
-    m.GetCounter("stream_pool.stalled_commands", device_labels)
-        .Increment(stats_->stall_count);
-  }
-  if (stats_->corrupted_count > 0) {
-    m.GetCounter("stream_pool.corrupted_commands", device_labels)
-        .Increment(stats_->corrupted_count);
-  }
+  stats_ = timeline_.Run(injector_);
 }
 
 const sim::TimelineStats& StreamPool::WaitAll() const {
@@ -152,8 +92,7 @@ void StreamPool::Terminate() {
     st.pending_waits.clear();
     st.in_use = false;
   }
-  commands_.clear();
-  command_stream_.clear();
+  timeline_ = device_.NewTimeline();
   stats_.reset();
 }
 

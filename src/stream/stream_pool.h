@@ -18,15 +18,14 @@
 //
 // Commands are timing specs only: the data work of a simulated kernel runs
 // on the host before the pool is driven (DESIGN.md §6). The pool records
-// one summary of each run into its registry; per-command spans are the
-// caller's to emit from the stats WaitAll() returns.
+// nothing: a caller that observes the run reads the stats WaitAll() returns.
+// QueryExecutor does not drive a pool; it builds its timeline directly.
 #ifndef KF_STREAM_STREAM_POOL_H_
 #define KF_STREAM_STREAM_POOL_H_
 
 #include <optional>
 #include <vector>
 
-#include "obs/metrics_registry.h"
 #include "sim/device_simulator.h"
 #include "sim/timeline.h"
 
@@ -38,12 +37,9 @@ class StreamPool {
  public:
   // `stream_count` defaults to 3: enough to saturate a device with two copy
   // engines plus compute (paper: "at least three streams are needed to fully
-  // utilize its concurrency capacity"). `metrics` is where StartStreams
-  // records pool counters and engine-busy gauges; nullptr means the
-  // process-wide default registry. `injector` (optional) injects faults into
-  // the simulated run; per-command outcomes surface through WaitAll().
+  // utilize its concurrency capacity"). `injector` (optional) injects faults
+  // into the simulated run; per-command outcomes surface through WaitAll().
   explicit StreamPool(const sim::DeviceSimulator& device, int stream_count = 3,
-                      obs::MetricsRegistry* metrics = nullptr,
                       const sim::FaultInjector* injector = nullptr);
 
   int stream_count() const { return static_cast<int>(streams_.size()); }
@@ -52,16 +48,15 @@ class StreamPool {
   StreamHandle GetAvailableStream();
 
   // Appends `command` to `stream`'s in-order queue. Returns a command id
-  // usable with SelectWait/dependencies.
+  // usable with SelectWait/dependencies. Throws kf::InvalidArgument on a
+  // command the timeline rejects (negative duration, unknown dependency).
   sim::CommandId SetStreamCommand(StreamHandle stream, sim::CommandSpec command);
 
   // Makes the *next* command issued to `waiter` wait until the most recently
   // issued command of `signaler` has completed (point-to-point sync).
   void SelectWait(StreamHandle waiter, StreamHandle signaler);
 
-  // Simulates the timeline and records the run: `stream_pool.runs`,
-  // `stream_pool.commands{kind}`, the makespan, engine busy times and
-  // fault/stall/corruption counts.
+  // Simulates the queued commands.
   void StartStreams();
 
   // Blocks until execution finishes (simulation is synchronous, so this
@@ -93,11 +88,9 @@ class StreamPool {
   };
 
   const sim::DeviceSimulator& device_;
-  obs::MetricsRegistry* metrics_;
   const sim::FaultInjector* injector_;
   std::vector<StreamState> streams_;
-  std::vector<sim::CommandSpec> commands_;        // issue order
-  std::vector<sim::StreamId> command_stream_;     // parallel to commands_
+  sim::Timeline timeline_;  // every command set, in issue order
   std::optional<sim::TimelineStats> stats_;
 };
 

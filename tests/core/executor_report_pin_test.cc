@@ -14,9 +14,8 @@
 // run, it never changes one.
 //
 // Two more digests per pair pin what the runs record. The registry digest is
-// the call's private registry (`ToJson().Dump()` without the process-wide
-// `hostperf.*` snapshots), equal traced or not; the trace digest folds every
-// run's `ToJson(false)` tree of the traced call.
+// the call's private registry (`ToJson().Dump()`), equal traced or not; the
+// trace digest folds every run's `ToJson(false)` tree of the traced call.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -281,17 +280,6 @@ struct Reached {
   }
 };
 
-// The registry as JSON, minus the `hostperf.*` gauges: those snapshot
-// process-wide counters, so they depend on what ran before.
-std::string RegistryDump(const obs::MetricsRegistry& metrics) {
-  obs::Json json = metrics.ToJson();
-  for (auto& [kind, series] : json.object()) {
-    std::erase_if(series.object(),
-                  [](const auto& entry) { return entry.first.starts_with("hostperf."); });
-  }
-  return json.Dump();
-}
-
 struct SequenceDigests {
   std::uint64_t report = 0;
   std::uint64_t registry = 0;
@@ -355,7 +343,7 @@ SequenceDigests SequenceDigest(Arm arm, Strategy strategy, obs::Tracer* tracer,
   SequenceDigests out;
   out.report = digest.value();
   Digest registry;
-  registry.Text(RegistryDump(metrics));
+  registry.Text(metrics.ToJson().Dump());
   out.registry = registry.value();
   if (tracer != nullptr) {
     // The executor allocates query ids 1, 2, ... in run order.
@@ -380,71 +368,71 @@ constexpr Pin kPins[] = {
     {Arm::kPlain,
      {0x7fbfa2b73acb79a3ull, 0xcecd8e63b18338dfull,
       0x74068ec7db3edb25ull, 0xcbb70371b4209ef5ull},
-     {0x23e2b4383aba59f0ull, 0xe8a44ec95355bc9full,
-      0xd578444c4f560129ull, 0xd30543c3777f3c5bull},
+     {0xb9f68a96da49a4afull, 0x302a125023058cabull,
+      0x8298ec0885f31407ull, 0x690ee631db3d6277ull},
      {0xc95991e5125bbf82ull, 0x15262552c2b18948ull,
       0x276269a16ea11096ull, 0x3a9b2598bd3e383cull}},
     {Arm::kRoundTrip,
      {0xdedd92336ebffe5ull, 0x1f567bc509a09fd5ull,
       0x4023f41d41df8fd5ull, 0xb60415be2414410dull},
-     {0x43568e91d1173e54ull, 0x87641a5d5f3659dfull,
-      0x20704d0573f614bdull, 0x5be068ea0d748be8ull},
+     {0x468880719f8ed16dull, 0x810ba85952f38e0ull,
+      0xd538884108c82345ull, 0x9adfaf9ee6328592ull},
      {0x2d6dfcde9ed1eae0ull, 0xeb69aa737870b38ull,
       0x76fb41fec40fb22eull, 0x780bd6d314609e3aull}},
     {Arm::kSmallDevice,
      {0xd388979eb748f643ull, 0xddb420a151094a75ull,
       0xe1eb275477f14dafull, 0x98565a497860c02full},
-     {0xae3c58f081cef535ull, 0xaabc853d519c7bbaull,
-      0xd1dbdd988900c040ull, 0xf5dae085165879b3ull},
+     {0x6bfd476738958efaull, 0xe42b8ba6ac16b872ull,
+      0xae86068e3846730full, 0xecb906e78ab216c9ull},
      {0x35847f9058ab935aull, 0x7f80d03007374734ull,
       0x6d9ed634ec483228ull, 0x84ebff4b14191d2aull}},
     {Arm::kFaults,
      {0x92a30fe4121de0adull, 0xad3418822eacfc2dull,
       0xb30bf665897ed20bull, 0xb432daaee23e0857ull},
-     {0xc82493e5154c8c4eull, 0x7d89684ad90d6214ull,
-      0x5909ae8aaf456a60ull, 0x4dd50814133a6d9bull},
+     {0xfea7e6dbb9b0716aull, 0x282e874c2b936570ull,
+      0xac22e56f85999c1ull, 0xb65700e179d14ccfull},
      {0x3c7793dda6659dd9ull, 0xf964c3cf999e2d91ull,
       0x7c8f27319495e19full, 0xb58d706d26fbc6adull}},
     {Arm::kDegrade,
      {0x7cc3ed2933fb1b05ull, 0x44be0430a73df205ull,
       0x89ad562c466881cdull, 0x1c0916bb05ee7ca3ull},
-     {0xae9c1463a425f6dcull, 0xfd5366b028791008ull,
-      0x556c21a8ed839522ull, 0x90b2d0453dd50dd5ull},
+     {0xab07994ae6bf777dull, 0x13d826728107bb0aull,
+      0xed8940bf14ed37f7ull, 0x9c0c1ea1d9aa78c5ull},
      {0x82b07616d3174b6ull, 0xb35c36eab43fe348ull,
       0xc6827a47a061de32ull, 0x2d66224bbdaac120ull}},
     {Arm::kVerifiedCorruption,
      {0x2bfe8baa2eafb066ull, 0xf6fd02976f964ab5ull,
       0xc175d83a43601ff4ull, 0xbac7164529459a57ull},
-     {0x1d16126524e69138ull, 0x4b28e4c6dfdb0b76ull,
-      0x8df62f3db4eb3279ull, 0xc83725bf1c93c315ull},
+     {0x685ab7532a6393bull, 0x9166be02bd19f9e2ull,
+      0xd35f7cec395d6b44ull, 0x6b573a34969fb1ull},
      {0x14ca7a5743ad2e6dull, 0xdf573f74b27f9c8aull,
       0xac32f6e34f6d16c2ull, 0xb0b20e41cdf96baeull}},
     {Arm::kSilentCorruption,
      {0xe3b7ddad59c40db8ull, 0xa47c05341a77a611ull,
       0xf1bc654b22550dcbull, 0x71d1d66591084439ull},
-     {0xb6c2abf5c3937862ull, 0x2ff1103fd0bc5c2cull,
-      0x8237673726f67de2ull, 0x2bd8090e198c88edull},
+     {0x79018d5ad0d673cdull, 0xcb383fac4d271567ull,
+      0x9bb3f8220e673a01ull, 0xb8fd4a279c1ee4e5ull},
      {0x52cdeeb7d96222a4ull, 0x9f644f71d850008dull,
       0xbfa1b05a401a7e23ull, 0xecbef182a9e3aa0dull}},
     {Arm::kCalibrated,
      {0xa36850982e46b5b5ull, 0x90deda3218a07c29ull,
       0xa36850982e46b5b5ull, 0x90deda3218a07c29ull},
-     {0x4f90e5a95b503adfull, 0x5b8f27676fdfc41aull,
-      0x3029b2fab6b72f4cull, 0x47cc93e10f0d061eull},
+     {0xe805d49b4225e02bull, 0x7e33d52a4f9c9397ull,
+      0x9f1330657b5c07d0ull, 0xf509ec4de6b79e7bull},
      {0x2ee6356b6c2ac7a6ull, 0x991910c2b2c74c1ull,
       0x644f18a05b672dcaull, 0x832cf4262c57e825ull}},
     {Arm::kForceHost,
      {0x46ecdfe76c44126dull, 0x6c3b465e5a4a7799ull,
       0x46ecdfe76c44126dull, 0x6c3b465e5a4a7799ull},
-     {0x9c96927776fc0ba6ull, 0x8241fac7c4783a9eull,
-      0x31bba2ec8ce1fe5cull, 0x1c4c9e43f8b4552eull},
+     {0xec478b48fbe2ab6full, 0x596173e386f5ac23ull,
+      0x994d266ee1089f9aull, 0x665b5c2e29681b4bull},
      {0xdc2904458aa51530ull, 0x13caf685c2d1b9b0ull,
       0x38d5c22d89918c8cull, 0xbe6b80f10a32f4f0ull}},
     {Arm::kEstimate,
      {0x2fd5cc4a0fa4d9efull, 0xfe9f856b98e23f07ull,
       0x59067812ff8909e5ull, 0x62bc23cf8745c185ull},
-     {0x23e2b4383aba59f0ull, 0xe8a44ec95355bc9full,
-      0xd578444c4f560129ull, 0xd30543c3777f3c5bull},
+     {0xb9f68a96da49a4afull, 0x302a125023058cabull,
+      0x8298ec0885f31407ull, 0x690ee631db3d6277ull},
      {0x1581bc78bbad4a62ull, 0x6105b18f2890c92cull,
       0x67748a48198a2a06ull, 0x8067854905025fecull}},
 };

@@ -8,7 +8,6 @@
 #include "core/select_chain.h"
 #include "relational/csv.h"
 #include "sim/fault_injector.h"
-#include "tests/core/random_graph.h"
 
 namespace kf::core {
 namespace {
@@ -191,40 +190,6 @@ TEST_F(ExecutorResilienceTest, ForceHostRunsEverythingOnCpu) {
                                  {{"strategy", "fusion+fission"}})
                 .value(),
             1u);
-}
-
-// A retry re-issues its unit on the device's timeline, not on a Stream Pool
-// of its own: the run's registry holds one pool run per executor run, and
-// the pool's engine gauges are the main run's.
-TEST_F(ExecutorResilienceTest, RetriesRecordNoPoolRuns) {
-  std::uint64_t retries = 0;
-  for (std::uint64_t seed = 1; seed <= 39; ++seed) {
-    const RandomQuery query = MakeRandomQuery(seed);
-    sim::FaultConfig config;
-    config.seed = seed;
-    config.copy_fault_rate = 0.3;
-    config.kernel_fault_rate = 0.3;
-    sim::FaultInjector injector(config);
-    obs::MetricsRegistry registry;
-    ExecutorOptions options = Options();
-    options.metrics = &registry;
-    options.fault_injector = &injector;
-    const ExecutionReport report = executor_.Execute(query.graph, query.sources, options);
-    retries += report.retry_attempts;
-    const obs::Labels by_strategy{{"strategy", ToString(options.strategy)}};
-    EXPECT_EQ(registry.GetCounter("stream_pool.runs").value(),
-              registry.GetCounter("executor.runs", by_strategy).value())
-        << "seed " << seed << ", " << report.retry_attempts << " retries";
-    for (const char* engine : {"h2d", "d2h", "compute"}) {
-      obs::Labels labels = by_strategy;
-      labels.emplace_back("engine", engine);
-      EXPECT_EQ(registry.GetGauge("stream_pool.engine_busy_seconds", {{"engine", engine}})
-                    .value(),
-                registry.GetGauge("executor.engine_busy_seconds", labels).value())
-          << "seed " << seed << ", engine " << engine;
-    }
-  }
-  EXPECT_GT(retries, 39u);
 }
 
 }  // namespace

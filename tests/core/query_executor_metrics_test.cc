@@ -3,12 +3,16 @@
 // ExecutionReport the caller gets back.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
 
 #include "core/query_executor.h"
 #include "core/select_chain.h"
+#include "obs/json.h"
 #include "obs/metrics_registry.h"
+#include "obs/tracer.h"
 #include "relational/operators.h"
+#include "sim/fault_injector.h"
 
 namespace kf::core {
 namespace {
@@ -153,6 +157,123 @@ TEST(QueryExecutorMetrics, SpillCountReachesRegistry) {
   EXPECT_GT(report.spill_count, 0u);
   EXPECT_EQ(registry.CounterValue("executor.spills{strategy=serial}"),
             report.spill_count);
+}
+
+// The kind of the command behind a main-run leaf span: its stage tells
+// kernel, host and copy work apart, and a copy's label gives its direction.
+std::string LeafKind(const obs::Span& leaf) {
+  if (leaf.category == "input_output" || leaf.category == "round_trip") {
+    return leaf.name.find("/h2d") != std::string::npos ? "H2D" : "D2H";
+  }
+  const bool kernel = leaf.category == "compute" && leaf.name.rfind("host/", 0) != 0;
+  return kernel ? "KERNEL" : "HOST";
+}
+
+// The main run's commands by kind, counted from the leaves of the run's trace
+// (query id 1 of a fresh tracer); leaves under a retry span are not counted.
+std::map<std::string, std::uint64_t> MainRunKinds(const obs::Tracer& tracer) {
+  const obs::QueryTrace trace = tracer.Snapshot(1);
+  std::map<std::string, std::uint64_t> kinds;
+  for (const obs::Span& span : trace.spans) {
+    if (span.lane.rfind("stream ", 0) != 0) continue;
+    if (trace.FindSpan(span.parent)->name.rfind("retry unit ", 0) == 0) continue;
+    ++kinds[LeafKind(span)];
+  }
+  return kinds;
+}
+
+// The executor is each run's only writer: no Stream Pool and no host-substrate
+// series reach the registry. `executor.commands{kind}` counts the main run's
+// commands, not the retries', and kinds the run never issued get no series;
+// `resilience.stalled_commands` is the main run's stall count; and a run on a
+// group device labels every series it records with the device.
+TEST(QueryExecutorMetrics, TheExecutorIsTheRunsOnlyWriter) {
+  sim::DeviceSimulator device;
+  QueryExecutor executor(device);
+  SelectChain chain = MakeSelectChain(20000, std::vector<double>{0.5, 0.5});
+  const std::map<NodeId, relational::Table> sources{
+      {chain.source, MakeUniformInt32Table(20000)}};
+  sim::FaultConfig config;
+  config.seed = 17;
+  config.stall_rate = 0.3;
+  config.copy_fault_rate = 0.2;
+  config.kernel_fault_rate = 0.2;
+  config.corrupt_h2d_rate = 0.3;
+  config.corrupt_d2h_rate = 0.3;
+  config.corrupt_kernel_rate = 0.3;
+  const sim::FaultInjector injector(config);
+
+  for (const bool faulted : {false, true}) {
+    SCOPED_TRACE(faulted ? "faulted Execute" : "EstimateOnly");
+    obs::MetricsRegistry registry;
+    obs::Tracer tracer;
+    ExecutorOptions options;
+    options.strategy = faulted ? Strategy::kFission : Strategy::kSerial;
+    options.fission_segments = 4;
+    options.metrics = &registry;
+    options.tracer = &tracer;
+    ExecutionReport report;
+    if (faulted) {
+      options.fault_injector = &injector;
+      options.integrity.verify_transfers = true;
+      report = executor.Execute(chain.graph, sources, options);
+      ASSERT_GT(report.timeline.stall_count, 0u);
+      ASSERT_GT(report.corrupted_commands, 0u);
+      ASSERT_GT(report.retry_attempts, 0u);
+    } else {
+      report = executor.EstimateOnly(chain.graph, chain.expected_rows, options);
+    }
+    const obs::Json json = registry.ToJson();
+    for (const auto& [type, series] : json.object()) {
+      for (const auto& [key, value] : series.object()) {
+        EXPECT_FALSE(key.starts_with("stream_pool.") || key.starts_with("hostperf."))
+            << key;
+      }
+    }
+
+    const std::map<std::string, std::uint64_t> kinds = MainRunKinds(tracer);
+    std::uint64_t commands = 0;
+    for (const char* kind : {"H2D", "D2H", "KERNEL", "HOST"}) {
+      const std::string key = "executor.commands{strategy=" +
+                              std::string(ToString(options.strategy)) + ",kind=" + kind +
+                              "}";
+      const auto it = kinds.find(kind);
+      if (it == kinds.end()) {
+        EXPECT_FALSE(json.at("counters").Has(key)) << key;
+        continue;
+      }
+      EXPECT_EQ(registry.CounterValue(key), it->second) << key;
+      commands += it->second;
+    }
+    EXPECT_EQ(commands, report.timeline.commands.size());
+    EXPECT_EQ(kinds.count("HOST"), faulted ? 1u : 0u);
+
+    const std::string stalls = Key("resilience.stalled_commands", options.strategy);
+    EXPECT_EQ(json.at("counters").Has(stalls), faulted);
+    EXPECT_EQ(registry.CounterValue(stalls), report.timeline.stall_count);
+
+    if (faulted) continue;
+    // The same estimate on a group device: every series the run adds carries
+    // its device, and the unlabeled series keep their values.
+    sim::DeviceSimulator labeled;
+    labeled.set_instance_label("dev3");
+    options.tracer = nullptr;
+    QueryExecutor(labeled).EstimateOnly(chain.graph, chain.expected_rows, options);
+    const obs::Json after = registry.ToJson();
+    for (const auto& [type, series] : after.object()) {
+      for (const auto& [key, value] : series.object()) {
+        if (json.at(type).Has(key)) {
+          EXPECT_EQ(value.Dump(), json.at(type).at(key).Dump()) << key;
+        } else {
+          EXPECT_NE(key.find("{strategy=serial,device=dev3"), std::string::npos) << key;
+        }
+      }
+    }
+    EXPECT_EQ(registry.CounterValue("executor.runs{strategy=serial,device=dev3}"), 1u);
+    EXPECT_EQ(registry.CounterValue(
+                  "executor.commands{strategy=serial,device=dev3,kind=KERNEL}"),
+              kinds.at("KERNEL"));
+  }
 }
 
 // Without an explicit registry the executor records into the process-wide

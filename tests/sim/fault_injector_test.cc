@@ -157,7 +157,6 @@ TEST(Timeline, FaultedCommandsSurfaceInStats) {
   FaultInjector injector(config);
 
   Timeline timeline(DeviceSpec::TeslaC2070());
-  timeline.set_fault_injector(&injector);
   CommandSpec kernel;
   kernel.kind = CommandKind::kKernel;
   kernel.solo_duration = 1.0;
@@ -168,7 +167,7 @@ TEST(Timeline, FaultedCommandsSurfaceInStats) {
   copy.duration = 1.0;
   timeline.AddCommand(0, copy);
 
-  const TimelineStats stats = timeline.Run();
+  const TimelineStats stats = timeline.Run(&injector);
   EXPECT_FALSE(stats.AllOk());
   EXPECT_EQ(stats.fault_count, 1u);  // the kernel; copies are clean
   EXPECT_FALSE(stats.commands[0].ok);
@@ -186,13 +185,12 @@ TEST(Timeline, StallDelaysCompletion) {
   FaultInjector injector(config);
 
   Timeline timeline(DeviceSpec::TeslaC2070());
-  timeline.set_fault_injector(&injector);
   CommandSpec copy;
   copy.kind = CommandKind::kCopyH2D;
   copy.duration = 1.0;
   timeline.AddCommand(0, copy);
 
-  const TimelineStats stats = timeline.Run();
+  const TimelineStats stats = timeline.Run(&injector);
   EXPECT_TRUE(stats.AllOk());  // stalls slow commands down, they don't fail
   EXPECT_EQ(stats.stall_count, 1u);
   EXPECT_NEAR(stats.makespan, 8.0, 1e-9);
@@ -327,7 +325,6 @@ TEST(Timeline, CorruptedCommandsSurfaceInStats) {
   FaultInjector injector(config);
 
   Timeline timeline(DeviceSpec::TeslaC2070());
-  timeline.set_fault_injector(&injector);
   CommandSpec kernel;
   kernel.kind = CommandKind::kKernel;
   kernel.solo_duration = 1.0;
@@ -338,7 +335,7 @@ TEST(Timeline, CorruptedCommandsSurfaceInStats) {
   host.duration = 0.5;
   timeline.AddCommand(0, host);
 
-  const TimelineStats stats = timeline.Run();
+  const TimelineStats stats = timeline.Run(&injector);
   // Corruption is silent: every command succeeds and timing is unchanged.
   EXPECT_TRUE(stats.AllOk());
   EXPECT_EQ(stats.fault_count, 0u);

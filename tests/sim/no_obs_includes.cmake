@@ -1,6 +1,6 @@
 # Fails when a source file under DIR includes a header from src/obs: the
-# device model computes costs and records nothing.
-#   cmake -DDIR=<src/sim> -P no_obs_includes.cmake
+# device model and the Stream Pool compute and record nothing.
+#   cmake -DDIR=<src/sim or src/stream> -P no_obs_includes.cmake
 file(GLOB_RECURSE sources ${DIR}/*.h ${DIR}/*.cc)
 if(NOT sources)
   message(FATAL_ERROR "no sources under '${DIR}'")

@@ -6,8 +6,6 @@
 #include <vector>
 
 #include "common/error.h"
-#include "obs/json.h"
-#include "obs/metrics_registry.h"
 #include "sim/fault_injector.h"
 
 namespace kf::stream {
@@ -78,6 +76,24 @@ TEST_F(StreamPoolTest, SelectWaitValidation) {
   EXPECT_THROW(pool.SelectWait(9, a), kf::Error);   // bad handle
 }
 
+TEST_F(StreamPoolTest, SetStreamCommandRejectsWhatTheTimelineRejects) {
+  // The pool's commands live in a timeline, so a malformed command fails as
+  // it is set, and the commands set before it still run.
+  StreamPool pool(device_, 1);
+  const StreamHandle s = pool.GetAvailableStream();
+  pool.SetStreamCommand(s, Kernel(0.5));
+  sim::CommandSpec negative;
+  negative.kind = sim::CommandKind::kCopyH2D;
+  negative.duration = -1.0;
+  EXPECT_THROW(pool.SetStreamCommand(s, negative), kf::InvalidArgument);
+  sim::CommandSpec dangling = Kernel(0.5);
+  dangling.dependencies = {7};
+  EXPECT_THROW(pool.SetStreamCommand(s, dangling), kf::InvalidArgument);
+  pool.StartStreams();
+  EXPECT_EQ(pool.WaitAll().commands.size(), 1u);
+  EXPECT_NEAR(pool.WaitAll().makespan, 0.5, 1e-9);
+}
+
 TEST_F(StreamPoolTest, WaitAllBeforeStartThrows) {
   StreamPool pool(device_, 1);
   EXPECT_THROW(pool.WaitAll(), kf::Error);
@@ -130,13 +146,12 @@ TEST_F(StreamPoolTest, ThreeStreamFissionPipelineOverlaps) {
 }
 
 TEST_F(StreamPoolTest, FaultOutcomesSurfaceThroughWaitAll) {
-  obs::MetricsRegistry registry;
   sim::FaultConfig config;
   config.seed = 1;
   config.kernel_fault_rate = 1.0;
   sim::FaultInjector injector(config);
 
-  StreamPool pool(device_, 2, &registry, &injector);
+  StreamPool pool(device_, 2, &injector);
   const StreamHandle s = pool.GetAvailableStream();
   const sim::CommandId kernel_id =
       pool.SetStreamCommand(s, Kernel(1.0));
@@ -153,48 +168,6 @@ TEST_F(StreamPoolTest, FaultOutcomesSurfaceThroughWaitAll) {
   const std::vector<sim::CommandId> failed = pool.FailedCommands();
   ASSERT_EQ(failed.size(), 1u);
   EXPECT_EQ(failed[0], kernel_id);
-  EXPECT_EQ(registry.GetCounter("stream_pool.faulted_commands").value(), 1u);
-}
-
-TEST_F(StreamPoolTest, RecordsEveryFaultStallAndCorruptionOfTheRun) {
-  // The injector records nothing; the pool's run record counts each faulted,
-  // stalled and corrupted command, exactly as the timeline tallies them.
-  obs::MetricsRegistry registry;
-  sim::FaultConfig config;
-  config.seed = 7;
-  config.copy_fault_rate = 0.2;
-  config.kernel_fault_rate = 0.2;
-  config.stall_rate = 0.2;
-  config.corrupt_h2d_rate = 0.2;
-  config.corrupt_d2h_rate = 0.2;
-  config.corrupt_kernel_rate = 0.2;
-  sim::FaultInjector injector(config);
-
-  StreamPool pool(device_, 3, &registry, &injector);
-  for (int segment = 0; segment < 30; ++segment) {
-    const StreamHandle s = segment % 3;
-    sim::CommandSpec up;
-    up.kind = sim::CommandKind::kCopyH2D;
-    up.duration = 1.0;
-    pool.SetStreamCommand(s, up);
-    pool.SetStreamCommand(s, Kernel(1.0));
-    sim::CommandSpec down;
-    down.kind = sim::CommandKind::kCopyD2H;
-    down.duration = 1.0;
-    pool.SetStreamCommand(s, down);
-  }
-  pool.StartStreams();
-
-  const sim::TimelineStats& stats = pool.WaitAll();
-  ASSERT_GT(stats.fault_count, 0u);
-  ASSERT_GT(stats.stall_count, 0u);
-  ASSERT_GT(stats.corrupted_count, 0u);
-  EXPECT_EQ(registry.GetCounter("stream_pool.faulted_commands").value(),
-            stats.fault_count);
-  EXPECT_EQ(registry.GetCounter("stream_pool.stalled_commands").value(),
-            stats.stall_count);
-  EXPECT_EQ(registry.GetCounter("stream_pool.corrupted_commands").value(),
-            stats.corrupted_count);
 }
 
 TEST_F(StreamPoolTest, NoInjectorMeansNoFailedCommands) {
@@ -204,76 +177,6 @@ TEST_F(StreamPoolTest, NoInjectorMeansNoFailedCommands) {
   pool.StartStreams();
   EXPECT_TRUE(pool.WaitAll().AllOk());
   EXPECT_TRUE(pool.FailedCommands().empty());
-}
-
-TEST_F(StreamPoolTest, DeviceInstanceLabelSeparatesMetrics) {
-  // Standalone devices record unlabeled series; a device carrying a group
-  // instance label gets a `device` label on every stream_pool series.
-  obs::MetricsRegistry registry;
-
-  StreamPool plain(device_, 1, &registry);
-  plain.SetStreamCommand(plain.GetAvailableStream(), Kernel(0.5));
-  plain.StartStreams();
-  EXPECT_EQ(registry.GetCounter("stream_pool.runs").value(), 1u);
-
-  sim::DeviceSimulator labeled;
-  labeled.set_instance_label("dev3");
-  StreamPool grouped(labeled, 1, &registry);
-  grouped.SetStreamCommand(grouped.GetAvailableStream(), Kernel(0.5));
-  grouped.StartStreams();
-  EXPECT_EQ(registry.GetCounter("stream_pool.runs", {{"device", "dev3"}}).value(),
-            1u);
-  EXPECT_EQ(registry
-                .GetCounter("stream_pool.commands",
-                            {{"kind", "KERNEL"}, {"device", "dev3"}})
-                .value(),
-            1u);
-  // The labeled run did not touch the unlabeled series.
-  EXPECT_EQ(registry.GetCounter("stream_pool.runs").value(), 1u);
-}
-
-TEST_F(StreamPoolTest, CountsEveryCommandKindOncePerRun) {
-  // A Fig 13 pipeline with a host gather: every kind the run issued gets its
-  // count in `stream_pool.commands{kind}`, and kinds it never issued get no
-  // series at all.
-  obs::MetricsRegistry registry;
-  StreamPool pool(device_, 3, &registry);
-  sim::CommandId last_download = 0;
-  for (int s = 0; s < 4; ++s) {
-    const StreamHandle h = s % 3;
-    pool.SetStreamCommand(h, device_.MakeCopy(1024, sim::CopyDirection::kHostToDevice,
-                                              sim::HostMemoryKind::kPinned));
-    pool.SetStreamCommand(h, Kernel(0.001));
-    pool.SetStreamCommand(h, Kernel(0.001));
-    last_download = pool.SetStreamCommand(
-        h, device_.MakeCopy(512, sim::CopyDirection::kDeviceToHost,
-                            sim::HostMemoryKind::kPinned));
-  }
-  sim::CommandSpec gather = device_.MakeHostWork(4096);
-  gather.dependencies = {last_download};
-  pool.SetStreamCommand(0, gather);
-  pool.StartStreams();
-
-  const auto commands = [&](const char* kind) {
-    return registry.GetCounter("stream_pool.commands", {{"kind", kind}}).value();
-  };
-  EXPECT_EQ(registry.GetCounter("stream_pool.runs").value(), 1u);
-  EXPECT_EQ(commands("H2D"), 4u);
-  EXPECT_EQ(commands("KERNEL"), 8u);
-  EXPECT_EQ(commands("D2H"), 4u);
-  EXPECT_EQ(commands("HOST"), 1u);
-
-  obs::MetricsRegistry kernels_only;
-  StreamPool compute(device_, 2, &kernels_only);
-  compute.SetStreamCommand(0, Kernel(0.5));
-  compute.SetStreamCommand(1, Kernel(0.5));
-  compute.StartStreams();
-  const obs::Json counters = kernels_only.ToJson().at("counters");
-  EXPECT_EQ(counters.at("stream_pool.commands{kind=KERNEL}").number(), 2.0);
-  for (const char* absent : {"H2D", "D2H", "HOST"}) {
-    EXPECT_FALSE(counters.Has(std::string("stream_pool.commands{kind=") + absent + "}"))
-        << absent;
-  }
 }
 
 }  // namespace
