@@ -1,9 +1,9 @@
 // Wall-clock microbenchmarks (google-benchmark) of the host-side functional
 // substrate on THIS machine: the executor's staged kernels
 // (core::ExecuteCluster) over SELECT (int32 typed kernels and int64 column
-// programs), fused and unfused SELECT chains, float64 ARITH, JOIN,
-// AGGREGATE and SORT clusters (one int32, one int64 and two int64 keys), the
-// radix argsort, and compression. These are
+// programs), fused and unfused SELECT chains, float64 ARITH, JOIN on dense
+// and on sparse keys, AGGREGATE and SORT clusters (one int32, one int64 and
+// two int64 keys), the radix argsort, and compression. These are
 // sanity checks that the functional layer is itself reasonable code — the
 // paper's figures come from the simulated device, not from these timings.
 #include <benchmark/benchmark.h>
@@ -143,7 +143,9 @@ void BM_ClusterArithFloat64(benchmark::State& state) {
 }
 BENCHMARK(BM_ClusterArithFloat64);
 
-// JOIN probing 2^18 rows against a 2^14-row build side on int64 keys.
+// JOIN probing 2^18 rows against a 2^14-row build side on int64 keys in
+// [0, 2^14]: they span fewer than twice the build rows, so the JOIN index
+// addresses them directly.
 void BM_ClusterJoin(benchmark::State& state) {
   const std::size_t probe_rows = 1 << 18;
   core::OpGraph graph;
@@ -156,6 +158,36 @@ void BM_ClusterJoin(benchmark::State& state) {
            probe_rows);
 }
 BENCHMARK(BM_ClusterJoin);
+
+// The same JOIN on sparse keys: the 2^14 build keys are distinct multiples
+// of 64, so they span more than twice the build rows and the JOIN index
+// hashes them. Every probe key matches one build row.
+void BM_ClusterJoinSparse(benchmark::State& state) {
+  const std::size_t probe_rows = 1 << 18;
+  const std::int64_t build_rows = 1 << 14;
+  Rng rng(3);
+  const relational::Schema schema{{"k", DataType::kInt64}, {"v", DataType::kInt64}};
+  Table probe(schema);
+  probe.Reserve(probe_rows);
+  for (std::size_t r = 0; r < probe_rows; ++r) {
+    probe.AppendRow({Value::Int64(64 * rng.UniformInt(0, build_rows - 1)),
+                     Value::Int64(rng.UniformInt(0, 100))});
+  }
+  Table build(schema);
+  build.Reserve(static_cast<std::size_t>(build_rows));
+  for (std::int64_t r = 0; r < build_rows; ++r) {
+    // 7919 is odd, so r -> 7919 r mod 2^14 permutes the build keys.
+    build.AppendRow({Value::Int64(64 * (r * 7919 % build_rows)),
+                     Value::Int64(rng.UniformInt(0, 100))});
+  }
+  core::OpGraph graph;
+  const NodeId probe_id = graph.AddSource("probe", probe.schema(), probe_rows);
+  const NodeId build_id = graph.AddSource("build", build.schema(), build.row_count());
+  graph.AddOperator(OperatorDesc::Join(0, 0), probe_id, build_id);
+  RunGraph(state, graph, {{probe_id, std::move(probe)}, {build_id, std::move(build)}},
+           probe_rows);
+}
+BENCHMARK(BM_ClusterJoinSparse);
 
 // Grouped SUM of 2^20 float64 values over 64 int64 groups.
 void BM_ClusterAggregate(benchmark::State& state) {

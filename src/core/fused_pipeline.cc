@@ -5,6 +5,7 @@
 #include <cstring>
 #include <exception>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <numeric>
 #include <optional>
@@ -695,17 +696,35 @@ class GroupTable {
 
 // JOIN build side: key group g owns build rows rows[first[g] .. first[g+1]),
 // in build order. Key equality is ValueEq's. With integers on both sides
-// that is int64 equality, which a GroupTable matches exactly; any float key
-// goes through ValueHash/ValueEq in a table built in build order, exactly as
-// ApplyOperator's hash join builds its own.
+// that is int64 equality. When the build keys span fewer than 2n values
+// (max - min in uint64, n build rows), the group of key k is k - min, so a
+// probe indexes first_ directly: k - min wraps outside [0, max - min] for
+// every k outside [min, max]. Other integer keys go through a GroupTable;
+// any float key goes through ValueHash/ValueEq in a table built in build
+// order, exactly as ApplyOperator's hash join builds its own.
 class JoinIndex {
  public:
   void Build(const ColRef& key, std::size_t n, DataType probe_type) {
     integer_keys_ = key.type != DataType::kFloat64 && probe_type != DataType::kFloat64;
-    if (integer_keys_) ints_.Reset(1, 0, n);
+    std::uint64_t span = 0;  // max - min of the integer build keys
+    if (integer_keys_ && n > 0) {
+      std::int64_t lo = std::numeric_limits<std::int64_t>::max();
+      std::int64_t hi = std::numeric_limits<std::int64_t>::min();
+      for (std::size_t r = 0; r < n; ++r) {
+        const auto k = static_cast<std::int64_t>(RawBits(key, r));
+        lo = std::min(lo, k);
+        hi = std::max(hi, k);
+      }
+      min_ = static_cast<std::uint64_t>(lo);
+      span = static_cast<std::uint64_t>(hi) - min_;
+    }
+    direct_ = integer_keys_ && span < 2 * static_cast<std::uint64_t>(n);
+    if (integer_keys_ && !direct_) ints_.Reset(1, 0, n);
     std::vector<std::uint32_t> group_of(n);
     for (std::size_t r = 0; r < n; ++r) {
-      if (integer_keys_) {
+      if (direct_) {
+        group_of[r] = static_cast<std::uint32_t>(RawBits(key, r) - min_);
+      } else if (integer_keys_) {
         const std::uint64_t k = RawBits(key, r);
         group_of[r] = static_cast<std::uint32_t>(ints_.FindOrInsert(&k, &k));
       } else {
@@ -713,7 +732,9 @@ class JoinIndex {
             values_.try_emplace(ValueAt(key, r), values_.size()).first->second;
       }
     }
-    first_.assign((integer_keys_ ? ints_.groups() : values_.size()) + 1, 0);
+    const std::size_t groups =
+        direct_ ? span + 1 : integer_keys_ ? ints_.groups() : values_.size();
+    first_.assign(groups + 1, 0);
     for (std::uint32_t g : group_of) ++first_[g + 1];
     std::partial_sum(first_.begin(), first_.end(), first_.begin());
     std::vector<std::uint32_t> next(first_.begin(), first_.end() - 1);
@@ -724,18 +745,23 @@ class JoinIndex {
   // Build rows matching probe key `i` of `probe`, in build order.
   std::span<const std::uint32_t> Matches(const ColRef& probe, std::size_t i) const {
     std::size_t g = first_.size() - 1;
-    if (integer_keys_) {
+    if (direct_) {
+      g = RawBits(probe, i) - min_;
+    } else if (integer_keys_) {
       const std::uint64_t k = RawBits(probe, i);
       g = ints_.Find(&k);
     } else if (const auto it = values_.find(ValueAt(probe, i)); it != values_.end()) {
       g = it->second;
     }
-    if (g + 1 >= first_.size()) return {};
+    // Not g + 1 >= size: a direct probe of min - 1 gives g = 2^64 - 1.
+    if (g >= first_.size() - 1) return {};
     return {rows_.data() + first_[g], rows_.data() + first_[g + 1]};
   }
 
  private:
   bool integer_keys_ = false;
+  bool direct_ = false;
+  std::uint64_t min_ = 0;  // direct: the smallest build key's bits
   GroupTable ints_;
   std::unordered_map<Value, std::uint32_t, relational::ValueHash, relational::ValueEq>
       values_;

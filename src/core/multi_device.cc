@@ -72,10 +72,7 @@ std::set<NodeId> ShardScaledNodes(const OpGraph& graph, NodeId shard_source) {
 
 Table SliceRows(const Table& table, std::uint64_t begin, std::uint64_t end) {
   Table out(table.schema());
-  out.Reserve(static_cast<std::size_t>(end - begin));
-  for (std::uint64_t r = begin; r < end; ++r) {
-    out.AppendRow(table.GetRow(static_cast<std::size_t>(r)));
-  }
+  out.AppendRows(table, static_cast<std::size_t>(begin), static_cast<std::size_t>(end));
   return out;
 }
 
@@ -387,9 +384,7 @@ MultiDeviceReport MultiDeviceExecutor::Run(
       merged.Reserve(rows);
       for (const ShardReport& shard : shards) {
         const Table& part = shard.report.sink_results.at(sink);
-        for (std::size_t r = 0; r < part.row_count(); ++r) {
-          merged.AppendRow(part.GetRow(r));
-        }
+        merged.AppendRows(part, 0, part.row_count());
       }
       sink_bytes += merged.byte_size();
       combined.sink_results.emplace(sink, std::move(merged));

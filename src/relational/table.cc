@@ -57,6 +57,32 @@ void Table::AppendRow(std::span<const Value> row) {
   ++row_count_;
 }
 
+void Table::AppendRows(const Table& other, std::size_t begin, std::size_t end) {
+  KF_REQUIRE(&other != this) << "a table cannot append its own rows";
+  KF_REQUIRE(begin <= end && end <= other.row_count_)
+      << "rows [" << begin << ", " << end << ") out of range (" << other.row_count_
+      << ")";
+  KF_REQUIRE(other.columns_.size() == columns_.size())
+      << "appending " << other.schema_.ToString() << " to " << schema_.ToString();
+  for (std::size_t c = 0; c < columns_.size(); ++c) {
+    KF_REQUIRE(other.columns_[c].type() == columns_[c].type())
+        << "appending " << other.schema_.ToString() << " to " << schema_.ToString();
+  }
+  const auto append = [begin, end](auto& to, const auto& from) {
+    to.insert(to.end(), from.begin() + static_cast<std::ptrdiff_t>(begin),
+              from.begin() + static_cast<std::ptrdiff_t>(end));
+  };
+  for (std::size_t c = 0; c < columns_.size(); ++c) {
+    const Column& from = other.columns_[c];
+    switch (from.type()) {
+      case DataType::kInt32: append(columns_[c].AsInt32(), from.AsInt32()); break;
+      case DataType::kInt64: append(columns_[c].AsInt64(), from.AsInt64()); break;
+      case DataType::kFloat64: append(columns_[c].AsFloat64(), from.AsFloat64()); break;
+    }
+  }
+  row_count_ += end - begin;
+}
+
 void Table::SyncRowCountFromColumns() {
   KF_REQUIRE(!columns_.empty()) << "table has no columns";
   const std::size_t rows = columns_.front().size();

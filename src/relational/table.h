@@ -66,6 +66,9 @@ class Table {
     AppendRow(std::span<const Value>(row.begin(), row.size()));
   }
   Row GetRow(std::size_t i) const;
+  // Appends rows [begin, end) of `other`, whose columns have this table's
+  // types, one typed insert per column.
+  void AppendRows(const Table& other, std::size_t begin, std::size_t end);
 
   // For bulk columnar fills that bypass AppendRow (typed column access):
   // validates that all columns have equal length and adopts it as the row

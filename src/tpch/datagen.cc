@@ -120,15 +120,15 @@ TpchData MakeTpchData(const TpchConfig& config) {
 
 namespace {
 
-Table SplitColumn(const Table& lineitem, const char* name, const std::string& source_field,
-                  DataType type) {
-  Table out(Schema{{"rowid", DataType::kInt64}, {name, type}});
-  out.Reserve(lineitem.row_count());
-  const auto& rowid_col = lineitem.column("l_rowid");
-  const auto& value_col = lineitem.column(source_field);
-  for (std::size_t r = 0; r < lineitem.row_count(); ++r) {
-    out.AppendRow({rowid_col.Get(r), value_col.Get(r)});
-  }
+// (rowid, one lineitem column), sharing lineitem's rows (columns are
+// copy-on-write).
+Table SplitColumn(const Table& lineitem, const char* name,
+                  const std::string& source_field) {
+  const relational::Column& value = lineitem.column(source_field);
+  Table out(Schema{{"rowid", DataType::kInt64}, {name, value.type()}});
+  out.column(0) = lineitem.column("l_rowid");
+  out.column(1) = value;
+  out.SyncRowCountFromColumns();
   return out;
 }
 
@@ -136,14 +136,27 @@ Table SplitColumn(const Table& lineitem, const char* name, const std::string& so
 
 Q1Columns SplitQ1Columns(const Table& lineitem) {
   Q1Columns columns;
-  columns.shipdate = SplitColumn(lineitem, "shipdate", "l_shipdate", DataType::kInt32);
-  columns.quantity = SplitColumn(lineitem, "quantity", "l_quantity", DataType::kInt32);
-  columns.price = SplitColumn(lineitem, "price", "l_extendedprice", DataType::kFloat64);
-  columns.discount = SplitColumn(lineitem, "discount", "l_discount", DataType::kFloat64);
-  columns.tax = SplitColumn(lineitem, "tax", "l_tax", DataType::kFloat64);
-  columns.flag = SplitColumn(lineitem, "flag", "l_returnflag", DataType::kInt32);
-  columns.status = SplitColumn(lineitem, "status", "l_linestatus", DataType::kInt32);
+  columns.shipdate = SplitColumn(lineitem, "shipdate", "l_shipdate");
+  columns.quantity = SplitColumn(lineitem, "quantity", "l_quantity");
+  columns.price = SplitColumn(lineitem, "price", "l_extendedprice");
+  columns.discount = SplitColumn(lineitem, "discount", "l_discount");
+  columns.tax = SplitColumn(lineitem, "tax", "l_tax");
+  columns.flag = SplitColumn(lineitem, "flag", "l_returnflag");
+  columns.status = SplitColumn(lineitem, "status", "l_linestatus");
   return columns;
+}
+
+Table LineitemSlice(const Table& lineitem, std::initializer_list<const char*> fields) {
+  std::vector<relational::Field> schema;
+  for (const char* field : fields) {
+    schema.push_back({field, lineitem.column(field).type()});
+  }
+  Table out{Schema(std::move(schema))};
+  for (std::size_t c = 0; c < out.column_count(); ++c) {
+    out.column(c) = lineitem.column(out.schema().field(c).name);
+  }
+  out.SyncRowCountFromColumns();
+  return out;
 }
 
 }  // namespace kf::tpch

@@ -12,6 +12,7 @@
 #define KF_TPCH_DATAGEN_H_
 
 #include <cstdint>
+#include <initializer_list>
 
 #include "relational/table.h"
 
@@ -68,6 +69,11 @@ struct Q1Columns {
 };
 
 Q1Columns SplitQ1Columns(const relational::Table& lineitem);
+
+// The named lineitem columns, in the given order. The slice shares
+// lineitem's rows (columns are copy-on-write), so building it copies none.
+relational::Table LineitemSlice(const relational::Table& lineitem,
+                                std::initializer_list<const char*> fields);
 
 }  // namespace kf::tpch
 

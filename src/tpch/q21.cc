@@ -16,27 +16,6 @@ using relational::Schema;
 using relational::Table;
 using relational::Value;
 
-namespace {
-
-// The slice of lineitem Q21 streams: (orderkey, suppkey, commit, receipt).
-Table LineitemSlice(const Table& lineitem) {
-  Table out(Schema{{"l_orderkey", DataType::kInt64},
-                   {"l_suppkey", DataType::kInt64},
-                   {"l_commitdate", DataType::kInt32},
-                   {"l_receiptdate", DataType::kInt32}});
-  out.Reserve(lineitem.row_count());
-  const auto& okey = lineitem.column("l_orderkey");
-  const auto& skey = lineitem.column("l_suppkey");
-  const auto& commit = lineitem.column("l_commitdate");
-  const auto& receipt = lineitem.column("l_receiptdate");
-  for (std::size_t r = 0; r < lineitem.row_count(); ++r) {
-    out.AppendRow({okey.Get(r), skey.Get(r), commit.Get(r), receipt.Get(r)});
-  }
-  return out;
-}
-
-}  // namespace
-
 QueryPlan BuildQ21Plan(const TpchData& data) {
   QueryPlan plan;
   auto add_source = [&](const char* name, Table table) {
@@ -45,7 +24,11 @@ QueryPlan BuildQ21Plan(const TpchData& data) {
     plan.sources.emplace(id, std::move(table));
     return id;
   };
-  const NodeId src_l1 = add_source("lineitem", LineitemSlice(data.lineitem));
+  // The slice of lineitem Q21 streams: (orderkey, suppkey, commit, receipt).
+  const NodeId src_l1 = add_source(
+      "lineitem",
+      LineitemSlice(data.lineitem,
+                    {"l_orderkey", "l_suppkey", "l_commitdate", "l_receiptdate"}));
   const NodeId src_orders = add_source("orders", data.orders);
   const NodeId src_supplier = add_source("supplier", data.supplier);
   const NodeId src_nation = add_source("nation", data.nation);

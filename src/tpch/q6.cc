@@ -23,28 +23,13 @@ constexpr double kDiscountLo = 0.05;
 constexpr double kDiscountHi = 0.07;
 constexpr std::int32_t kMaxQuantity = 24;
 
-// The slice of lineitem Q6 streams: (shipdate, discount, quantity, price).
-Table LineitemSlice(const Table& lineitem) {
-  Table out(Schema{{"l_shipdate", DataType::kInt32},
-                   {"l_discount", DataType::kFloat64},
-                   {"l_quantity", DataType::kInt32},
-                   {"l_extendedprice", DataType::kFloat64}});
-  out.Reserve(lineitem.row_count());
-  const auto& ship = lineitem.column("l_shipdate");
-  const auto& disc = lineitem.column("l_discount");
-  const auto& qty = lineitem.column("l_quantity");
-  const auto& price = lineitem.column("l_extendedprice");
-  for (std::size_t r = 0; r < lineitem.row_count(); ++r) {
-    out.AppendRow({ship.Get(r), disc.Get(r), qty.Get(r), price.Get(r)});
-  }
-  return out;
-}
-
 }  // namespace
 
 QueryPlan BuildQ6Plan(const TpchData& data) {
   QueryPlan plan;
-  Table slice = LineitemSlice(data.lineitem);
+  // The slice of lineitem Q6 streams: (shipdate, discount, quantity, price).
+  Table slice = LineitemSlice(
+      data.lineitem, {"l_shipdate", "l_discount", "l_quantity", "l_extendedprice"});
   const NodeId src =
       plan.graph.AddSource("lineitem", slice.schema(), slice.row_count());
   plan.source_bytes = slice.byte_size();

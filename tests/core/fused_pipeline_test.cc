@@ -329,5 +329,111 @@ TEST(FusedPipeline, FloatKeysGroupAndJoinAsTheReferenceDoes) {
   EXPECT_EQ(reference.at(g.Sinks()[0]).row_count(), 6u);
 }
 
+// (k, row): the given keys in order, each row numbered.
+Table Keyed(DataType key_type, const std::vector<std::int64_t>& keys) {
+  Table t(Schema{{"k", key_type}, {"row", DataType::kInt64}});
+  for (std::size_t r = 0; r < keys.size(); ++r) {
+    const Value key = key_type == DataType::kInt32
+                          ? Value::Int32(static_cast<std::int32_t>(keys[r]))
+                          : Value::Int64(keys[r]);
+    t.AppendRow({key, Value::Int64(static_cast<std::int64_t>(r))});
+  }
+  return t;
+}
+
+// JOINs probe.k with build.k fused and operator at a time, and returns the
+// number of joined rows.
+std::size_t CheckJoin(const Table& probe, const Table& build) {
+  OpGraph g;
+  const NodeId src = g.AddSource("probe", probe.schema(), 0);
+  const NodeId b = g.AddSource("build", build.schema(), 0);
+  const NodeId join = g.AddOperator(OperatorDesc::Join(0, 0, "join"), src, b);
+  for (int chunks : {1, 16}) {
+    CheckFusionEquivalence(g, {{src, probe}, {b, build}}, chunks);
+  }
+  return ApplyOperator(g.node(join).desc, probe, &build).row_count();
+}
+
+constexpr std::int64_t kInt64Min = std::numeric_limits<std::int64_t>::min();
+constexpr std::int64_t kInt64Max = std::numeric_limits<std::int64_t>::max();
+
+// Build keys spanning fewer than twice the build rows index a direct table,
+// whose range check must reject min - 1 (an offset of 2^64 - 1) and max + 1.
+TEST(FusedPipeline, DenseJoinKeysRejectProbesJustOutsideTheirRange) {
+  std::vector<std::int64_t> build_keys;
+  for (std::int64_t k = 100; k < 200; ++k) build_keys.push_back((k * 37) % 100 + 100);
+  const Table probe = Keyed(
+      DataType::kInt64, {98, 99, 100, 150, 199, 200, 201, 0, -1, kInt64Min, kInt64Max});
+  EXPECT_EQ(CheckJoin(probe, Keyed(DataType::kInt64, build_keys)), 3u);
+}
+
+TEST(FusedPipeline, DenseJoinKeysStartingAtInt64Min) {
+  const Table build =
+      Keyed(DataType::kInt64, {kInt64Min + 3, kInt64Min, kInt64Min + 1, kInt64Min + 2,
+                               kInt64Min + 5});
+  // kInt64Max is min - 1 in 64-bit arithmetic.
+  const Table probe =
+      Keyed(DataType::kInt64, {kInt64Min, kInt64Min + 4, kInt64Min + 5, kInt64Max,
+                               kInt64Min + 10, 0, -1, kInt64Min + 1});
+  EXPECT_EQ(CheckJoin(probe, build), 3u);
+}
+
+TEST(FusedPipeline, DenseDuplicateJoinKeysKeepBuildOrder) {
+  std::vector<std::int64_t> build_keys;
+  for (std::int64_t r = 0; r < 60; ++r) build_keys.push_back((r * 7) % 20);
+  std::vector<std::int64_t> probe_keys;
+  for (std::int64_t k = -2; k < 25; ++k) probe_keys.push_back(k);
+  EXPECT_EQ(
+      CheckJoin(Keyed(DataType::kInt64, probe_keys), Keyed(DataType::kInt64, build_keys)),
+      60u);
+}
+
+// n = 50 build rows: a key range of 2n - 1 indexes directly, one of 2n hashes.
+TEST(FusedPipeline, JoinKeyRangesAtTheDirectIndexBound) {
+  std::vector<std::int64_t> probe_keys;
+  for (std::int64_t k = -1; k <= 101; ++k) probe_keys.push_back(k);
+  const Table probe = Keyed(DataType::kInt64, probe_keys);
+  for (std::int64_t max_key : {99, 100}) {
+    std::vector<std::int64_t> build_keys;
+    for (std::int64_t k = 0; k < 98; k += 2) build_keys.push_back(k);
+    build_keys.push_back(max_key);
+    ASSERT_EQ(build_keys.size(), 50u);
+    EXPECT_EQ(CheckJoin(probe, Keyed(DataType::kInt64, build_keys)), 50u) << max_key;
+  }
+}
+
+TEST(FusedPipeline, JoinOfAnEmptyBuildSideMatchesNothing) {
+  for (DataType type : {DataType::kInt32, DataType::kInt64}) {
+    EXPECT_EQ(CheckJoin(Keyed(DataType::kInt64, {0, 1, -1, kInt64Min, kInt64Max}),
+                        Keyed(type, {})),
+              0u);
+  }
+}
+
+TEST(FusedPipeline, Int32AndInt64JoinKeysCompareByValue) {
+  constexpr std::int64_t kTwo32 = std::int64_t{1} << 32;
+  std::vector<std::int64_t> dense;
+  for (std::int64_t k = -50; k < 50; ++k) dense.push_back(k);
+  std::vector<std::int64_t> wide_probe{kTwo32 - 50, kTwo32, -kTwo32 + 10, kInt64Min,
+                                       kInt64Max};
+  for (std::int64_t k = -60; k <= 60; ++k) wide_probe.push_back(k);
+  // int32 build keys probed by int64 keys: 2^32 - 50 must not match -50.
+  EXPECT_EQ(
+      CheckJoin(Keyed(DataType::kInt64, wide_probe), Keyed(DataType::kInt32, dense)),
+      100u);
+  // int64 build keys probed by int32 keys.
+  std::vector<std::int64_t> narrow_probe{std::numeric_limits<std::int32_t>::min(),
+                                         std::numeric_limits<std::int32_t>::max()};
+  for (std::int64_t k = -60; k <= 60; ++k) narrow_probe.push_back(k);
+  EXPECT_EQ(
+      CheckJoin(Keyed(DataType::kInt32, narrow_probe), Keyed(DataType::kInt64, dense)),
+      100u);
+  // int32 build keys from INT32_MIN: int64 probes one below and far above.
+  const std::int64_t lo = std::numeric_limits<std::int32_t>::min();
+  EXPECT_EQ(CheckJoin(Keyed(DataType::kInt64, {lo - 1, lo, lo + 3, lo + 4, kTwo32 + lo}),
+                      Keyed(DataType::kInt32, {lo + 3, lo, lo + 1, lo + 2})),
+            2u);
+}
+
 }  // namespace
 }  // namespace kf::core

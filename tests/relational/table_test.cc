@@ -129,6 +129,30 @@ TEST(Table, CopySharesEveryColumn) {
   EXPECT_EQ(copy.GetRow(100)[0].as_int(), -1);
 }
 
+TEST(Table, AppendRowsCopiesARangeIntoItsOwnRows) {
+  const Table source = Numbered(10);
+  Table out = Numbered(2);
+  const Table before = out;  // shares out's rows
+  out.AppendRows(source, 3, 7);
+  ASSERT_EQ(out.row_count(), 6u);
+  for (std::size_t r = 0; r < 4; ++r) EXPECT_EQ(out.GetRow(2 + r), source.GetRow(3 + r));
+  EXPECT_EQ(before.column(0).size(), 2u);
+  EXPECT_EQ(source.row_count(), 10u);
+  out.AppendRows(source, 10, 10);
+  EXPECT_EQ(out.row_count(), 6u);
+
+  // A rejected append changes nothing.
+  Table ints(Schema{{"k", DataType::kInt64}, {"v", DataType::kInt64}});
+  ints.AppendRow({Value::Int64(1), Value::Int64(2)});
+  EXPECT_THROW(out.AppendRows(ints, 0, 1), Error);
+  EXPECT_THROW(out.AppendRows(source, 8, 11), Error);
+  EXPECT_THROW(out.AppendRows(source, 5, 4), Error);
+  EXPECT_THROW(out.AppendRows(out, 0, 1), Error);
+  EXPECT_EQ(out.row_count(), 6u);
+  EXPECT_EQ(out.column(0).size(), 6u);
+  EXPECT_EQ(out.column(1).size(), 6u);
+}
+
 // A silent-corruption flip on a table that shares its rows (an executor's
 // bare-source sink result shares the caller's source) writes its own rows.
 TEST(Table, FlipRandomBitOnACopyLeavesTheOriginal) {

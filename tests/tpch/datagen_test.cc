@@ -118,6 +118,28 @@ TEST(SplitQ1Columns, SevenAlignedColumnTables) {
   }
   // Row ids align across the splits.
   EXPECT_EQ(columns.shipdate.column(0).Get(5), columns.price.column(0).Get(5));
+  // Every split shares lineitem's rows: building it copies none.
+  for (const relational::Table* t : {&columns.shipdate, &columns.tax, &columns.status}) {
+    EXPECT_EQ(t->column(0).AsInt64().data(),
+              data.lineitem.column("l_rowid").AsInt64().data());
+  }
+  EXPECT_EQ(columns.price.column(1).AsFloat64().data(),
+            data.lineitem.column("l_extendedprice").AsFloat64().data());
+}
+
+TEST(LineitemSlice, SharesTheNamedColumnsInOrder) {
+  TpchConfig config;
+  config.order_count = 50;
+  const TpchData data = MakeTpchData(config);
+  const relational::Table slice =
+      LineitemSlice(data.lineitem, {"l_quantity", "l_orderkey"});
+  EXPECT_EQ(slice.schema().ToString(), "(l_quantity:i32, l_orderkey:i64)");
+  EXPECT_EQ(slice.row_count(), data.lineitem.row_count());
+  EXPECT_EQ(slice.column(0).AsInt32().data(),
+            data.lineitem.column("l_quantity").AsInt32().data());
+  EXPECT_EQ(slice.column(1).AsInt64().data(),
+            data.lineitem.column("l_orderkey").AsInt64().data());
+  EXPECT_THROW(LineitemSlice(data.lineitem, {"l_nope"}), Error);
 }
 
 }  // namespace
