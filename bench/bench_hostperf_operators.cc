@@ -1,9 +1,10 @@
 // Wall-clock microbenchmarks (google-benchmark) of the host-side functional
 // substrate on THIS machine: the executor's staged kernels
 // (core::ExecuteCluster) over SELECT (int32 typed kernels and int64 column
-// programs), fused and unfused SELECT chains, float64 ARITH, JOIN on dense
-// and on sparse keys, AGGREGATE and SORT clusters (one int32, one int64 and
-// two int64 keys), the radix argsort, and compression. These are
+// programs), fused and unfused SELECT chains, float64 ARITH, JOIN on
+// positional, dense and sparse keys, AGGREGATE on dense and sparse keys,
+// SORT clusters (one int32, one int64 and two int64 keys), the radix
+// argsort, and compression. These are
 // sanity checks that the functional layer is itself reasonable code — the
 // paper's figures come from the simulated device, not from these timings.
 #include <benchmark/benchmark.h>
@@ -189,14 +190,37 @@ void BM_ClusterJoinSparse(benchmark::State& state) {
 }
 BENCHMARK(BM_ClusterJoinSparse);
 
-// Grouped SUM of 2^20 float64 values over 64 int64 groups.
-void BM_ClusterAggregate(benchmark::State& state) {
+// The same JOIN against a positional build side: row r holds key r, for r
+// below 2^14, so a probe addresses its build row with no index at all, and
+// every probe row matches once, so the probe columns pass on ungathered.
+void BM_ClusterJoinPositional(benchmark::State& state) {
+  const std::size_t probe_rows = 1 << 18;
+  const std::int64_t build_rows = 1 << 14;
+  core::OpGraph graph;
+  Table probe = MakeKV(probe_rows, build_rows - 1, 3);
+  Rng rng(4);
+  Table build(probe.schema());
+  build.Reserve(static_cast<std::size_t>(build_rows));
+  for (std::int64_t r = 0; r < build_rows; ++r) {
+    build.AppendRow({Value::Int64(r), Value::Int64(rng.UniformInt(0, 100))});
+  }
+  const NodeId probe_id = graph.AddSource("probe", probe.schema(), probe_rows);
+  const NodeId build_id = graph.AddSource("build", build.schema(), build.row_count());
+  graph.AddOperator(OperatorDesc::Join(0, 0), probe_id, build_id);
+  RunGraph(state, graph, {{probe_id, std::move(probe)}, {build_id, std::move(build)}},
+           probe_rows);
+}
+BENCHMARK(BM_ClusterJoinPositional);
+
+// Grouped SUM of 2^20 float64 values over 64 int64 groups whose keys are
+// 0..63 times `stride`.
+void RunAggregate(benchmark::State& state, std::int64_t stride) {
   const std::size_t rows = 1 << 20;
   Rng rng(4);
   Table data(relational::Schema{{"g", DataType::kInt64}, {"v", DataType::kFloat64}});
   data.Reserve(rows);
   for (std::size_t r = 0; r < rows; ++r) {
-    data.AppendRow({Value::Int64(rng.UniformInt(0, 63)),
+    data.AppendRow({Value::Int64(stride * rng.UniformInt(0, 63)),
                     Value::Float64(rng.UniformDouble(0.0, 1.0))});
   }
   core::OpGraph graph;
@@ -206,7 +230,16 @@ void BM_ClusterAggregate(benchmark::State& state) {
       src);
   RunGraph(state, graph, {{src, std::move(data)}}, rows);
 }
+
+// Keys 0..63: dense in every chunk and merged, so groups are numbered by a
+// direct index.
+void BM_ClusterAggregate(benchmark::State& state) { RunAggregate(state, 1); }
 BENCHMARK(BM_ClusterAggregate);
+
+// Keys 2^20 apart: they span more than twice the rows of a chunk and of the
+// merge, so groups are hashed.
+void BM_ClusterAggregateSparse(benchmark::State& state) { RunAggregate(state, 1 << 20); }
+BENCHMARK(BM_ClusterAggregateSparse);
 
 // SORT of 2^20 rows on one int32 key: the barrier kernel's radix argsort
 // plus its gather.

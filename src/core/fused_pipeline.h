@@ -15,12 +15,18 @@
 //              CompilePredicate lowers on an int32 column, a typed column
 //              program compiled once per cluster otherwise), PROJECT remaps
 //              columns, ARITH appends a column its program computes,
-//              JOIN/PRODUCT expand probe/build row-id pairs against an index
-//              built once per cluster, and AGGREGATE folds into per-chunk
-//              partials;
+//              JOIN/PRODUCT expand probe/build row-id pairs (a JOIN probes
+//              an index built once per cluster, or addresses a positional
+//              build side, whose row r holds key k0 + r, by k - k0, and
+//              passes its probe columns on ungathered when every probe row
+//              matched once), and AGGREGATE numbers each chunk's groups
+//              (through a direct index over the keys' mixed-radix offset
+//              when its integer keys are dense) and folds every aggregate
+//              column-at-a-time into a per-chunk partial;
 //   gather     each cluster output is materialized once, into typed
 //              columns, chunk after chunk; aggregate partials merge in
-//              chunk order.
+//              chunk order, through a direct index when their keys are
+//              dense over the partial groups.
 //
 // No intermediate relation leaves its chunk — that is the entire point of
 // kernel fusion.

@@ -233,6 +233,9 @@ struct FunctionalPass {
   std::map<NodeId, Table> computed;      // cluster outputs
   std::map<NodeId, std::uint64_t> rows;  // realized (or estimated) row counts
   std::map<NodeId, std::uint64_t> audit_checksums;
+  // Traced functional runs: each cluster's ExecuteCluster call, in the
+  // tracer's wall seconds.
+  std::vector<std::pair<double, double>> cluster_wall;
 };
 
 // Functional mode runs every cluster as one staged kernel (fused or a
@@ -276,9 +279,11 @@ FunctionalPass Functional(const RunContext& run, const Planned& planned,
     out.rows[src] = sources->at(src).row_count();
   }
   for (std::size_t c = 0; c < planned.plan.clusters.size(); ++c) {
+    const double wall_start = span != 0 ? trace.tracer->WallNow() : 0.0;
     ClusterExecution exec =
         ExecuteCluster(graph, planned.plan.clusters[c], lookup, run.options.chunk_count,
                        pool, planned.audited[c] != 0);
+    if (span != 0) out.cluster_wall.emplace_back(wall_start, trace.tracer->WallNow());
     for (const auto& [id, digest] : exec.output_checksums) {
       out.audit_checksums[id] = digest;
     }
@@ -849,9 +854,11 @@ void AddLeaf(const RunTrace& trace, obs::SpanId parent, const Schedule& schedule
 
 // Runs the schedule's timeline. With a tracer, the cluster and segment spans
 // open first, in schedule order; then every row becomes a leaf under the span
-// it names, in issue order, and each structural span takes the interval of
-// its commands.
-Simulated Simulate(const RunContext& run, const Schedule& schedule) {
+// it names, in issue order, and each structural span takes the sim interval
+// of its commands. A cluster span's wall interval is its functional run
+// (`cluster_wall`), empty in a timing-only run.
+Simulated Simulate(const RunContext& run, const Schedule& schedule,
+                   const std::vector<std::pair<double, double>>& cluster_wall) {
   const RunTrace& trace = run.trace;
   Simulated out;
   if (trace.tracer == nullptr) {
@@ -909,6 +916,12 @@ Simulated Simulate(const RunContext& run, const Schedule& schedule) {
     } else {
       tracer.EndSpan(trace.context, span.id, 0.0);
     }
+  }
+  const double now = tracer.WallNow();
+  for (std::size_t c = 0; c < out.cluster_spans.size(); ++c) {
+    const auto [start, end] =
+        c < cluster_wall.size() ? cluster_wall[c] : std::pair{now, now};
+    tracer.SetSpanWall(trace.context, out.cluster_spans[c], start, end);
   }
   return out;
 }
@@ -1444,7 +1457,7 @@ ExecutionReport QueryExecutor::Run(const OpGraph& graph,
   FunctionalPass functional = Functional(run, planned, sources, row_counts, pool_);
   const Schedule schedule =
       BuildSchedule(graph, planned, functional.rows, options, device_, cost_model_);
-  Simulated simulated = Simulate(run, schedule);
+  Simulated simulated = Simulate(run, schedule, functional.cluster_wall);
   ExecutionReport report;
   const Recovery recovery = Recover(run, schedule, simulated, report);
   Account(run, planned, sources, std::move(functional), schedule, std::move(simulated),

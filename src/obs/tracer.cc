@@ -156,6 +156,17 @@ void Tracer::SetSpanInterval(const TraceContext& ctx, SpanId id,
   span.wall_end = wall;
 }
 
+void Tracer::SetSpanWall(const TraceContext& ctx, SpanId id, double wall_start,
+                         double wall_end) {
+  Stripe& stripe = StripeFor(ctx.query_id);
+  std::lock_guard<std::mutex> lock(stripe.mutex);
+  auto it = stripe.live.find(ctx.query_id);
+  if (it == stripe.live.end() || id == 0 || id > it->second.spans.size()) return;
+  Span& span = it->second.spans[id - 1];
+  span.wall_start = wall_start;
+  span.wall_end = wall_end;
+}
+
 SpanId Tracer::AddSpan(const TraceContext& ctx, SpanId parent,
                        std::string name, std::string lane, double sim_start,
                        double sim_end, std::string category) {

@@ -143,9 +143,13 @@ class Tracer {
   // Closes a span. Unknown ids are ignored (a span may outlive pruning).
   void EndSpan(const TraceContext& ctx, SpanId id, double sim_end);
   // Rewrites a span's sim interval (used when the real interval is only
-  // known after the timeline ran). Wall times are left untouched.
+  // known after the timeline ran) and closes its wall interval now.
   void SetSpanInterval(const TraceContext& ctx, SpanId id, double sim_start,
                        double sim_end);
+  // Rewrites a span's wall interval (WallNow seconds), for work timed before
+  // its span was opened.
+  void SetSpanWall(const TraceContext& ctx, SpanId id, double wall_start,
+                   double wall_end);
   // Records a complete leaf span in one call.
   SpanId AddSpan(const TraceContext& ctx, SpanId parent, std::string name,
                  std::string lane, double sim_start, double sim_end,

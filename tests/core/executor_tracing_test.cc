@@ -16,6 +16,7 @@
 #include "core/query_executor.h"
 #include "core/select_chain.h"
 #include "obs/tracer.h"
+#include "relational/operators.h"
 #include "sim/fault_injector.h"
 
 namespace kf::core {
@@ -371,6 +372,49 @@ TEST_F(ExecutorTracingTest, TracedRunKeepsTheSameSimTiming) {
   EXPECT_DOUBLE_EQ(traced.makespan, plain.makespan);
   EXPECT_EQ(traced.h2d_bytes, plain.h2d_bytes);
   EXPECT_EQ(traced.d2h_bytes, plain.d2h_bytes);
+}
+
+// Each cluster span's wall interval is its functional run: inside the
+// `functional` span, in plan order, without overlap. A timing-only run has
+// no functional run, so its cluster spans' wall intervals are empty.
+TEST_F(ExecutorTracingTest, ClusterSpansTakeTheWallTimeOfTheirFunctionalRun) {
+  // SELECT, SORT, SELECT: the barrier splits three clusters.
+  const Table data = MakeUniformInt32Table(20000);
+  OpGraph graph;
+  const NodeId src = graph.AddSource("in", data.schema(), data.row_count());
+  using relational::Expr;
+  using relational::OperatorDesc;
+  NodeId last = graph.AddOperator(
+      OperatorDesc::Select(Expr::Lt(Expr::FieldRef(0), Expr::Lit(1 << 30))), src);
+  last = graph.AddOperator(OperatorDesc::Sort({0}), last);
+  graph.AddOperator(OperatorDesc::Select(Expr::Gt(Expr::FieldRef(0), Expr::Lit(0))),
+                    last);
+  (void)executor_.Execute(graph, {{src, data}}, Options(Strategy::kFused));
+  const QueryTrace trace = tracer_.Snapshot(LastQueryId());
+  const obs::Span* functional = nullptr;
+  std::vector<const obs::Span*> clusters;
+  for (const obs::Span& span : trace.spans) {
+    if (span.name == "functional") functional = &span;
+    if (span.name.rfind("cluster ", 0) == 0) clusters.push_back(&span);
+  }
+  ASSERT_NE(functional, nullptr);
+  ASSERT_EQ(clusters.size(), 3u);
+  double previous_end = functional->wall_start;
+  for (const obs::Span* cluster : clusters) {
+    EXPECT_GE(cluster->wall_start, previous_end) << cluster->name;
+    EXPECT_GE(cluster->wall_end, cluster->wall_start) << cluster->name;
+    previous_end = cluster->wall_end;
+  }
+  EXPECT_LE(previous_end, functional->wall_end);
+
+  (void)executor_.EstimateOnly(graph, {}, Options(Strategy::kFused));
+  std::size_t timed_clusters = 0;
+  for (const obs::Span& span : tracer_.Snapshot(LastQueryId()).spans) {
+    if (span.name.rfind("cluster ", 0) != 0) continue;
+    ++timed_clusters;
+    EXPECT_EQ(span.wall_start, span.wall_end) << span.name;
+  }
+  EXPECT_EQ(timed_clusters, 3u);
 }
 
 }  // namespace
