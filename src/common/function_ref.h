@@ -1,6 +1,6 @@
 // A non-owning, trivially-copyable callable reference.
 //
-// The hot host-execution paths (ParallelFor blocks, per-chunk staged-kernel
+// The hot host-execution paths (ParallelForEach loops, per-chunk staged-kernel
 // bodies) used to box every callable into a std::function, which heap-
 // allocates for captures beyond the small-buffer size and defeats inlining.
 // FunctionRef is two words (object pointer + thunk pointer), never allocates,

@@ -23,39 +23,11 @@ ThreadPool::~ThreadPool() {
   for (auto& worker : workers_) worker.join();
 }
 
-void ThreadPool::Submit(std::function<void()> task) {
-  {
-    std::lock_guard lock(mutex_);
-    queue_.push_back(std::move(task));
-    ++in_flight_;
-  }
-  work_available_.notify_one();
-}
-
-void ThreadPool::Wait() {
-  // Help drain the queue so that a Wait issued from inside a worker (nested
-  // parallelism) cannot deadlock waiting for itself.
-  std::unique_lock lock(mutex_);
-  while (in_flight_ != 0) {
-    if (!queue_.empty()) {
-      auto task = std::move(queue_.front());
-      queue_.pop_front();
-      lock.unlock();
-      task();
-      lock.lock();
-      if (--in_flight_ == 0) all_done_.notify_all();
-    } else {
-      all_done_.wait(lock, [this] { return in_flight_ == 0 || !queue_.empty(); });
-    }
-  }
-}
-
-void ThreadPool::RunJobBlocks(ParallelJob* job) {
+void ThreadPool::RunJob(ParallelJob* job) {
   for (;;) {
-    const std::size_t begin =
-        job->next.fetch_add(job->block_size, std::memory_order_relaxed);
-    if (begin >= job->n) return;
-    job->body(begin, std::min(job->n, begin + job->block_size));
+    const std::size_t i = job->next.fetch_add(1, std::memory_order_relaxed);
+    if (i >= job->count) return;
+    job->body(i);
   }
 }
 
@@ -63,82 +35,47 @@ bool ThreadPool::TryRunJob(ParallelJob& job) {
   {
     std::lock_guard lock(mutex_);
     // Another loop is already in flight (concurrent caller, or a nested
-    // ParallelFor from inside a job body): degrade to inline execution.
+    // ParallelForEach from inside a job body): degrade to inline execution.
     if (job_ != nullptr) return false;
     job_ = &job;
   }
   work_available_.notify_all();
-  RunJobBlocks(&job);
+  RunJob(&job);
   std::unique_lock lock(mutex_);
   all_done_.wait(lock, [&job] { return job.active_workers == 0; });
   job_ = nullptr;
   return true;
 }
 
-void ThreadPool::ParallelFor(std::size_t n,
-                             FunctionRef<void(std::size_t, std::size_t)> body) {
-  if (n == 0) return;
-  const std::size_t threads = thread_count();
-  if (threads <= 1 || n < 2048) {
-    body(0, n);
-    return;
-  }
-  // ~4x oversubscription for load balance, but never blocks so small that
-  // the atomic claim dominates the body.
-  const std::size_t block_size =
-      std::max<std::size_t>(512, (n + threads * 4 - 1) / (threads * 4));
-  ParallelJob job{body, n, block_size};
-  if (!TryRunJob(job)) body(0, n);
-}
-
 void ThreadPool::ParallelForEach(std::size_t count,
                                  FunctionRef<void(std::size_t)> body) {
   if (count == 0) return;
-  if (thread_count() <= 1 || count == 1) {
-    for (std::size_t i = 0; i < count; ++i) body(i);
-    return;
+  if (thread_count() > 1 && count > 1) {
+    ParallelJob job{body, count};
+    if (TryRunJob(job)) return;
   }
-  auto block_body = [&body](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) body(i);
-  };
-  // block_size 1: each index is a whole chunk of work.
-  ParallelJob job{block_body, count, 1};
-  if (!TryRunJob(job)) block_body(0, count);
-}
-
-ThreadPool& ThreadPool::Shared() {
-  static ThreadPool pool;
-  return pool;
+  for (std::size_t i = 0; i < count; ++i) body(i);
 }
 
 void ThreadPool::WorkerLoop() {
   std::unique_lock lock(mutex_);
   for (;;) {
     work_available_.wait(lock, [this] {
-      return shutting_down_ || !queue_.empty() ||
+      return shutting_down_ ||
              (job_ != nullptr &&
-              job_->next.load(std::memory_order_relaxed) < job_->n);
+              job_->next.load(std::memory_order_relaxed) < job_->count);
     });
     if (job_ != nullptr &&
-        job_->next.load(std::memory_order_relaxed) < job_->n) {
+        job_->next.load(std::memory_order_relaxed) < job_->count) {
       ParallelJob* job = job_;
       ++job->active_workers;
       lock.unlock();
-      RunJobBlocks(job);
+      RunJob(job);
       lock.lock();
       if (--job->active_workers == 0) all_done_.notify_all();
       continue;
     }
-    if (!queue_.empty()) {
-      auto task = std::move(queue_.front());
-      queue_.pop_front();
-      lock.unlock();
-      task();
-      lock.lock();
-      if (--in_flight_ == 0) all_done_.notify_all();
-      continue;
-    }
-    if (shutting_down_) return;  // drained
+    if (shutting_down_) return;
   }
 }
 

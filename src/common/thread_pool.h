@@ -1,22 +1,20 @@
-// A small work-stealing-free thread pool with a blocking ParallelFor.
+// A small work-stealing-free thread pool with a blocking ParallelForEach.
 //
 // The pool backs the *functional* execution of staged kernels: each simulated
-// CTA becomes one task. Simulated time never depends on the pool — timing
-// comes from the cost model — so the pool only needs to be correct, not
-// cleverly scheduled.
+// CTA chunk becomes one index of a parallel loop. Simulated time never
+// depends on the pool — timing comes from the cost model — so the pool only
+// needs to be correct, not cleverly scheduled.
 //
-// ParallelFor/ParallelForEach dispatch through a stack-allocated job with an
-// atomic block counter: workers (and the calling thread) claim blocks with
+// ParallelForEach dispatches through a stack-allocated job with an atomic
+// index counter: workers (and the calling thread) claim indices with
 // fetch_add, so a parallel loop performs zero heap allocations regardless of
-// trip count. Submit keeps the std::function queue for irregular task graphs.
+// trip count.
 #ifndef KF_COMMON_THREAD_POOL_H_
 #define KF_COMMON_THREAD_POOL_H_
 
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <deque>
-#include <functional>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -36,42 +34,27 @@ class ThreadPool {
 
   std::size_t thread_count() const { return workers_.size(); }
 
-  // Enqueue a task; tasks must not throw (exceptions terminate).
-  void Submit(std::function<void()> task);
-
-  // Block until every submitted task has finished.
-  void Wait();
-
-  // Run body(begin, end) over a partition of [0, n) and block until done.
-  // Blocks are claimed from an atomic counter — no per-block heap allocation.
-  // Executes inline when n is small, the pool has a single thread, or another
-  // parallel loop is already in flight (nested/concurrent calls degrade to
-  // serial rather than deadlock).
-  void ParallelFor(std::size_t n,
-                   FunctionRef<void(std::size_t begin, std::size_t end)> body);
-
   // Run body(i) for i in [0, count) with one claim per index — for coarse
-  // per-chunk work where each index is a whole staged-kernel chunk.
+  // per-chunk work where each index is a whole staged-kernel chunk — and
+  // block until done. Executes inline when count is 1, the pool has a single
+  // thread, or another loop is already in flight (nested/concurrent calls
+  // degrade to serial rather than deadlock).
   void ParallelForEach(std::size_t count, FunctionRef<void(std::size_t)> body);
-
-  // Process-wide pool for library internals (sized to the machine).
-  static ThreadPool& Shared();
 
  private:
   // One fork-join loop, living on the caller's stack for its whole lifetime.
   // `active_workers` is guarded by the pool mutex; the caller only tears the
   // job down after it drops to zero, so no worker can touch a dead job.
   struct ParallelJob {
-    FunctionRef<void(std::size_t, std::size_t)> body;
-    std::size_t n = 0;
-    std::size_t block_size = 1;
+    FunctionRef<void(std::size_t)> body;
+    std::size_t count = 0;
     std::atomic<std::size_t> next{0};
     std::size_t active_workers = 0;
   };
 
   void WorkerLoop();
-  // Claims and runs blocks until the job is exhausted.
-  static void RunJobBlocks(ParallelJob* job);
+  // Claims and runs indices until the job is exhausted.
+  static void RunJob(ParallelJob* job);
   // Installs `job`, participates, and blocks until all helpers leave.
   // Returns false (without running anything) when another job is in flight.
   bool TryRunJob(ParallelJob& job);
@@ -79,10 +62,8 @@ class ThreadPool {
   std::mutex mutex_;
   std::condition_variable work_available_;
   std::condition_variable all_done_;
-  std::deque<std::function<void()>> queue_;
   std::vector<std::thread> workers_;
   ParallelJob* job_ = nullptr;
-  std::size_t in_flight_ = 0;
   bool shutting_down_ = false;
 };
 

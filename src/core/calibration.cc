@@ -49,16 +49,13 @@ void CostModelCalibrator::Update(Ewma& cell, double ratio) {
   if (cell.samples == 0) {
     cell.value = ratio;  // snap: makes re-calibration an exact fixed point
   } else {
-    cell.value += options_.ewma_alpha * (ratio - cell.value);
+    cell.value += kEwmaAlpha * (ratio - cell.value);
   }
   ++cell.samples;
 }
 
-double CostModelCalibrator::Corrected(const Ewma& cell, const Ewma& fallback,
-                                      int min_samples) {
-  const auto enough = [min_samples](const Ewma& e) {
-    return e.samples >= static_cast<std::uint64_t>(std::max(1, min_samples));
-  };
+double CostModelCalibrator::Corrected(const Ewma& cell, const Ewma& fallback) {
+  const auto enough = [](const Ewma& e) { return e.samples >= kMinSamples; };
   if (enough(cell)) return cell.value;
   if (enough(fallback)) return fallback.value;
   return 1.0;
@@ -72,7 +69,7 @@ void CostModelCalibrator::RecordError(double believed, double observed,
   if (error_samples_ == 0) {
     error_ewma_ = err;
   } else {
-    error_ewma_ += options_.ewma_alpha * (err - error_ewma_);
+    error_ewma_ += kEwmaAlpha * (err - error_ewma_);
   }
   ++error_samples_;
   ++observations_;
@@ -87,8 +84,7 @@ void CostModelCalibrator::ObserveCopy(sim::CopyDirection direction,
   const double ratio = observed / believed;
   std::lock_guard<std::mutex> lock(mutex_);
   Ewma& cell = copy_[DirIndex(direction)][KindIndex(kind)][SizeClass(bytes)];
-  RecordError(believed, observed,
-              Corrected(cell, copy_dir_[DirIndex(direction)], options_.min_samples));
+  RecordError(believed, observed, Corrected(cell, copy_dir_[DirIndex(direction)]));
   Update(cell, ratio);
   Update(copy_dir_[DirIndex(direction)], ratio);
 }
@@ -102,7 +98,7 @@ void CostModelCalibrator::ObserveKernel(KernelClass cls,
   const double ratio = observed / believed;
   std::lock_guard<std::mutex> lock(mutex_);
   Ewma& cell = kernel_class_[static_cast<std::size_t>(cls)];
-  RecordError(believed, observed, Corrected(cell, kernel_all_, options_.min_samples));
+  RecordError(believed, observed, Corrected(cell, kernel_all_));
   Update(cell, ratio);
   Update(kernel_all_, ratio);
 }
@@ -131,7 +127,7 @@ void CostModelCalibrator::EndRun() {
   const std::vector<double> current = CorrectionSnapshot();
   for (std::size_t i = 0; i < current.size(); ++i) {
     const double base = std::max(std::abs(epoch_snapshot_[i]), kTinyTime);
-    if (std::abs(current[i] - epoch_snapshot_[i]) / base > options_.epoch_threshold) {
+    if (std::abs(current[i] - epoch_snapshot_[i]) / base > kEpochThreshold) {
       ++epoch_;
       epoch_snapshot_ = current;
       return;
@@ -146,7 +142,7 @@ SimTime CostModelCalibrator::EstimateTransferTime(
   if (options_.frozen) return believed;
   std::lock_guard<std::mutex> lock(mutex_);
   return believed * Corrected(copy_[DirIndex(direction)][KindIndex(kind)][SizeClass(bytes)],
-                              copy_dir_[DirIndex(direction)], options_.min_samples);
+                              copy_dir_[DirIndex(direction)]);
 }
 
 SimTime CostModelCalibrator::EstimateKernelTime(
@@ -154,8 +150,7 @@ SimTime CostModelCalibrator::EstimateKernelTime(
   const SimTime believed = believed_kernels_.Cost(profile).solo_duration;
   if (options_.frozen) return believed;
   std::lock_guard<std::mutex> lock(mutex_);
-  return believed * Corrected(kernel_class_[static_cast<std::size_t>(cls)],
-                              kernel_all_, options_.min_samples);
+  return believed * Corrected(kernel_class_[static_cast<std::size_t>(cls)], kernel_all_);
 }
 
 int CostModelCalibrator::PlanFissionSegments(const PipelineEstimate& estimate,
@@ -171,7 +166,7 @@ int CostModelCalibrator::PlanFissionSegments(const PipelineEstimate& estimate,
   int best = std::max(1, min_segments);
   SimTime best_time = -1.0;
   for (int n : kCandidates) {
-    if (n < min_segments || n > options_.max_segments) continue;
+    if (n < min_segments || n > kMaxSegments) continue;
     const std::uint64_t seg = static_cast<std::uint64_t>(n);
     const SimTime h =
         estimate.h2d_bytes > 0
@@ -200,7 +195,7 @@ int CostModelCalibrator::PlanFissionSegments(const PipelineEstimate& estimate,
 
 int CostModelCalibrator::ChooseStreamCount(bool d2h_present) const {
   int streams = d2h_present ? 3 : 2;
-  if (StallRate() > options_.stall_stream_threshold) ++streams;
+  if (StallRate() > kStallStreamThreshold) ++streams;
   return std::min(streams, 4);
 }
 
@@ -209,9 +204,7 @@ int CostModelCalibrator::CalibratedRegisterBudget(int register_budget,
   double correction;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (options_.frozen ||
-        kernel_all_.samples < static_cast<std::uint64_t>(
-                                  std::max(1, options_.min_samples))) {
+    if (options_.frozen || kernel_all_.samples < kMinSamples) {
       return register_budget;
     }
     correction = kernel_all_.value;

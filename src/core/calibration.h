@@ -28,7 +28,7 @@
 //     is non-increasing run over run and reaches ~0.
 //
 // Epochs: corrections drift as observations arrive. When any correction has
-// moved by more than `epoch_threshold` (relative) since the last epoch, the
+// moved by more than `kEpochThreshold` (relative) since the last epoch, the
 // epoch counter bumps. Plan caches version their entries by this epoch
 // (`FusionPlanCache::GetOrPlan(..., version)`), so plans costed under stale
 // corrections are re-planned instead of served stale.
@@ -57,30 +57,11 @@ enum class KernelClass : std::uint8_t { kStaged = 0, kFused = 1, kBarrier = 2 };
 const char* ToString(KernelClass cls);
 
 struct CalibrationOptions {
-  // EWMA weight of each new observation after the first (the first sample of
-  // a class snaps the correction — see header comment).
-  double ewma_alpha = 0.35;
-
-  // Relative correction drift that bumps the calibration epoch (checked once
-  // per run in EndRun()).
-  double epoch_threshold = 0.10;
-
-  // Samples a (direction × kind × size-class) or kernel-category cell needs
-  // before its correction is trusted; cells below fall back to the
-  // direction-global / all-kernel correction, then to 1.0.
-  int min_samples = 1;
-
   // Frozen calibrators never learn: estimates come from the raw believed
   // model. This is the "uncalibrated executor" arm of bench_adaptive — the
   // adaptive decision logic runs, but against the (miscalibrated) static
   // model, exactly like a deployment that trusts its seed constants.
   bool frozen = false;
-
-  // Stall rate above which the executor provisions one extra stream.
-  double stall_stream_threshold = 0.05;
-
-  // Upper bound for adaptively chosen fission segment counts.
-  int max_segments = 64;
 };
 
 // Believed per-cluster pipeline shape, used by the adaptive fission planner.
@@ -96,6 +77,25 @@ struct PipelineEstimate {
 class CostModelCalibrator {
  public:
   static constexpr std::size_t kSizeClasses = 4;
+
+  // EWMA weight of each new observation after the first (the first sample of
+  // a class snaps the correction — see header comment).
+  static constexpr double kEwmaAlpha = 0.35;
+
+  // Relative correction drift that bumps the calibration epoch (checked once
+  // per run in EndRun()).
+  static constexpr double kEpochThreshold = 0.10;
+
+  // Samples a (direction × kind × size-class) or kernel-category cell needs
+  // before its correction is trusted; cells below fall back to the
+  // direction-global / all-kernel correction, then to 1.0.
+  static constexpr std::uint64_t kMinSamples = 1;
+
+  // Stall rate above which the executor provisions one extra stream.
+  static constexpr double kStallStreamThreshold = 0.05;
+
+  // Upper bound for adaptively chosen fission segment counts.
+  static constexpr int kMaxSegments = 64;
 
   explicit CostModelCalibrator(
       sim::DeviceSpec believed_spec = sim::DeviceSpec::TeslaC2070(),
@@ -113,7 +113,7 @@ class CostModelCalibrator {
                      SimTime observed);
   void ObserveStalls(std::size_t commands, std::size_t stalled);
   // Once per finished run: checks correction drift against the last epoch
-  // snapshot and bumps the epoch on > epoch_threshold movement. Records
+  // snapshot and bumps the epoch on > kEpochThreshold movement. Records
   // nothing: the executor reads the state below into its run's `calib.*`
   // series.
   void EndRun();
@@ -169,7 +169,6 @@ class CostModelCalibrator {
   bool frozen() const { return options_.frozen; }
   const sim::DeviceSpec& believed_spec() const { return believed_kernels_.spec(); }
   const sim::PcieConfig& believed_pcie() const { return believed_pcie_.config(); }
-  const CalibrationOptions& options() const { return options_; }
 
   // Size-class bucketing of transfer bytes (<256 KiB, <8 MiB, <128 MiB, rest):
   // small transfers are latency-dominated, large ones bandwidth-dominated,
@@ -186,8 +185,7 @@ class CostModelCalibrator {
   };
   void Update(Ewma& cell, double ratio);
   // Correction for a cell with fallback: cell → fallback → 1.0.
-  static double Corrected(const Ewma& cell, const Ewma& fallback,
-                          int min_samples);
+  static double Corrected(const Ewma& cell, const Ewma& fallback);
   void RecordError(double believed, double observed, double correction);
   std::vector<double> CorrectionSnapshot() const;  // all cells, fixed order
 

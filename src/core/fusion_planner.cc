@@ -60,7 +60,7 @@ FusionPlan PlanFusion(const OpGraph& graph, const FusionOptions& options) {
   const int register_budget =
       options.calibration != nullptr
           ? options.calibration->CalibratedRegisterBudget(options.register_budget,
-                                                          options.base_registers)
+                                                          kBaseRegisters)
           : options.register_budget;
 
   for (NodeId id : graph.TopologicalOrder()) {
@@ -121,7 +121,7 @@ FusionPlan PlanFusion(const OpGraph& graph, const FusionOptions& options) {
     if (target_cluster < 0) {
       FusionCluster cluster;
       cluster.primary_input = node.inputs.empty() ? kNoNode : node.inputs[0];
-      cluster.register_estimate = options.base_registers;
+      cluster.register_estimate = kBaseRegisters;
       plan.clusters.push_back(std::move(cluster));
       target_cluster = static_cast<int>(plan.clusters.size() - 1);
     }

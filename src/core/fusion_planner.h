@@ -43,19 +43,22 @@ struct FusionPlan {
   std::string ToString(const OpGraph& graph) const;
 };
 
+// Baseline register cost of the staged-kernel skeleton (partition cursors,
+// buffer indices).
+inline constexpr int kBaseRegisters = 10;
+
 struct FusionOptions {
   bool enabled = true;
   // Per-thread register budget for a fused kernel. Fermi allows 63; leaving
   // headroom below the hardware cap avoids occupancy collapse.
   int register_budget = 48;
-  // Baseline register cost of the staged-kernel skeleton (partition
-  // cursors, buffer indices).
-  int base_registers = 10;
   // Feedback-driven replanning hook (core/calibration.h): when set, the
   // effective register budget is nudged by the measured kernel-cost
   // correction (kernels dearer than believed ⇒ fuse more, saving traffic).
-  // Deliberately NOT rendered into FusionOptionsKey — plan caches version
-  // entries by the calibrator's epoch instead (see server/plan_cache.h).
+  // The executor always plans with ExecutorOptions::calibration here
+  // (EffectiveFusionOptions). Deliberately NOT rendered into
+  // FusionOptionsKey — plan caches version entries by the calibrator's
+  // epoch instead (see server/plan_cache.h).
   const CostModelCalibrator* calibration = nullptr;
 };
 

@@ -22,7 +22,7 @@ PlacementDecision HeterogeneousScheduler::Decide(
   // With a calibrator attached the device side is estimated from the
   // believed model × measured corrections; otherwise from the true device's
   // analytic model (the static behavior every existing caller keeps). -------
-  const auto profiles = cost_model_.FusedProfiles(graph, cluster, member_sizes);
+  const auto profiles = OperatorCostModel{}.FusedProfiles(graph, cluster, member_sizes);
   const KernelClass kernel_class =
       cluster.fused() ? KernelClass::kFused
       : Classify(graph.node(cluster.nodes.front()).desc.kind) ==
@@ -73,9 +73,9 @@ PlacementDecision HeterogeneousScheduler::Decide(
   for (const auto& profile : profiles) {
     host_ops += profile.ops_per_element * static_cast<double>(profile.elements);
   }
-  decision.host_time = host_.dispatch_overhead +
-                       std::max(host_bytes / (host_.host_mem_bandwidth_gbs * kGB),
-                                host_ops / host_.host_ops_per_second);
+  decision.host_time = kDispatchOverhead +
+                       std::max(host_bytes / (kHostMemBandwidthGbs * kGB),
+                                host_ops / kHostOpsPerSecond);
   if (!input_on_host) {
     decision.host_time +=
         device_transfer_time(input_bytes, sim::CopyDirection::kDeviceToHost);

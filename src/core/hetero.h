@@ -24,15 +24,6 @@ class CostModelCalibrator;
 enum class Placement : std::uint8_t { kDevice, kHost };
 const char* ToString(Placement placement);
 
-struct HostCostConfig {
-  // The translated fused kernel on the 16-thread host (Ocelot-style):
-  // sustained memory bandwidth and scalar op rate.
-  double host_mem_bandwidth_gbs = 12.0;
-  double host_ops_per_second = 3.0e10;  // 8 cores x 2.27 GHz x ~1.65 IPC
-  // Parallel-section launch overhead.
-  SimTime dispatch_overhead = 20.0 * kMicrosecond;
-};
-
 struct PlacementDecision {
   Placement placement = Placement::kDevice;
   // Cluster execution time on each engine, including the transfers that
@@ -44,10 +35,14 @@ struct PlacementDecision {
 
 class HeterogeneousScheduler {
  public:
-  HeterogeneousScheduler(const sim::DeviceSimulator& device,
-                         OperatorCostModel cost_model = OperatorCostModel{},
-                         HostCostConfig host = HostCostConfig{})
-      : device_(device), cost_model_(std::move(cost_model)), host_(host) {}
+  // The translated fused kernel on the 16-thread host (Ocelot-style):
+  // sustained memory bandwidth and scalar op rate.
+  static constexpr double kHostMemBandwidthGbs = 12.0;
+  static constexpr double kHostOpsPerSecond = 3.0e10;  // 8 cores x 2.27 GHz x ~1.65 IPC
+  // Parallel-section launch overhead.
+  static constexpr SimTime kDispatchOverhead = 20.0 * kMicrosecond;
+
+  explicit HeterogeneousScheduler(const sim::DeviceSimulator& device) : device_(device) {}
 
   // Decides where one fused cluster should run. `input_on_host` says whether
   // the streamed input currently lives in host memory (true for sources);
@@ -68,8 +63,6 @@ class HeterogeneousScheduler {
 
  private:
   const sim::DeviceSimulator& device_;
-  OperatorCostModel cost_model_;
-  HostCostConfig host_;
   const CostModelCalibrator* calibration_ = nullptr;
 };
 

@@ -11,19 +11,18 @@ using relational::ExprOps;
 using relational::OpKind;
 using sim::KernelProfile;
 
-sim::KernelProfile OperatorCostModel::BaseProfile(std::string label,
-                                                  std::uint64_t elements) const {
+namespace {
+
+KernelProfile BaseProfile(std::string label, std::uint64_t elements) {
   KernelProfile profile;
   profile.label = std::move(label);
   profile.elements = elements;
-  profile.cta_count = config_.cta_count;
-  profile.threads_per_cta = config_.threads_per_cta;
+  profile.cta_count = OperatorCostModel::kCtaCount;
+  profile.threads_per_cta = OperatorCostModel::kThreadsPerCta;
   profile.registers_per_thread = 16;
   profile.launches = 1;
   return profile;
 }
-
-namespace {
 
 double OperatorOps(const OpNode& node) {
   switch (node.desc.kind) {
@@ -65,12 +64,12 @@ std::vector<KernelProfile> OperatorCostModel::UnfusedProfiles(
     case OpKind::kSort: {
       // LSD radix sort: each pass streams key+payload in and out.
       KernelProfile pass = BaseProfile(node.name + "/radix", sizes.input_rows);
-      pass.ops_per_element = config_.base_ops_per_element + OperatorOps(node);
+      pass.ops_per_element = kBaseOpsPerElement + OperatorOps(node);
       pass.global_bytes_read = in_bytes;
       pass.global_bytes_written = in_bytes;
-      pass.memory_access_efficiency = config_.sort_access_efficiency;
+      pass.memory_access_efficiency = kSortAccessEfficiency;
       pass.launches = 2;  // histogram + scatter per pass
-      for (int p = 0; p < config_.sort_passes; ++p) {
+      for (int p = 0; p < kSortPasses; ++p) {
         KernelProfile copy = pass;
         copy.label += "[" + std::to_string(p) + "]";
         profiles.push_back(std::move(copy));
@@ -79,21 +78,21 @@ std::vector<KernelProfile> OperatorCostModel::UnfusedProfiles(
     }
     case OpKind::kAggregate: {
       KernelProfile compute = BaseProfile(node.name + "/reduce", sizes.input_rows);
-      compute.ops_per_element = config_.base_ops_per_element + OperatorOps(node);
+      compute.ops_per_element = kBaseOpsPerElement + OperatorOps(node);
       compute.global_bytes_read = in_bytes;
       // Per-chunk partials only.
       compute.global_bytes_written =
-          static_cast<std::uint64_t>(config_.cta_count) * sizes.output_row_bytes;
-      compute.memory_access_efficiency = config_.compute_access_efficiency;
+          static_cast<std::uint64_t>(kCtaCount) * sizes.output_row_bytes;
+      compute.memory_access_efficiency = kComputeAccessEfficiency;
       profiles.push_back(std::move(compute));
 
       KernelProfile combine = BaseProfile(node.name + "/combine",
                                           std::max<std::uint64_t>(sizes.output_rows, 1));
       combine.ops_per_element = 8.0;
       combine.global_bytes_read =
-          static_cast<std::uint64_t>(config_.cta_count) * sizes.output_row_bytes;
+          static_cast<std::uint64_t>(kCtaCount) * sizes.output_row_bytes;
       combine.global_bytes_written = out_bytes;
-      combine.memory_access_efficiency = config_.gather_access_efficiency;
+      combine.memory_access_efficiency = kGatherAccessEfficiency;
       profiles.push_back(std::move(combine));
       return profiles;
     }
@@ -104,15 +103,15 @@ std::vector<KernelProfile> OperatorCostModel::UnfusedProfiles(
   // Generic staged operator: compute kernel (partition + op + buffer) then
   // gather kernel.
   KernelProfile compute = BaseProfile(node.name + "/compute", sizes.input_rows);
-  compute.ops_per_element = config_.base_ops_per_element + OperatorOps(node);
+  compute.ops_per_element = kBaseOpsPerElement + OperatorOps(node);
   compute.global_bytes_read = in_bytes + sizes.build_bytes;
   compute.global_bytes_written = out_bytes;  // per-chunk buffers
   compute.memory_access_efficiency =
       node.desc.kind == OpKind::kJoin || node.desc.kind == OpKind::kProduct ||
               node.desc.kind == OpKind::kUnion || node.desc.kind == OpKind::kIntersect ||
               node.desc.kind == OpKind::kDifference
-          ? config_.probe_access_efficiency
-          : config_.compute_access_efficiency;
+          ? kProbeAccessEfficiency
+          : kComputeAccessEfficiency;
   profiles.push_back(std::move(compute));
 
   KernelProfile gather = BaseProfile(node.name + "/gather",
@@ -120,7 +119,7 @@ std::vector<KernelProfile> OperatorCostModel::UnfusedProfiles(
   gather.ops_per_element = 2.0;
   gather.global_bytes_read = out_bytes;
   gather.global_bytes_written = out_bytes;
-  gather.memory_access_efficiency = config_.gather_access_efficiency;
+  gather.memory_access_efficiency = kGatherAccessEfficiency;
   profiles.push_back(std::move(gather));
   return profiles;
 }
@@ -139,9 +138,9 @@ std::vector<KernelProfile> OperatorCostModel::FusedProfiles(
   const RealizedSizes& head = per_member.front();
   std::uint64_t read_bytes = head.input_rows * head.input_row_bytes;
   std::uint64_t elements = head.input_rows;
-  double ops = config_.base_ops_per_element;
+  double ops = kBaseOpsPerElement;
   int registers = cluster.register_estimate;
-  double min_access_efficiency = config_.compute_access_efficiency;
+  double min_access_efficiency = kComputeAccessEfficiency;
 
   std::uint64_t output_bytes = 0;
   std::uint64_t output_rows = 0;
@@ -157,7 +156,7 @@ std::vector<KernelProfile> OperatorCostModel::FusedProfiles(
     read_bytes += sizes.build_bytes;
     if (node.desc.kind == OpKind::kJoin || node.desc.kind == OpKind::kProduct) {
       min_access_efficiency =
-          std::min(min_access_efficiency, config_.probe_access_efficiency);
+          std::min(min_access_efficiency, kProbeAccessEfficiency);
     }
     const bool is_output = std::find(cluster.outputs.begin(), cluster.outputs.end(),
                                      cluster.nodes[m]) != cluster.outputs.end();
@@ -181,7 +180,7 @@ std::vector<KernelProfile> OperatorCostModel::FusedProfiles(
   gather.ops_per_element = 2.0;
   gather.global_bytes_read = output_bytes;
   gather.global_bytes_written = output_bytes;
-  gather.memory_access_efficiency = config_.gather_access_efficiency;
+  gather.memory_access_efficiency = kGatherAccessEfficiency;
   gather.registers_per_thread = 16;
   profiles.push_back(std::move(gather));
   return profiles;

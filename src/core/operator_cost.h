@@ -28,33 +28,6 @@
 
 namespace kf::core {
 
-struct OperatorCostConfig {
-  // Launch geometry of a staged kernel (paper-style: enough CTAs/threads to
-  // saturate a Fermi).
-  int cta_count = 448;
-  int threads_per_cta = 256;
-
-  // Memory-access efficiency of the compute stage (buffered writes are not
-  // perfectly coalesced) and of the gather stage (positioned block copies).
-  double compute_access_efficiency = 0.55;
-  double gather_access_efficiency = 0.70;
-  // Hash probes are random access.
-  double probe_access_efficiency = 0.35;
-
-  // Baseline dynamic ops per element of the staged-kernel skeleton:
-  // partition arithmetic, the intra-CTA compaction scans that position
-  // matches in the buffer, and cursor maintenance — a few dozen scalar ops
-  // per element in the real implementation. Calibrated so the staged SELECT
-  // lands in Fig 4(a)'s throughput band across selectivities.
-  double base_ops_per_element = 40.0;
-
-  // Radix-sort passes: 8-bit digits over the 64-bit composite sort key the
-  // row sorts of the TPC-H plans use.
-  int sort_passes = 8;
-  // Radix scatter writes are random access.
-  double sort_access_efficiency = 0.35;
-};
-
 // Realized sizes of one operator execution.
 struct RealizedSizes {
   std::uint64_t input_rows = 0;
@@ -66,9 +39,30 @@ struct RealizedSizes {
 
 class OperatorCostModel {
  public:
-  explicit OperatorCostModel(OperatorCostConfig config = {}) : config_(config) {}
+  // Launch geometry of a staged kernel (paper-style: enough CTAs/threads to
+  // saturate a Fermi).
+  static constexpr int kCtaCount = 448;
+  static constexpr int kThreadsPerCta = 256;
 
-  const OperatorCostConfig& config() const { return config_; }
+  // Memory-access efficiency of the compute stage (buffered writes are not
+  // perfectly coalesced) and of the gather stage (positioned block copies).
+  static constexpr double kComputeAccessEfficiency = 0.55;
+  static constexpr double kGatherAccessEfficiency = 0.70;
+  // Hash probes are random access.
+  static constexpr double kProbeAccessEfficiency = 0.35;
+
+  // Baseline dynamic ops per element of the staged-kernel skeleton:
+  // partition arithmetic, the intra-CTA compaction scans that position
+  // matches in the buffer, and cursor maintenance — a few dozen scalar ops
+  // per element in the real implementation. Calibrated so the staged SELECT
+  // lands in Fig 4(a)'s throughput band across selectivities.
+  static constexpr double kBaseOpsPerElement = 40.0;
+
+  // Radix-sort passes: 8-bit digits over the 64-bit composite sort key the
+  // row sorts of the TPC-H plans use.
+  static constexpr int kSortPasses = 8;
+  // Radix scatter writes are random access.
+  static constexpr double kSortAccessEfficiency = 0.35;
 
   // Kernel profiles for running `node` as its own (unfused) staged operator.
   std::vector<sim::KernelProfile> UnfusedProfiles(const OpNode& node,
@@ -80,11 +74,6 @@ class OperatorCostModel {
   std::vector<sim::KernelProfile> FusedProfiles(
       const OpGraph& graph, const FusionCluster& cluster,
       const std::vector<RealizedSizes>& per_member) const;
-
- private:
-  sim::KernelProfile BaseProfile(std::string label, std::uint64_t elements) const;
-
-  OperatorCostConfig config_;
 };
 
 }  // namespace kf::core

@@ -40,17 +40,6 @@ void EmitEdges(std::ostream& os, const OpGraph& graph) {
 
 }  // namespace
 
-std::string ToDot(const OpGraph& graph) {
-  std::ostringstream os;
-  os << "digraph plan {\n  rankdir=TB;\n";
-  for (NodeId id = 0; id < graph.node_count(); ++id) {
-    EmitNode(os, graph.node(id), "  ");
-  }
-  EmitEdges(os, graph);
-  os << "}\n";
-  return os.str();
-}
-
 std::string ToDot(const OpGraph& graph, const FusionPlan& plan) {
   std::ostringstream os;
   os << "digraph plan {\n  rankdir=TB;\n  compound=true;\n";

@@ -13,9 +13,6 @@
 
 namespace kf::core {
 
-// Just the operator DAG.
-std::string ToDot(const OpGraph& graph);
-
 // The DAG with fusion clusters drawn as subgraph boxes.
 std::string ToDot(const OpGraph& graph, const FusionPlan& plan);
 

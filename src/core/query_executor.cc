@@ -351,7 +351,7 @@ class ScheduleBuilder {
     // cluster, and every cluster when a calibrator drives placement.
     if (options.fault_injector != nullptr || options.force_host || calib_ != nullptr ||
         audit_on_) {
-      hetero_.emplace(device_, cost_model_);
+      hetero_.emplace(device_);
       if (calib_ != nullptr) hetero_->set_calibration(calib_);
     }
   }
@@ -1069,8 +1069,8 @@ class Recoverer {
   UnitOutcome Retry(int unit, int attempt, const std::vector<std::size_t>& members,
                     const UnitOutcome& previous) {
     const SimTime retry_start = recovery_.makespan;
-    const SimTime backoff =
-        res_.backoff_base * std::pow(res_.backoff_factor, attempt - 1);
+    const SimTime backoff = ResilienceOptions::kBackoffBase *
+                            std::pow(ResilienceOptions::kBackoffFactor, attempt - 1);
     recovery_.makespan += backoff;
     report_.backoff_time += backoff;
     CheckDeadline();
@@ -1422,9 +1422,7 @@ FusionOptions EffectiveFusionOptions(const ExecutorOptions& options) {
   FusionOptions fusion_options = options.fusion;
   fusion_options.enabled = Fuses(options.strategy) || Fissions(options.strategy) ||
                            options.intermediates == IntermediatePolicy::kKeepOnDevice;
-  if (fusion_options.calibration == nullptr) {
-    fusion_options.calibration = options.calibration;
-  }
+  fusion_options.calibration = options.calibration;
   return fusion_options;
 }
 

@@ -66,9 +66,10 @@ enum class IntermediatePolicy : std::uint8_t {
 // before the timing simulation, so recovered and degraded queries return
 // byte-identical results by construction.
 struct ResilienceOptions {
-  int max_retries = 3;                       // attempts per failed unit
-  SimTime backoff_base = 250 * kMicrosecond; // first-retry delay
-  double backoff_factor = 2.0;               // delay multiplier per attempt
+  static constexpr SimTime kBackoffBase = 250 * kMicrosecond;  // first-retry delay
+  static constexpr double kBackoffFactor = 2.0;  // delay multiplier per attempt
+
+  int max_retries = 3;          // attempts per failed unit
   bool degrade_to_host = true;  // false: throw kf::DeviceFault instead
   // Simulated-time budget for the whole query (0 = none). Exceeding it —
   // including backoff and degraded host reruns — throws kf::Timeout.
@@ -158,8 +159,9 @@ struct ExecutorOptions {
 
 // The fusion options Run() plans with: `fusion` from the options, with
 // `enabled` forced on whenever the strategy fuses or fissions (clusters are
-// also the scheduling granularity) or intermediates stay on-device. Exposed
-// so plan caches key on exactly what the executor would ask the planner.
+// also the scheduling granularity) or intermediates stay on-device, and the
+// planner's calibrator set to `calibration`. Exposed so plan caches key on
+// exactly what the executor would ask the planner.
 FusionOptions EffectiveFusionOptions(const ExecutorOptions& options);
 
 struct ExecutionReport {

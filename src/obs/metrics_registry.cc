@@ -81,23 +81,6 @@ std::vector<double> DurationHistogram::Samples() const {
   return samples_;
 }
 
-MetricsRegistry::MetricsRegistry(MetricsRegistry&& other) noexcept {
-  std::lock_guard<std::mutex> lock(other.mutex_);
-  counters_ = std::move(other.counters_);
-  gauges_ = std::move(other.gauges_);
-  histograms_ = std::move(other.histograms_);
-}
-
-MetricsRegistry& MetricsRegistry::operator=(MetricsRegistry&& other) noexcept {
-  if (this != &other) {
-    std::scoped_lock lock(mutex_, other.mutex_);
-    counters_ = std::move(other.counters_);
-    gauges_ = std::move(other.gauges_);
-    histograms_ = std::move(other.histograms_);
-  }
-  return *this;
-}
-
 Counter& MetricsRegistry::GetCounter(const std::string& name, const Labels& labels) {
   const std::string key = FlattenKey(name, labels);
   std::lock_guard<std::mutex> lock(mutex_);
@@ -181,30 +164,6 @@ Json MetricsRegistry::ToJson() const {
   root["gauges"] = Json(std::move(gauges));
   root["histograms"] = Json(std::move(histograms));
   return Json(std::move(root));
-}
-
-MetricsRegistry MetricsRegistry::FromJson(const Json& json) {
-  MetricsRegistry registry;
-  KF_REQUIRE(json.is_object()) << "metrics document must be a JSON object";
-  if (const Json* counters = json.Find("counters")) {
-    for (const auto& [key, value] : counters->object()) {
-      registry.GetCounter(key).Set(static_cast<std::uint64_t>(value.number()));
-    }
-  }
-  if (const Json* gauges = json.Find("gauges")) {
-    for (const auto& [key, value] : gauges->object()) {
-      registry.GetGauge(key).Set(value.number());
-    }
-  }
-  if (const Json* histograms = json.Find("histograms")) {
-    for (const auto& [key, value] : histograms->object()) {
-      DurationHistogram& histogram = registry.GetHistogram(key);
-      for (const Json& sample : value.at("samples").array()) {
-        histogram.Record(sample.number());
-      }
-    }
-  }
-  return registry;
 }
 
 MetricsRegistry& MetricsRegistry::Default() {

@@ -128,9 +128,6 @@ class MetricsRegistry {
   MetricsRegistry() = default;
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
-  // Moves transfer the metric maps; the mutex is freshly constructed.
-  MetricsRegistry(MetricsRegistry&& other) noexcept;
-  MetricsRegistry& operator=(MetricsRegistry&& other) noexcept;
 
   // Lookup-or-create. Returned references stay valid for the registry's
   // lifetime (metrics are never removed except by Reset()).
@@ -152,10 +149,6 @@ class MetricsRegistry {
   //    "histograms": {key: {"count", "sum", "min", "max",
   //                         "p50", "p90", "p99", "samples": [...]}}}
   Json ToJson() const;
-
-  // Rebuilds a registry from ToJson() output (histograms are restored from
-  // their samples). Throws kf::Error on schema violations.
-  static MetricsRegistry FromJson(const Json& json);
 
   // Process-wide registry that instrumented components record into by
   // default. Callers wanting isolation pass their own registry instead.

@@ -100,8 +100,7 @@ Tracer::Tracer(TracerOptions options)
     : trace_dir_(options.trace_dir.empty() ? EnvTraceDir()
                                            : std::move(options.trace_dir)),
       flight_capacity_(options.flight_capacity),
-      origin_(std::chrono::steady_clock::now()),
-      stripes_(std::max<std::size_t>(options.stripe_count, 1)) {}
+      origin_(std::chrono::steady_clock::now()) {}
 
 double Tracer::WallNow() const {
   const auto elapsed = std::chrono::steady_clock::now() - origin_;
@@ -253,13 +252,6 @@ QueryTrace Tracer::Snapshot(std::uint64_t query_id) const {
 std::vector<QueryTrace> Tracer::FlightRecorder() const {
   std::lock_guard<std::mutex> lock(flight_mutex_);
   return {flight_.begin(), flight_.end()};
-}
-
-std::string Tracer::DumpQuery(std::uint64_t query_id) const {
-  if (trace_dir_.empty()) return "";
-  const QueryTrace trace = Snapshot(query_id);
-  if (trace.empty() && trace.query_id == 0) return "";
-  return WriteDump(trace);
 }
 
 std::string Tracer::WriteDump(const QueryTrace& trace) const {

@@ -29,6 +29,7 @@
 #ifndef KF_OBS_TRACER_H_
 #define KF_OBS_TRACER_H_
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -119,8 +120,7 @@ struct QueryTrace {
 };
 
 struct TracerOptions {
-  std::size_t stripe_count = 16;      // lock stripes for live queries
-  std::size_t flight_capacity = 64;   // finished trees retained (ring)
+  std::size_t flight_capacity = 64;  // finished trees retained (ring)
   // Directory for failure dumps. Empty falls back to $KF_TRACE_DIR; if that
   // is also unset, no dumps are written.
   std::string trace_dir;
@@ -168,9 +168,6 @@ class Tracer {
   QueryTrace Snapshot(std::uint64_t query_id) const;
   // Flight-recorder contents, oldest first.
   std::vector<QueryTrace> FlightRecorder() const;
-  // Unconditionally dumps one query's tree to the trace dir; returns the
-  // path (empty when the query is unknown or no dir is configured).
-  std::string DumpQuery(std::uint64_t query_id) const;
 
   const std::string& trace_dir() const { return trace_dir_; }
   std::size_t finished_count() const { return finished_count_.load(); }
@@ -185,8 +182,11 @@ class Tracer {
     std::map<std::uint64_t, QueryTrace> live;
   };
 
+  // Lock stripes for live queries.
+  static constexpr std::size_t kStripeCount = 16;
+
   Stripe& StripeFor(std::uint64_t query_id) const {
-    return stripes_[query_id % stripes_.size()];
+    return stripes_[query_id % kStripeCount];
   }
   std::string WriteDump(const QueryTrace& trace) const;
 
@@ -197,8 +197,7 @@ class Tracer {
   std::atomic<std::size_t> finished_count_{0};
   std::atomic<std::size_t> dropped_count_{0};
 
-  // Sized once at construction, never resized (Stripe is not movable).
-  mutable std::vector<Stripe> stripes_;
+  mutable std::array<Stripe, kStripeCount> stripes_;
 
   mutable std::mutex flight_mutex_;
   std::deque<QueryTrace> flight_;

@@ -54,14 +54,13 @@ struct Value {
   std::string ToString() const;
 };
 
-// Hash consistent with operator== (integers hash by value; floats by the
-// double they compare as).
+// Hash consistent with operator==: every value hashes as the double it
+// converts to, so an integer and a double that compare equal hash alike.
+// Distinct integers beyond 2^53 that round to one double share a hash (a
+// collision, never a mismatch).
 struct ValueHash {
   std::size_t operator()(const Value& v) const {
     if (v.is_float()) return std::hash<double>{}(v.f);
-    // Hash integers through double only when they are exactly representable;
-    // otherwise by integer value. Mixed int/double keys of equal numeric
-    // value are rare in practice and never occur in our queries.
     return std::hash<double>{}(static_cast<double>(v.i));
   }
 };

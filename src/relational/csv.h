@@ -1,28 +1,20 @@
-// CSV import/export for tables.
+// CSV rendering of tables.
 //
-// Lets downstream users feed their own relations into the operator graphs
-// and pull results out for analysis. The dialect is deliberately plain:
-// comma separator, first line is "name:type" headers (types i32/i64/f64),
-// no quoting (the library's tables are numeric).
+// Tests compare tables through this text: the header names every column
+// with its type ("name:i32", "name:i64" or "name:f64"), cells are
+// comma-separated, and doubles carry 17 significant digits, so distinct
+// doubles, +0.0 and -0.0 among them, render differently.
 #ifndef KF_RELATIONAL_CSV_H_
 #define KF_RELATIONAL_CSV_H_
 
-#include <iosfwd>
 #include <string>
 
 #include "relational/table.h"
 
 namespace kf::relational {
 
-// Writes `table` as CSV with a "name:type" header row.
-void WriteCsv(const Table& table, std::ostream& os);
+// Renders `table` as CSV with a "name:type" header row.
 std::string ToCsv(const Table& table);
-
-// Parses a CSV produced by WriteCsv (or hand-written in the same dialect).
-// Throws kf::InvalidArgument on malformed headers, unknown types, ragged
-// rows, unparseable numbers, or i32 cells outside int32.
-Table ReadCsv(std::istream& is);
-Table FromCsv(const std::string& text);
 
 }  // namespace kf::relational
 

@@ -11,9 +11,10 @@
 // analogue of the paper's "element stays in registers" fused filter.
 //
 // CompilePredicate turns the Expr trees used by SELECT operators into typed
-// predicates where it can prove them exact; the executor evaluates every
-// other predicate with EvalExpr. FoldConjunction collapses a predicate chain
-// (e.g. Gt 10 ∧ Lt 20) into fewer, tighter kernels.
+// predicates where it can prove them exact; the executor runs every other
+// predicate as a typed column program (core/fused_pipeline.cc), which
+// matches EvalExpr. FoldConjunction collapses a predicate chain (e.g. Gt 10
+// ∧ Lt 20) into fewer, tighter kernels.
 #ifndef KF_RELATIONAL_PREDICATE_H_
 #define KF_RELATIONAL_PREDICATE_H_
 

@@ -168,8 +168,7 @@ CanonicalGraph CanonicalizeGraph(const OpGraph& graph) {
 std::string FusionOptionsKey(const core::FusionOptions& options) {
   std::ostringstream os;
   os << "fusion{enabled=" << (options.enabled ? 1 : 0)
-     << ",budget=" << options.register_budget
-     << ",base=" << options.base_registers << '}';
+     << ",budget=" << options.register_budget << '}';
   return os.str();
 }
 

@@ -33,8 +33,6 @@ std::string ExecOptionsKey(const core::ExecutorOptions& options) {
      << options.device_memory_budget << '|'
      << static_cast<const void*>(options.fault_injector) << '|'
      << options.force_host << '|' << options.resilience.max_retries << '|'
-     << options.resilience.backoff_base << '|'
-     << options.resilience.backoff_factor << '|'
      << options.resilience.degrade_to_host << '|'
      << options.resilience.deadline << '|'
      << static_cast<const void*>(options.calibration) << '|'
@@ -98,8 +96,8 @@ QueryScheduler::QueryScheduler(std::unique_ptr<const sim::DeviceGroup> owned_gro
     : owned_group_(std::move(owned_group)),
       group_(owned_group_ != nullptr ? *owned_group_ : *group),
       options_(std::move(options)),
-      runner_(group_, options_.cost_model, options_.execution_pool),
-      plan_cache_(options_.plan_cache_capacity, options_.metrics),
+      runner_(group_, core::OperatorCostModel{}, options_.execution_pool),
+      plan_cache_(kPlanCacheCapacity, options_.metrics),
       started_(!options_.start_paused) {
   if (options_.worker_count == 0) options_.worker_count = 1;
   if (options_.max_batch == 0) options_.max_batch = 1;
@@ -563,19 +561,11 @@ void QueryScheduler::ExecuteBatch(std::vector<JobPtr> batch) {
       // fleet-wide verification policy (per-query settings always win).
       options.integrity = options_.integrity;
     }
-    // Cached plans are versioned by the calibration epoch of every calibrator
-    // this run could consult (scheduler-level + per-device). A plan cached
-    // before the cost model drifted simply misses — it is re-planned against
-    // the current corrections, never reused stale.
-    std::uint64_t plan_version = 0;
-    if (options.calibration != nullptr) {
-      plan_version += options.calibration->epoch();
-    }
-    for (core::CostModelCalibrator* calib : options_.device_calibrations) {
-      if (calib != nullptr && calib != options.calibration) {
-        plan_version += calib->epoch();
-      }
-    }
+    // Cached plans are versioned by the run's calibration epoch. A plan
+    // cached before the cost model drifted simply misses — it is re-planned
+    // against the current corrections, never reused stale.
+    const std::uint64_t plan_version =
+        options.calibration != nullptr ? options.calibration->epoch() : 0;
     bool cache_hit = false;
     const core::FusionPlan plan = plan_cache_.GetOrPlan(
         *exec_graph, core::EffectiveFusionOptions(options), &cache_hit,
@@ -634,7 +624,6 @@ void QueryScheduler::ExecuteBatch(std::vector<JobPtr> batch) {
         group_options.base = options;
         group_options.base.force_host = options.force_host || placement.host_route;
         group_options.per_device_injectors = options_.device_injectors;
-        group_options.per_device_calibrations = options_.device_calibrations;
         group_options.devices = placement.devices;
         run = runner_.Execute(*exec_graph, *exec_sources, group_options);
         break;

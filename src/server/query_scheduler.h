@@ -134,8 +134,6 @@ struct SchedulerOptions {
   // Maximum queries merged into one execution.
   std::size_t max_batch = 8;
 
-  std::size_t plan_cache_capacity = 128;
-
   // When true, workers do not pick up work until Start() — lets callers
   // enqueue a whole workload first for deterministic batching.
   bool start_paused = false;
@@ -163,8 +161,6 @@ struct SchedulerOptions {
   // Thread pool for intra-query functional execution (fused pipelines);
   // nullptr = none (single-threaded cluster execution).
   ThreadPool* execution_pool = nullptr;
-
-  core::OperatorCostModel cost_model;
 
   // Fault injector applied to every execution whose request did not attach
   // its own (per-query `ExecutorOptions::fault_injector` wins). nullptr
@@ -211,17 +207,11 @@ struct SchedulerOptions {
   // --- Adaptive calibration (core/calibration.h). ------------------------
   // Scheduler-level calibrator applied to every execution whose request did
   // not attach its own (per-query `ExecutorOptions::calibration` wins).
-  // Plan-cache entries are keyed by the calibration epoch of every
-  // configured calibrator, so a plan cached before the model drifted is
-  // invalidated — re-planned, never reused stale. The calibrator must
-  // outlive the scheduler; nullptr keeps serving fully static.
+  // Plan-cache entries are keyed by the run's calibration epoch, so a plan
+  // cached before the model drifted is invalidated — re-planned, never
+  // reused stale. The calibrator must outlive the scheduler; nullptr keeps
+  // serving fully static.
   core::CostModelCalibrator* calibration = nullptr;
-
-  // Per-device calibrators, indexed by group device index (nullptr entries
-  // fall back to `calibration`). Each device learns its own
-  // corrections — a degraded device's placement shifts without polluting its
-  // healthy siblings' models.
-  std::vector<core::CostModelCalibrator*> device_calibrations;
 };
 
 class QueryScheduler {
@@ -362,6 +352,9 @@ class QueryScheduler {
     return options_.metrics != nullptr ? *options_.metrics
                                        : obs::MetricsRegistry::Default();
   }
+
+  // Fusion plans the scheduler's LRU cache keeps.
+  static constexpr std::size_t kPlanCacheCapacity = 128;
 
   std::unique_ptr<const sim::DeviceGroup> owned_group_;
   const sim::DeviceGroup& group_;

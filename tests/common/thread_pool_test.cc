@@ -3,82 +3,58 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <numeric>
+#include <chrono>
+#include <mutex>
+#include <set>
+#include <thread>
 #include <vector>
 
 namespace kf {
 namespace {
 
-TEST(ThreadPool, RunsSubmittedTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.Submit([&counter] { counter.fetch_add(1); });
-  }
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPool, WaitWithNoTasksReturnsImmediately) {
-  ThreadPool pool(2);
-  pool.Wait();  // must not hang
-}
-
 TEST(ThreadPool, SingleThreadPoolStillWorks) {
+  // A one-thread pool runs the whole loop inline on the caller.
   ThreadPool pool(1);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 10; ++i) pool.Submit([&counter] { ++counter; });
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 10);
-}
-
-TEST(ThreadPool, ParallelForCoversEveryIndexExactlyOnce) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(10000);
-  pool.ParallelFor(hits.size(), [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<int> hits(10, 0);
+  bool on_caller = true;
+  pool.ParallelForEach(hits.size(), [&](std::size_t i) {
+    ++hits[i];
+    on_caller = on_caller && std::this_thread::get_id() == caller;
   });
-  for (std::size_t i = 0; i < hits.size(); ++i) {
-    ASSERT_EQ(hits[i].load(), 1) << "index " << i;
-  }
-}
-
-TEST(ThreadPool, ParallelForZeroIsNoop) {
-  ThreadPool pool(4);
-  bool called = false;
-  pool.ParallelFor(0, [&](std::size_t, std::size_t) { called = true; });
-  EXPECT_FALSE(called);
+  EXPECT_EQ(hits, std::vector<int>(10, 1));
+  EXPECT_TRUE(on_caller);
 }
 
 TEST(ThreadPool, ParallelForSmallRangeRunsInline) {
+  // A single index is not worth waking a worker for.
   ThreadPool pool(4);
-  std::vector<int> data(100, 0);
-  pool.ParallelFor(data.size(), [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) data[i] = 1;
-  });
-  EXPECT_EQ(std::accumulate(data.begin(), data.end(), 0), 100);
-}
-
-TEST(ThreadPool, NestedWaitDoesNotDeadlock) {
-  ThreadPool pool(2);
-  std::atomic<int> inner{0};
-  for (int i = 0; i < 4; ++i) {
-    pool.Submit([&pool, &inner] {
-      for (int j = 0; j < 8; ++j) pool.Submit([&inner] { ++inner; });
-      // Note: workers submitting then the main thread waiting exercises the
-      // help-drain path in Wait().
-    });
-  }
-  pool.Wait();
-  EXPECT_EQ(inner.load(), 32);
+  std::thread::id ran_on;
+  pool.ParallelForEach(1, [&](std::size_t) { ran_on = std::this_thread::get_id(); });
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
 }
 
 TEST(ThreadPool, ParallelForLargeRangeUsesWorkers) {
+  // Every body waits until a second thread has run one: a pool that left the
+  // loop to its caller would never get there.
   ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(100000);
-  pool.ParallelFor(hits.size(), [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
+  std::mutex mutex;
+  std::set<std::thread::id> threads;
+  std::vector<std::atomic<int>> hits(64);
+  pool.ParallelForEach(hits.size(), [&](std::size_t i) {
+    hits[i].fetch_add(1);
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    for (;;) {
+      {
+        std::lock_guard lock(mutex);
+        threads.insert(std::this_thread::get_id());
+        if (threads.size() >= 2) return;
+      }
+      if (std::chrono::steady_clock::now() > deadline) return;
+      std::this_thread::yield();
+    }
   });
+  EXPECT_GE(threads.size(), 2u);
   for (std::size_t i = 0; i < hits.size(); ++i) {
     ASSERT_EQ(hits[i].load(), 1) << "index " << i;
   }
@@ -102,54 +78,37 @@ TEST(ThreadPool, ParallelForEachZeroIsNoop) {
 }
 
 TEST(ThreadPool, NestedParallelForFallsBackInline) {
-  // A ParallelFor issued from inside a ParallelFor body (or a worker task)
-  // must degrade to inline execution, not deadlock.
+  // A ParallelForEach issued from inside a ParallelForEach body must degrade
+  // to inline execution on the body's thread, not deadlock.
   ThreadPool pool(4);
   std::atomic<int> total{0};
+  std::atomic<int> off_thread{0};
   pool.ParallelForEach(8, [&](std::size_t) {
-    pool.ParallelFor(4096, [&](std::size_t begin, std::size_t end) {
-      total.fetch_add(static_cast<int>(end - begin));
+    const std::thread::id outer = std::this_thread::get_id();
+    pool.ParallelForEach(16, [&](std::size_t) {
+      total.fetch_add(1);
+      if (std::this_thread::get_id() != outer) off_thread.fetch_add(1);
     });
   });
-  EXPECT_EQ(total.load(), 8 * 4096);
+  EXPECT_EQ(total.load(), 8 * 16);
+  EXPECT_EQ(off_thread.load(), 0);
 }
 
 TEST(ThreadPool, ConcurrentParallelForsFromManyThreads) {
+  // Loops from several callers at once: one runs on the pool, the others
+  // inline on their callers; every index still runs exactly once.
   ThreadPool pool(4);
   std::atomic<int> total{0};
   std::vector<std::thread> callers;
   for (int t = 0; t < 4; ++t) {
     callers.emplace_back([&] {
       for (int round = 0; round < 10; ++round) {
-        pool.ParallelFor(10000, [&](std::size_t begin, std::size_t end) {
-          total.fetch_add(static_cast<int>(end - begin));
-        });
+        pool.ParallelForEach(1000, [&](std::size_t) { total.fetch_add(1); });
       }
     });
   }
   for (auto& caller : callers) caller.join();
-  EXPECT_EQ(total.load(), 4 * 10 * 10000);
-}
-
-TEST(ThreadPool, ParallelForMixedWithSubmittedTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> submitted{0};
-  std::atomic<int> looped{0};
-  for (int i = 0; i < 64; ++i) pool.Submit([&submitted] { ++submitted; });
-  pool.ParallelFor(50000, [&](std::size_t begin, std::size_t end) {
-    looped.fetch_add(static_cast<int>(end - begin));
-  });
-  pool.Wait();
-  EXPECT_EQ(submitted.load(), 64);
-  EXPECT_EQ(looped.load(), 50000);
-}
-
-TEST(ThreadPool, SharedPoolIsUsable) {
-  std::atomic<int> counter{0};
-  ThreadPool::Shared().Submit([&counter] { ++counter; });
-  ThreadPool::Shared().Wait();
-  EXPECT_EQ(counter.load(), 1);
-  EXPECT_GE(ThreadPool::Shared().thread_count(), 1u);
+  EXPECT_EQ(total.load(), 4 * 10 * 1000);
 }
 
 }  // namespace

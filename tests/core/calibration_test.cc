@@ -276,7 +276,7 @@ TEST(Calibration, FissionSegmentsOverlapLargePipelines) {
   const int segments = calib.PlanFissionSegments(estimate, 1);
   // A large balanced pipeline wants real overlap depth...
   EXPECT_GE(segments, 8);
-  EXPECT_LE(segments, calib.options().max_segments);
+  EXPECT_LE(segments, CostModelCalibrator::kMaxSegments);
 }
 
 TEST(Calibration, FissionSegmentsCollapseToResidentForTinyClusters) {

@@ -328,8 +328,8 @@ TEST_F(ExecutorTracingTest, LeafSpansMirrorEveryCommandOutcome) {
   for (const auto& [id, leaves] : retry_leaves) {
     const obs::Span& retry = *trace.FindSpan(id);
     const int attempt = std::stoi(retry.name.substr(retry.name.rfind(' ') + 1));
-    const SimTime backoff = options.resilience.backoff_base *
-                            std::pow(options.resilience.backoff_factor, attempt - 1);
+    const SimTime backoff = ResilienceOptions::kBackoffBase *
+                            std::pow(ResilienceOptions::kBackoffFactor, attempt - 1);
     double first = std::numeric_limits<double>::infinity();
     double last = -first;
     for (const obs::Span* leaf : leaves) {

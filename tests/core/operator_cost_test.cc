@@ -93,12 +93,12 @@ TEST(OperatorCost, SortHasMultiplePasses) {
   const NodeId sort = g.AddOperator(OperatorDesc::Sort({0}), src);
   RealizedSizes s = SelectSizes(1000000, 1.0);
   const auto profiles = model.UnfusedProfiles(g.node(sort), s);
-  EXPECT_EQ(profiles.size(), static_cast<std::size_t>(model.config().sort_passes));
+  EXPECT_EQ(profiles.size(), static_cast<std::size_t>(OperatorCostModel::kSortPasses));
   // Radix sort traffic: passes x (read + write everything).
   std::uint64_t traffic = 0;
   for (const auto& p : profiles) traffic += p.global_bytes_read + p.global_bytes_written;
   EXPECT_EQ(traffic,
-            static_cast<std::uint64_t>(model.config().sort_passes) * 2 * 4000000);
+            static_cast<std::uint64_t>(OperatorCostModel::kSortPasses) * 2 * 4000000);
 }
 
 TEST(OperatorCost, AggregationWritesOnlyPartials) {
@@ -129,7 +129,7 @@ TEST(OperatorCost, JoinChargesBuildSideAndRandomAccess) {
   const auto profiles = model.UnfusedProfiles(g.node(j), s);
   EXPECT_EQ(profiles[0].global_bytes_read, 4000000u + 400000u);
   EXPECT_EQ(profiles[0].memory_access_efficiency,
-            model.config().probe_access_efficiency);
+            OperatorCostModel::kProbeAccessEfficiency);
 }
 
 TEST(OperatorCost, SizeMismatchThrows) {

@@ -9,7 +9,9 @@ namespace {
 
 TEST(PlanDot, PlainGraphListsNodesAndEdges) {
   const SelectChain chain = MakeSelectChain(100, std::vector<double>{0.5, 0.5});
-  const std::string dot = ToDot(chain.graph);
+  FusionOptions unfused;
+  unfused.enabled = false;
+  const std::string dot = ToDot(chain.graph, PlanFusion(chain.graph, unfused));
   EXPECT_NE(dot.find("digraph plan"), std::string::npos);
   EXPECT_NE(dot.find("select1"), std::string::npos);
   EXPECT_NE(dot.find("select2"), std::string::npos);
@@ -33,7 +35,7 @@ TEST(PlanDot, JoinEdgesLabeledProbeAndBuild) {
   const NodeId a = g.AddSource("a", {{{"k", DataType::kInt64}}}, 1);
   const NodeId b = g.AddSource("b", {{{"k", DataType::kInt64}}}, 1);
   g.AddOperator(relational::OperatorDesc::Join(), a, b);
-  const std::string dot = ToDot(g);
+  const std::string dot = ToDot(g, PlanFusion(g));
   EXPECT_NE(dot.find("probe"), std::string::npos);
   EXPECT_NE(dot.find("build"), std::string::npos);
 }
@@ -42,7 +44,7 @@ TEST(PlanDot, EscapesLabels) {
   OpGraph g;
   using relational::DataType;
   g.AddSource("weird \"name\"", {{{"k", DataType::kInt64}}}, 1);
-  const std::string dot = ToDot(g);
+  const std::string dot = ToDot(g, PlanFusion(g));
   EXPECT_NE(dot.find("weird \\\"name\\\""), std::string::npos);
 }
 

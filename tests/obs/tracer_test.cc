@@ -178,19 +178,6 @@ TEST_F(TraceDirTest, CleanFinishWritesNoDump) {
   EXPECT_FALSE(std::filesystem::exists(dir_));
 }
 
-TEST_F(TraceDirTest, DumpQueryWritesOnDemand) {
-  TracerOptions options;
-  options.trace_dir = dir_.string();
-  Tracer tracer(options);
-  TraceContext ctx;
-  ctx.query_id = tracer.NextQueryId();
-  tracer.BeginSpan(ctx, 0, "query", "scheduler", 0.0);
-  const std::string path = tracer.DumpQuery(ctx.query_id);
-  ASSERT_FALSE(path.empty());
-  EXPECT_TRUE(std::filesystem::exists(path));
-  EXPECT_EQ(tracer.DumpQuery(999), "");
-}
-
 TEST(Tracer, DeterministicJsonExcludesWallTime) {
   auto run = [](Tracer& tracer) {
     TraceContext ctx;

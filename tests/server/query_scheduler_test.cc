@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/error.h"
 #include "core/query_executor.h"
@@ -194,24 +197,91 @@ TEST(QueryScheduler, EmptyMergeClassNeverMerges) {
   EXPECT_EQ(registry.GetCounter("server.batches").value(), 2u);
 }
 
+// Every field the scheduler's merge key renders splits a batch: two requests
+// of one merge class that differ in that field alone run as two executions,
+// and two identical requests still merge.
 TEST(QueryScheduler, DifferentOptionsDoNotMerge) {
   const std::vector<double> selectivities = {0.5};
-  const core::SelectChain chain = core::MakeSelectChain(10'000, selectivities);
-  const Table input = core::MakeUniformInt32Table(10'000);
+  const core::SelectChain chain = core::MakeSelectChain(1'000, selectivities);
+  const Table input = core::MakeUniformInt32Table(1'000);
+  const sim::FaultInjector injector(sim::FaultConfig{});
+  core::CostModelCalibrator calibrator;
 
-  sim::DeviceSimulator device;
-  SchedulerOptions sched_options;
-  sched_options.worker_count = 1;
-  sched_options.start_paused = true;
-  QueryScheduler scheduler(device, sched_options);
+  // Submits the base request (fused+fission, merge class "chains") and a copy
+  // changed by `edit`; returns whether each ran merged.
+  using Edit = std::function<void(ExecutorOptions&)>;
+  const auto merged = [&](Strategy strategy, const Edit& edit) {
+    sim::DeviceSimulator device;
+    SchedulerOptions sched_options;
+    sched_options.worker_count = 1;
+    sched_options.start_paused = true;
+    QueryScheduler scheduler(device, sched_options);
+    QueryRequest base = ChainRequest(chain, input, "chains");
+    base.options.strategy = strategy;
+    QueryRequest changed = base;
+    edit(changed.options);
+    auto f1 = scheduler.Submit(std::move(base));
+    auto f2 = scheduler.Submit(std::move(changed));
+    scheduler.Start();
+    return std::make_pair(f1.get().merged, f2.get().merged);
+  };
 
-  QueryRequest serial = ChainRequest(chain, input, "chains");
-  serial.options.strategy = Strategy::kSerial;
-  auto f1 = scheduler.Submit(std::move(serial));
-  auto f2 = scheduler.Submit(ChainRequest(chain, input, "chains"));
-  scheduler.Start();
-  EXPECT_FALSE(f1.get().merged);
-  EXPECT_FALSE(f2.get().merged);
+  struct Field {
+    const char* name;
+    Strategy strategy;
+    Edit edit;
+  };
+  const Strategy kFF = Strategy::kFusedFission;
+  const std::vector<Field> fields = {
+      {"strategy", kFF, [](ExecutorOptions& o) { o.strategy = Strategy::kSerial; }},
+      // kFF plans fused either way, so this pair differs in the policy alone.
+      {"intermediates", kFF,
+       [](ExecutorOptions& o) { o.intermediates = core::IntermediatePolicy::kRoundTrip; }},
+      // Under kSerial the planner's `enabled` flag follows the intermediate
+      // policy, so this pair differs in both terms of the key.
+      {"intermediates + fusion.enabled", Strategy::kSerial,
+       [](ExecutorOptions& o) { o.intermediates = core::IntermediatePolicy::kRoundTrip; }},
+      {"host_memory", kFF,
+       [](ExecutorOptions& o) { o.host_memory = sim::HostMemoryKind::kPageable; }},
+      {"fission_segments", kFF, [](ExecutorOptions& o) { o.fission_segments = 6; }},
+      {"stream_count", kFF, [](ExecutorOptions& o) { o.stream_count = 4; }},
+      {"chunk_count", kFF, [](ExecutorOptions& o) { o.chunk_count = 32; }},
+      {"device_memory_budget", kFF,
+       [](ExecutorOptions& o) { o.device_memory_budget = 0.3; }},
+      {"fault_injector", kFF, [&](ExecutorOptions& o) { o.fault_injector = &injector; }},
+      {"force_host", kFF, [](ExecutorOptions& o) { o.force_host = true; }},
+      {"resilience.max_retries", kFF,
+       [](ExecutorOptions& o) { o.resilience.max_retries = 5; }},
+      {"resilience.degrade_to_host", kFF,
+       [](ExecutorOptions& o) { o.resilience.degrade_to_host = false; }},
+      {"resilience.deadline", kFF, [](ExecutorOptions& o) { o.resilience.deadline = 1e6; }},
+      {"calibration", kFF, [&](ExecutorOptions& o) { o.calibration = &calibrator; }},
+      {"integrity.verify_transfers", kFF,
+       [](ExecutorOptions& o) { o.integrity.verify_transfers = true; }},
+      {"integrity.audit_fraction", kFF,
+       [](ExecutorOptions& o) { o.integrity.audit_fraction = 0.5; }},
+      {"integrity.audit_seed", kFF, [](ExecutorOptions& o) { o.integrity.audit_seed = 7; }},
+      {"integrity.max_reexecutions", kFF,
+       [](ExecutorOptions& o) { o.integrity.max_reexecutions = 5; }},
+      {"fusion.register_budget", kFF,
+       [](ExecutorOptions& o) { o.fusion.register_budget = 32; }},
+  };
+  for (const Field& field : fields) {
+    const auto [first, second] = merged(field.strategy, field.edit);
+    EXPECT_FALSE(first) << field.name;
+    EXPECT_FALSE(second) << field.name;
+  }
+
+  const auto same = merged(kFF, [](ExecutorOptions&) {});
+  EXPECT_TRUE(same.first);
+  EXPECT_TRUE(same.second);
+  // The strategy and intermediate policy decide the planner's `enabled` flag
+  // (EffectiveFusionOptions), so a request's own `fusion.enabled` plans alike
+  // either way and does not split a batch.
+  const auto normalized =
+      merged(kFF, [](ExecutorOptions& o) { o.fusion.enabled = !o.fusion.enabled; });
+  EXPECT_TRUE(normalized.first);
+  EXPECT_TRUE(normalized.second);
 }
 
 TEST(QueryScheduler, TrySubmitRejectsWhenQueueFull) {

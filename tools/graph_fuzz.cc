@@ -26,6 +26,8 @@
 //
 // Usage:
 //   graph_fuzz [--seed=N] [--iters=N] [--profile=NAME]
+// N is a whole unsigned decimal; a malformed value, an unknown flag or an
+// unknown profile prints the usage text to stderr and exits 2.
 //
 // Profiles: none | default | copy-heavy | oom-heavy | stall-heavy |
 // corrupt | corrupt-mixed | corrupt-blind | all ("all" cycles every profile
@@ -38,12 +40,14 @@
 // (.github/workflows/{ci,nightly}.yml); confirmed findings get pinned as
 // regression tests in tests/core/fuzz_regressions_test.cc.
 #include <bit>
+#include <charconv>
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
 #include <iterator>
 #include <map>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -332,14 +336,24 @@ bool RunGraph(const core::RandomQuery& q, std::uint64_t seed,
   return true;
 }
 
-void PrintUsage() {
-  std::cout <<
+void PrintUsage(std::ostream& os) {
+  os <<
       "graph_fuzz: property-based differential fuzzer (see file header)\n"
       "  --seed=N      base seed; iteration i fuzzes graph seed N+i (default 1)\n"
       "  --iters=N     iterations (default 200)\n"
       "  --profile=P   none|default|copy-heavy|oom-heavy|stall-heavy|\n"
       "                corrupt|corrupt-mixed|corrupt-blind|all\n"
       "                (default all: cycle profiles across iterations)\n";
+}
+
+// Parses a whole decimal count: digits only, no sign, no trailing text, no
+// overflow.
+std::optional<std::uint64_t> ParseCount(const std::string& text) {
+  std::uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || ec != std::errc{} || ptr != end) return std::nullopt;
+  return value;
 }
 
 }  // namespace
@@ -350,18 +364,25 @@ int main(int argc, char** argv) {
   std::string profile_name = "all";
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg.rfind("--seed=", 0) == 0) {
-      base_seed = std::strtoull(arg.c_str() + 7, nullptr, 10);
-    } else if (arg.rfind("--iters=", 0) == 0) {
-      iters = std::strtoull(arg.c_str() + 8, nullptr, 10);
+    if (arg.rfind("--seed=", 0) == 0 || arg.rfind("--iters=", 0) == 0) {
+      const std::size_t eq = arg.find('=');
+      const std::string flag = arg.substr(0, eq);
+      const std::string text = arg.substr(eq + 1);
+      const std::optional<std::uint64_t> value = ParseCount(text);
+      if (!value.has_value()) {
+        std::cerr << "invalid " << flag << " '" << text << "'\n";
+        PrintUsage(std::cerr);
+        return 2;
+      }
+      (flag == "--seed" ? base_seed : iters) = *value;
     } else if (arg.rfind("--profile=", 0) == 0) {
       profile_name = arg.substr(10);
     } else if (arg == "--help" || arg == "-h") {
-      PrintUsage();
+      PrintUsage(std::cout);
       return 0;
     } else {
       std::cerr << "unknown flag: " << arg << "\n";
-      PrintUsage();
+      PrintUsage(std::cerr);
       return 2;
     }
   }
@@ -376,7 +397,7 @@ int main(int argc, char** argv) {
     }
     if (profiles.empty()) {
       std::cerr << "unknown profile: " << profile_name << "\n";
-      PrintUsage();
+      PrintUsage(std::cerr);
       return 2;
     }
   }
