@@ -22,12 +22,12 @@ namespace kf {
 // add new kinds at the end.
 enum class ErrorCode : std::uint8_t {
   kGeneric = 0,        // unclassified invariant violation
-  kInvalidArgument,    // malformed input: bad CSV, bad plan, bad handle
+  kInvalidArgument,    // malformed input: bad JSON, bad plan, bad option, bad handle
   kDeviceFault,        // transient device error: copy engine, ECC, injected OOM
-  kTimeout,            // per-query deadline exceeded (virtual time)
+  kTimeout,            // deadline exceeded (the library itself sets no deadline)
   kCapacityExceeded,   // resource genuinely exhausted: device memory, queues
-  kCancelled,          // work abandoned: scheduler shutdown, terminated pool
-  kDataCorruption,     // checksum/audit mismatch: silent corruption detected
+  kCancelled,          // work abandoned: scheduler shut down, terminated pool
+  kDataCorruption,     // checksum/audit mismatch that was not healed
 };
 
 inline const char* ToString(ErrorCode code) {
@@ -58,7 +58,9 @@ class Error : public std::runtime_error {
 };
 
 // Typed subclasses: catchable individually, and the base `kf::Error` catch
-// sites keep working (the code survives either way).
+// sites keep working (the code survives either way). The library throws
+// neither Timeout nor DataCorruption: a query has no deadline, and a unit
+// whose corruption outlasts its re-executions degrades to the host.
 class InvalidArgument : public Error {
  public:
   explicit InvalidArgument(const std::string& what)
@@ -130,7 +132,7 @@ class ThrowOnExit {
     ::kf::detail::ThrowOnExit<ErrorType>(__FILE__, __LINE__, #cond).stream()
 
 // Unconditional typed throw with a streamed message. Usage:
-//   KF_FAIL_AS(::kf::Timeout) << "query exceeded deadline of " << d << "s";
+//   KF_FAIL_AS(::kf::CapacityExceeded) << "needs " << bytes << " bytes";
 #define KF_FAIL_AS(ErrorType) \
   ::kf::detail::ThrowOnExit<ErrorType>(__FILE__, __LINE__, "failure").stream()
 

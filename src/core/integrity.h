@@ -14,7 +14,7 @@
 //     the only way to catch a kernel that computed wrong bytes on-device.
 //
 // A detected mismatch makes the owning retry unit re-execute (bounded by
-// `max_reexecutions`); an *undetected* corruption propagates downstream and
+// `kMaxReexecutions`); an *undetected* corruption propagates downstream and
 // flips a real bit in every reachable sink table — the executor's reports
 // stay honest about what escaped (`corruption_undetected`,
 // `silent_corruption`).
@@ -41,8 +41,8 @@ struct IntegrityOptions {
   std::uint64_t audit_seed = 0;
 
   // Re-execution budget per retry unit when the *only* problem is a
-  // detected corruption (loud faults keep ResilienceOptions::max_retries).
-  int max_reexecutions = 3;
+  // detected corruption (loud faults keep ResilienceOptions::kMaxRetries).
+  static constexpr int kMaxReexecutions = 3;
 
   bool Enabled() const { return verify_transfers || audit_fraction > 0.0; }
 };

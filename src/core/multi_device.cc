@@ -130,16 +130,6 @@ const sim::FaultInjector* MultiDeviceExecutor::InjectorFor(
   return options.base.fault_injector;
 }
 
-CostModelCalibrator* MultiDeviceExecutor::CalibrationFor(
-    int device, const MultiDeviceOptions& options) const {
-  const auto& calibrations = options.per_device_calibrations;
-  if (device < static_cast<int>(calibrations.size()) &&
-      calibrations[static_cast<std::size_t>(device)] != nullptr) {
-    return calibrations[static_cast<std::size_t>(device)];
-  }
-  return options.base.calibration;
-}
-
 MultiDeviceReport MultiDeviceExecutor::Execute(
     const OpGraph& graph, const std::map<NodeId, relational::Table>& sources,
     const MultiDeviceOptions& options) const {
@@ -168,13 +158,12 @@ MultiDeviceReport MultiDeviceExecutor::Run(
       [&](int idx, bool force_host) -> MultiDeviceReport {
     ExecutorOptions opts = options.base;
     opts.fault_injector = InjectorFor(idx, options);
-    opts.calibration = CalibrationFor(idx, options);
     opts.trace.device = idx;
     if (force_host) {
       opts.force_host = true;
       opts.fault_injector = nullptr;  // the host engine has no device faults
     }
-    QueryExecutor executor(group_.device(idx), cost_model_, pool_);
+    QueryExecutor executor(group_.device(idx));
     MultiDeviceReport out;
     ShardReport shard;
     shard.device = idx;
@@ -183,7 +172,7 @@ MultiDeviceReport MultiDeviceExecutor::Run(
                          ? executor.Execute(graph, *sources, opts)
                          : executor.EstimateOnly(graph, row_counts, opts);
     } catch (const kf::CapacityExceeded&) {
-      if (force_host || !options.allow_host_fallback) throw;
+      if (force_host) throw;
       gm.GetCounter("sim.group.host_fallbacks").Increment();
       if (options.base.tracer != nullptr) {
         options.base.tracer->Annotate(
@@ -247,10 +236,9 @@ MultiDeviceReport MultiDeviceExecutor::Run(
           group_.ContendedView(slot.device, devices_used);
       gm.GetCounter("sim.group.contended_views").Increment();
       gm.GetGauge("sim.group.transfer_derating").Set(derating);
-      QueryExecutor executor(view, cost_model_, pool_);
+      QueryExecutor executor(view);
       ExecutorOptions opts = options.base;
       opts.fault_injector = InjectorFor(slot.device, options);
-      opts.calibration = CalibrationFor(slot.device, options);
       // Shard tracing: each shard's execute span carries its device and
       // shard index, so the session exporter links them back to the query
       // with flow events.
@@ -297,7 +285,6 @@ MultiDeviceReport MultiDeviceExecutor::Run(
     // Group-wide capacity failure: a shard's working set cannot fit even
     // after the executor's own segmentation. Degrade the whole query to
     // the host engine rather than failing it.
-    if (!options.allow_host_fallback) throw;
     gm.GetCounter("sim.group.host_fallbacks").Increment();
     if (options.base.tracer != nullptr) {
       options.base.tracer->Annotate(

@@ -24,8 +24,9 @@ namespace kf::core {
 
 struct MultiDeviceOptions {
   // Per-shard executor configuration (strategy, fission segments, streams,
-  // resilience...). `base.fault_injector` applies to every shard unless a
-  // per-device injector overrides it below.
+  // calibrator...). `base.fault_injector` applies to every shard unless a
+  // per-device injector overrides it below; `base.calibration` is every
+  // shard's calibrator.
   ExecutorOptions base;
 
   // Optional per-device fault injectors, indexed by *group* device index
@@ -34,20 +35,9 @@ struct MultiDeviceOptions {
   // only device k's faults.
   std::vector<const sim::FaultInjector*> per_device_injectors;
 
-  // Optional per-device calibrators (core/calibration.h), indexed by *group*
-  // device index (shorter vectors / nullptr entries fall back to
-  // `base.calibration`). Each device learns corrections from its own shards
-  // only, so one drifting card does not skew its siblings' models.
-  std::vector<CostModelCalibrator*> per_device_calibrations;
-
   // Group device indices to shard across; empty means every device. Order
   // defines shard order (results concatenate in this order).
   std::vector<int> devices;
-
-  // On a group-wide capacity failure (a shard cannot fit even after the
-  // executor's own segmentation/spill handling), rerun the whole query on
-  // the host engine instead of failing. Mirrors the PR 4 degrade path.
-  bool allow_host_fallback = true;
 };
 
 struct ShardReport {
@@ -65,17 +55,17 @@ struct MultiDeviceReport {
 
   int devices_used = 1;            // shards that received rows
   bool sharded = false;            // false: single-device or host fallback
-  bool host_fallback = false;      // group-wide OOM rerouted to the host
+  // A device capacity failure (a shard or single-device run that cannot fit
+  // even after the executor's own segmentation and spills) reran the whole
+  // query on the host engine.
+  bool host_fallback = false;
   double transfer_derating = 1.0;  // PCIe derating applied to every shard
   SimTime gather_time = 0.0;       // host-side concatenation of shard results
 };
 
 class MultiDeviceExecutor {
  public:
-  explicit MultiDeviceExecutor(const sim::DeviceGroup& group,
-                               OperatorCostModel cost_model = OperatorCostModel{},
-                               ThreadPool* pool = nullptr)
-      : group_(group), cost_model_(std::move(cost_model)), pool_(pool) {}
+  explicit MultiDeviceExecutor(const sim::DeviceGroup& group) : group_(group) {}
 
   // True when the graph has the shape sharding preserves: every sink's
   // probe-side (inputs[0]) chain reaches one shared source through
@@ -112,12 +102,8 @@ class MultiDeviceExecutor {
   std::vector<int> ActiveDevices(const MultiDeviceOptions& options) const;
   const sim::FaultInjector* InjectorFor(int device,
                                         const MultiDeviceOptions& options) const;
-  CostModelCalibrator* CalibrationFor(int device,
-                                      const MultiDeviceOptions& options) const;
 
   const sim::DeviceGroup& group_;
-  OperatorCostModel cost_model_;
-  ThreadPool* pool_;
 };
 
 }  // namespace kf::core

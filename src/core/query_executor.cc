@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <exception>
 #include <limits>
 #include <set>
 
@@ -316,7 +315,7 @@ class ScheduleBuilder {
         audit_on_(std::clamp(options.integrity.audit_fraction, 0.0, 1.0) > 0.0),
         device_budget_(static_cast<std::uint64_t>(
             static_cast<double>(device.spec().mem_capacity_bytes) *
-            options.device_memory_budget)),
+            ExecutorOptions::kDeviceMemoryBudget)),
         sinks_(graph.Sinks()), is_sink_(graph.node_count(), 0),
         memory_(device.spec().mem_capacity_bytes), residency_(graph.node_count()),
         schedule_{device.NewTimeline()} {
@@ -932,9 +931,6 @@ struct Recovery {
   SimTime makespan = 0.0;  // main run plus backoff, retries and host reruns
   // Clusters whose accepted results carry unnoticed corruption.
   std::set<std::size_t> silent_clusters;
-  // A typed failure (deadline, or retries exhausted with degradation off),
-  // rethrown by Account once the calibrator has seen the main run.
-  std::exception_ptr failure;
 };
 
 // How one run of a retry unit's commands went.
@@ -948,35 +944,23 @@ struct UnitOutcome {
 // single-stream timeline with exponential backoff in virtual time. A unit
 // retries when a command failed outright (loud) OR a verification point
 // caught corrupted bytes; units that exhaust their budget degrade their
-// cluster to the host engine (or throw, typed by cause).
+// cluster to the host engine.
 class Recoverer {
  public:
   Recoverer(const RunContext& run, const Schedule& schedule, const Simulated& simulated,
             ExecutionReport& report)
-      : options_(run.options), res_(run.options.resilience), run_(run), trace_(run.trace),
-        schedule_(schedule), rows_(schedule.commands), clusters_(schedule.clusters),
-        simulated_(simulated), report_(report) {}
+      : options_(run.options), run_(run), trace_(run.trace), schedule_(schedule),
+        rows_(schedule.commands), clusters_(schedule.clusters), simulated_(simulated),
+        report_(report) {}
 
   Recovery Run() && {
     recovery_.makespan = simulated_.timeline.makespan;
     report_.fault_count = simulated_.timeline.fault_count;
-    try {
-      RecoverUnits();
-      CheckDeadline();
-    } catch (...) {
-      recovery_.failure = std::current_exception();
-    }
+    RecoverUnits();
     return std::move(recovery_);
   }
 
  private:
-  void CheckDeadline() const {
-    KF_REQUIRE_AS(::kf::Timeout,
-                  res_.deadline <= 0 || recovery_.makespan <= res_.deadline)
-        << "query exceeded its deadline of " << res_.deadline
-        << "s (simulated clock at " << recovery_.makespan << "s)";
-  }
-
   // Folds the result of schedule command `i` into `outcome`. Corruption is
   // caught for transfers by the checksum chasers and for kernels by the
   // owning cluster's host audit; host commands never corrupt.
@@ -1021,10 +1005,8 @@ class Recoverer {
       if (outcomes.count(rows_[i].unit) != 0) members[rows_[i].unit].push_back(i);
     }
 
-    const int corruption_budget = std::max(0, options_.integrity.max_reexecutions);
-    // Clusters with a unit that never recovered, and whether one of them
-    // still failed loudly (the rest kept returning corrupt bytes).
-    std::map<std::size_t, bool> failed;
+    // Clusters with a unit that never recovered.
+    std::set<std::size_t> failed;
     for (const auto& [unit, outcome] : outcomes) {
       const std::size_t cluster = rows_[members[unit].front()].cluster;
       // Units where nothing was noticed never re-execute.
@@ -1033,8 +1015,9 @@ class Recoverer {
         continue;
       }
       ++report_.retried_units;
-      const int budget = std::max(outcome.loud ? res_.max_retries : 0,
-                                  outcome.detected ? corruption_budget : 0);
+      const int budget =
+          std::max(outcome.loud ? ResilienceOptions::kMaxRetries : 0,
+                   outcome.detected ? IntegrityOptions::kMaxReexecutions : 0);
       UnitOutcome last = outcome;
       bool recovered = false;
       for (int attempt = 1; attempt <= budget && !recovered; ++attempt) {
@@ -1044,22 +1027,10 @@ class Recoverer {
       if (recovered) {
         Accept(cluster, last);
       } else {
-        failed[cluster] = failed[cluster] || last.loud;
+        failed.insert(cluster);
       }
     }
-
-    for (const auto& [cluster, loud] : failed) {
-      const ScheduledCluster& info = clusters_[cluster];
-      if (!res_.degrade_to_host) {
-        KF_REQUIRE_AS(::kf::DeviceFault, !loud)
-            << "cluster '" << info.label << "' still failing after " << res_.max_retries
-            << " retries";
-        KF_FAIL_AS(::kf::DataCorruption)
-            << "cluster '" << info.label << "' still returning corrupt bytes after "
-            << corruption_budget << " re-executions";
-      }
-      Degrade(cluster, info);
-    }
+    for (std::size_t cluster : failed) Degrade(cluster, clusters_[cluster]);
   }
 
   // One re-issue of a unit after its backoff. The unit's commands are
@@ -1073,7 +1044,6 @@ class Recoverer {
                             std::pow(ResilienceOptions::kBackoffFactor, attempt - 1);
     recovery_.makespan += backoff;
     report_.backoff_time += backoff;
-    CheckDeadline();
 
     obs::Tracer* const tracer = trace_.tracer;
     obs::SpanId span = 0;
@@ -1119,7 +1089,6 @@ class Recoverer {
     recovery_.makespan += stats.makespan;
     report_.fault_count += stats.fault_count;
     if (tracer != nullptr) tracer->EndSpan(trace_.context, span, recovery_.makespan);
-    CheckDeadline();
 
     UnitOutcome outcome;
     for (std::size_t k = 0; k < members.size(); ++k) {
@@ -1146,11 +1115,9 @@ class Recoverer {
       trace_.tracer->AddSpan(trace_.context, span, "degraded host rerun: " + info.label,
                              "host", start, recovery_.makespan, "compute");
     }
-    CheckDeadline();
   }
 
   const ExecutorOptions& options_;
-  const ResilienceOptions& res_;
   const RunContext& run_;
   const RunTrace& trace_;
   const Schedule& schedule_;
@@ -1375,8 +1342,7 @@ void RecordMetrics(const RunContext& run, const Schedule& schedule,
 }
 
 // Derives the report, sink results, calibrator feed, root span and registry
-// from the finished schedule. A failure Recover deferred is rethrown once
-// the calibrator has seen the main run.
+// from the finished schedule.
 void Account(const RunContext& run, const Planned& planned,
              const std::map<NodeId, Table>* sources, FunctionalPass functional,
              const Schedule& schedule, Simulated simulated, const Recovery& recovery,
@@ -1385,7 +1351,6 @@ void Account(const RunContext& run, const Planned& planned,
   report.timeline = std::move(simulated.timeline);
   SumStages(schedule, report);
   AccountCalibration(run, schedule, report);
-  if (recovery.failure) std::rethrow_exception(recovery.failure);
 
   report.makespan = report.timeline.makespan = recovery.makespan;
   report.cluster_count = planned.plan.clusters.size();

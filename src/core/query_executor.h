@@ -68,12 +68,7 @@ enum class IntermediatePolicy : std::uint8_t {
 struct ResilienceOptions {
   static constexpr SimTime kBackoffBase = 250 * kMicrosecond;  // first-retry delay
   static constexpr double kBackoffFactor = 2.0;  // delay multiplier per attempt
-
-  int max_retries = 3;          // attempts per failed unit
-  bool degrade_to_host = true;  // false: throw kf::DeviceFault instead
-  // Simulated-time budget for the whole query (0 = none). Exceeding it —
-  // including backoff and degraded host reruns — throws kf::Timeout.
-  SimTime deadline = 0.0;
+  static constexpr int kMaxRetries = 3;          // attempts per failed unit
 };
 
 struct ExecutorOptions {
@@ -100,7 +95,7 @@ struct ExecutorOptions {
 
   // Fraction of device memory a single resident working set may use before
   // segmentation kicks in.
-  double device_memory_budget = 0.45;
+  static constexpr double kDeviceMemoryBudget = 0.45;
 
   // Registry every run records into (launches, transfer bytes, engine busy
   // time, spill events, cluster counts, per-stage timings), labeled by
@@ -115,11 +110,10 @@ struct ExecutorOptions {
   const FusionPlan* plan = nullptr;
 
   // Fault injection + recovery. With an injector attached the executor
-  // checks per-command outcomes after every simulated run and applies
-  // `resilience`. nullptr injects nothing: every command succeeds, so no
-  // unit retries or degrades.
+  // checks per-command outcomes after every simulated run and recovers
+  // failed units as ResilienceOptions describes. nullptr injects nothing:
+  // every command succeeds, so no unit retries or degrades.
   const sim::FaultInjector* fault_injector = nullptr;
-  ResilienceOptions resilience;
 
   // Route every cluster to the host engine (circuit-breaker open, or an
   // explicit CPU run). No device commands are issued at all.

@@ -1,16 +1,29 @@
 #include "cpu/cpu_select.h"
 
-#include <algorithm>
+#include <array>
+#include <utility>
 
 #include "common/error.h"
 
 namespace kf::cpu {
 
+namespace {
+
+// Piecewise-linear calibration at the comparator's 16 threads: selectivity
+// -> input throughput (GB/s). Interpolated; endpoints clamp.
+constexpr std::array<std::pair<double, double>, 7> kThroughputGbs = {{
+    {0.0, 9.0}, {0.10, 7.5}, {0.25, 4.3}, {0.50, 2.3}, {0.75, 1.95},
+    {0.90, 1.75}, {1.0, 1.6}}};
+// Elements below which threading overhead dominates (throughput ramps
+// linearly from ~1/4 of peak).
+constexpr std::uint64_t kRampElements = 1u << 20;
+
+}  // namespace
+
 double CpuSelectModel::ThroughputGBs(std::uint64_t elements, double selectivity) const {
   KF_REQUIRE(selectivity >= 0.0 && selectivity <= 1.0)
       << "selectivity " << selectivity << " out of [0,1]";
-  const auto& table = config_.throughput_gbs;
-  KF_REQUIRE(!table.empty()) << "empty calibration table";
+  const auto& table = kThroughputGbs;
   double base = table.back().second;
   if (selectivity <= table.front().first) {
     base = table.front().second;
@@ -24,17 +37,9 @@ double CpuSelectModel::ThroughputGBs(std::uint64_t elements, double selectivity)
       }
     }
   }
-  // Thread scaling relative to the calibration point (sub-linear: the
-  // comparator is memory-bound beyond ~half the sockets' cores).
-  if (config_.threads != config_.calibration_threads) {
-    const double ratio = static_cast<double>(config_.threads) /
-                         static_cast<double>(config_.calibration_threads);
-    base *= std::min(1.5, std::max(0.1, 0.4 + 0.6 * ratio));
-  }
   // Small inputs pay threading/fork-join overhead.
-  if (elements < config_.ramp_elements) {
-    const double f = static_cast<double>(elements) /
-                     static_cast<double>(config_.ramp_elements);
+  if (elements < kRampElements) {
+    const double f = static_cast<double>(elements) / static_cast<double>(kRampElements);
     base *= 0.25 + 0.75 * f;
   }
   return base;

@@ -9,41 +9,22 @@
 #define KF_CPU_CPU_SELECT_H_
 
 #include <cstdint>
-#include <utility>
-#include <vector>
 
 #include "common/units.h"
 
 namespace kf::cpu {
 
-// Throughput model of the paper's 16-thread Xeon E5520 comparator.
+// Throughput model of the paper's 16-thread Xeon E5520 comparator: a
+// piecewise-linear calibration table (selectivity -> input throughput) with
+// a ramp for small inputs (cpu_select.cc).
 class CpuSelectModel {
  public:
-  struct Config {
-    int threads = 16;
-    int calibration_threads = 16;  // thread count the table below reflects
-    // Piecewise-linear calibration: selectivity -> input throughput (GB/s).
-    // Interpolated; endpoints clamp.
-    std::vector<std::pair<double, double>> throughput_gbs = {
-        {0.0, 9.0}, {0.10, 7.5}, {0.25, 4.3}, {0.50, 2.3}, {0.75, 1.95},
-        {0.90, 1.75}, {1.0, 1.6}};
-    // Elements below which threading overhead dominates (throughput ramps
-    // linearly from ~1/4 of peak).
-    std::uint64_t ramp_elements = 1u << 20;
-  };
-
-  CpuSelectModel() = default;
-  explicit CpuSelectModel(Config config) : config_(std::move(config)) {}
-
   // Input-side throughput in GB/s for selecting `selectivity` of `elements`
   // 32-bit integers.
   double ThroughputGBs(std::uint64_t elements, double selectivity) const;
 
   // Wall time for the same operation.
   SimTime SelectTime(std::uint64_t elements, double selectivity) const;
-
- private:
-  Config config_;
 };
 
 }  // namespace kf::cpu

@@ -99,7 +99,6 @@ Json QueryTrace::ToJson(bool include_wall) const {
 Tracer::Tracer(TracerOptions options)
     : trace_dir_(options.trace_dir.empty() ? EnvTraceDir()
                                            : std::move(options.trace_dir)),
-      flight_capacity_(options.flight_capacity),
       origin_(std::chrono::steady_clock::now()) {}
 
 double Tracer::WallNow() const {
@@ -227,7 +226,7 @@ std::string Tracer::FinishQuery(const TraceContext& ctx, bool failed,
   {
     std::lock_guard<std::mutex> lock(flight_mutex_);
     flight_.push_back(std::move(trace));
-    while (flight_.size() > flight_capacity_) {
+    while (flight_.size() > kFlightCapacity) {
       flight_.pop_front();
       dropped_count_.fetch_add(1);
     }

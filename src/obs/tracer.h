@@ -17,7 +17,7 @@
 //     in ui.perfetto.dev. It is the only Chrome exporter. The executor
 //     records one leaf span per stream command from its schedule (see
 //     examples/streaming_fission.cpp for a traced fission run).
-//   * A bounded flight recorder retains the last N finished query trees; any
+//   * A bounded flight recorder retains the last 64 finished query trees; any
 //     query finishing with a typed failure dumps its full tree as JSON into
 //     `KF_TRACE_DIR` (or TracerOptions::trace_dir), so fuzz/soak/CI failures
 //     ship their own trace.
@@ -120,7 +120,6 @@ struct QueryTrace {
 };
 
 struct TracerOptions {
-  std::size_t flight_capacity = 64;  // finished trees retained (ring)
   // Directory for failure dumps. Empty falls back to $KF_TRACE_DIR; if that
   // is also unset, no dumps are written.
   std::string trace_dir;
@@ -176,6 +175,9 @@ class Tracer {
   // Seconds since tracer construction (steady clock).
   double WallNow() const;
 
+  // Finished trees the flight recorder retains (a ring, oldest dropped).
+  static constexpr std::size_t kFlightCapacity = 64;
+
  private:
   struct Stripe {
     mutable std::mutex mutex;
@@ -191,7 +193,6 @@ class Tracer {
   std::string WriteDump(const QueryTrace& trace) const;
 
   std::string trace_dir_;
-  std::size_t flight_capacity_;
   std::chrono::steady_clock::time_point origin_;
   std::atomic<std::uint64_t> next_query_id_{0};
   std::atomic<std::size_t> finished_count_{0};

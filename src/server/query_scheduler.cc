@@ -23,23 +23,20 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
 
 // Everything about ExecutorOptions that must match for two queries to share
 // one execution. The fusion knobs go through EffectiveFusionOptions so two
-// option structs that plan identically compare equal.
+// option structs that plan identically compare equal. Doubles render exactly
+// (hexfloat): near-equal values must not share a key.
 std::string ExecOptionsKey(const core::ExecutorOptions& options) {
   std::ostringstream os;
   os << static_cast<int>(options.strategy) << '|'
      << static_cast<int>(options.intermediates) << '|'
      << static_cast<int>(options.host_memory) << '|' << options.fission_segments
      << '|' << options.stream_count << '|' << options.chunk_count << '|'
-     << options.device_memory_budget << '|'
      << static_cast<const void*>(options.fault_injector) << '|'
-     << options.force_host << '|' << options.resilience.max_retries << '|'
-     << options.resilience.degrade_to_host << '|'
-     << options.resilience.deadline << '|'
+     << options.force_host << '|'
      << static_cast<const void*>(options.calibration) << '|'
-     << options.integrity.verify_transfers << '|'
-     << options.integrity.audit_fraction << '|'
+     << options.integrity.verify_transfers << '|' << std::hexfloat
+     << options.integrity.audit_fraction << std::defaultfloat << '|'
      << options.integrity.audit_seed << '|'
-     << options.integrity.max_reexecutions << '|'
      << FusionOptionsKey(core::EffectiveFusionOptions(options));
   return os.str();
 }
@@ -96,7 +93,7 @@ QueryScheduler::QueryScheduler(std::unique_ptr<const sim::DeviceGroup> owned_gro
     : owned_group_(std::move(owned_group)),
       group_(owned_group_ != nullptr ? *owned_group_ : *group),
       options_(std::move(options)),
-      runner_(group_, core::OperatorCostModel{}, options_.execution_pool),
+      runner_(group_),
       plan_cache_(kPlanCacheCapacity, options_.metrics),
       started_(!options_.start_paused) {
   if (options_.worker_count == 0) options_.worker_count = 1;
@@ -185,29 +182,10 @@ void QueryScheduler::Drain() {
 }
 
 void QueryScheduler::Shutdown() {
-  std::deque<JobPtr> cancelled;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     stopping_ = true;
     started_ = true;  // a paused scheduler still drains its queue
-    // Cancel-on-shutdown: queued (unstarted) queries fail typed instead of
-    // draining; batches already executing always complete.
-    if (options_.cancel_pending_on_shutdown) cancelled.swap(queue_);
-  }
-  for (JobPtr& job : cancelled) {
-    metrics().GetCounter("server.cancelled").Increment();
-    if (options_.tracer != nullptr && job->root_span != 0) {
-      job->trace.sim_offset = 0.0;
-      options_.tracer->Annotate(job->trace, job->root_span,
-                                obs::SpanAnnotationKind::kFailure,
-                                "cancelled by scheduler shutdown",
-                                job->sim_submit);
-      options_.tracer->EndSpan(job->trace, job->queue_span, job->sim_submit);
-      options_.tracer->EndSpan(job->trace, job->root_span, job->sim_submit);
-      options_.tracer->FinishQuery(job->trace, true, "cancelled");
-    }
-    job->promise.set_exception(std::make_exception_ptr(
-        ::kf::Cancelled("query cancelled by scheduler shutdown")));
   }
   work_available_.notify_all();
   space_available_.notify_all();
@@ -399,10 +377,8 @@ void QueryScheduler::WorkerLoop() {
       for (int d = 0; d < group_.device_count(); ++d) {
         capacity += group_.device(d).spec().mem_capacity_bytes;
       }
-      const auto allowance = static_cast<std::uint64_t>(
-          static_cast<double>(capacity) * options_.admission_memory_fraction);
       admission_.wait(lock, [&] {
-        return executing_ == 0 || inflight_bytes_ + batch_bytes <= allowance;
+        return executing_ == 0 || inflight_bytes_ + batch_bytes <= capacity;
       });
       inflight_bytes_ += batch_bytes;
       ++executing_;
@@ -553,17 +529,14 @@ void QueryScheduler::ExecuteBatch(std::vector<JobPtr> batch) {
     if (options.fault_injector == nullptr) {
       options.fault_injector = options_.fault_injector;
     }
-    if (options.calibration == nullptr) {
-      options.calibration = options_.calibration;
-    }
     if (!options.integrity.Enabled()) {
       // A request that configured nothing inherits the scheduler's
       // fleet-wide verification policy (per-query settings always win).
       options.integrity = options_.integrity;
     }
-    // Cached plans are versioned by the run's calibration epoch. A plan
-    // cached before the cost model drifted simply misses — it is re-planned
-    // against the current corrections, never reused stale.
+    // Cached plans are versioned by the epoch of the request's calibrator. A
+    // plan cached before the cost model drifted simply misses — it is
+    // re-planned against the current corrections, never reused stale.
     const std::uint64_t plan_version =
         options.calibration != nullptr ? options.calibration->epoch() : 0;
     bool cache_hit = false;

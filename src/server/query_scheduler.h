@@ -50,7 +50,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "core/multi_device.h"
 #include "core/query_executor.h"
 #include "obs/metrics_registry.h"
@@ -66,6 +65,9 @@ namespace kf::server {
 // into one execution, and the caller guarantees that same-named sources
 // across the class are bound to identical tables (the scheduler verifies
 // schemas and row counts, not contents). An empty class never merges.
+// `options.calibration` is the run's calibrator; the plan cache versions its
+// entries by that calibrator's epoch, so a plan made before the model drifted
+// is re-planned, never reused stale.
 // Tables share their rows between copies (relational::Column is copy-on-
 // write), so submitting, merging and routing results copy no rows.
 struct QueryRequest {
@@ -138,11 +140,6 @@ struct SchedulerOptions {
   // enqueue a whole workload first for deterministic batching.
   bool start_paused = false;
 
-  // Fraction of device memory the admission controller hands out to
-  // concurrently executing batches (estimated by source + sink footprint).
-  // A batch larger than the whole allowance still runs — alone.
-  double admission_memory_fraction = 1.0;
-
   // Registry the scheduler and its plan cache record into (`server.*`), and
   // every execution whose request left `ExecutorOptions::metrics` unset;
   // nullptr = process default.
@@ -157,10 +154,6 @@ struct SchedulerOptions {
   // wires the executor when the request left tracing unset. The tracer must
   // outlive the scheduler.
   obs::Tracer* tracer = nullptr;
-
-  // Thread pool for intra-query functional execution (fused pipelines);
-  // nullptr = none (single-threaded cluster execution).
-  ThreadPool* execution_pool = nullptr;
 
   // Fault injector applied to every execution whose request did not attach
   // its own (per-query `ExecutorOptions::fault_injector` wins). nullptr
@@ -196,22 +189,9 @@ struct SchedulerOptions {
   std::size_t quarantine_threshold = 3;
   std::size_t quarantine_probe_interval = 4;
 
-  // Shutdown(): fail still-queued queries with kf::Cancelled instead of
-  // draining them (in-flight batches always complete).
-  bool cancel_pending_on_shutdown = false;
-
   // Per-device fault injectors, indexed by group device index (nullptr
   // entries fall back to `fault_injector`).
   std::vector<const sim::FaultInjector*> device_injectors;
-
-  // --- Adaptive calibration (core/calibration.h). ------------------------
-  // Scheduler-level calibrator applied to every execution whose request did
-  // not attach its own (per-query `ExecutorOptions::calibration` wins).
-  // Plan-cache entries are keyed by the run's calibration epoch, so a plan
-  // cached before the model drifted is invalidated — re-planned, never
-  // reused stale. The calibrator must outlive the scheduler; nullptr keeps
-  // serving fully static.
-  core::CostModelCalibrator* calibration = nullptr;
 };
 
 class QueryScheduler {
@@ -248,8 +228,8 @@ class QueryScheduler {
   // Blocks until the queue is empty and no batch is executing.
   void Drain();
 
-  // Stops accepting new queries, drains, and joins workers (idempotent;
-  // also run by the destructor).
+  // Stops accepting new queries, drains the queue (every queued query still
+  // runs), and joins workers (idempotent; also run by the destructor).
   void Shutdown();
 
   // Latest simulated completion time over every device (for one device: the

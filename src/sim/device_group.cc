@@ -7,13 +7,9 @@
 
 namespace kf::sim {
 
-DeviceGroup::DeviceGroup(std::vector<DeviceSpec> specs, PcieConfig pcie,
-                         RootComplexConfig root)
-    : pcie_(pcie), root_(std::move(root)) {
+DeviceGroup::DeviceGroup(std::vector<DeviceSpec> specs, PcieConfig pcie) : pcie_(pcie) {
   KF_REQUIRE_AS(::kf::InvalidArgument, !specs.empty())
       << "a device group needs at least one device";
-  KF_REQUIRE_AS(::kf::InvalidArgument, root_.aggregate_bandwidth_gbs > 0)
-      << "root complex aggregate bandwidth must be positive";
   devices_.reserve(specs.size());
   for (std::size_t i = 0; i < specs.size(); ++i) {
     auto device = std::make_unique<DeviceSimulator>(std::move(specs[i]), pcie_);
@@ -23,11 +19,11 @@ DeviceGroup::DeviceGroup(std::vector<DeviceSpec> specs, PcieConfig pcie,
 }
 
 DeviceGroup DeviceGroup::Homogeneous(int device_count, DeviceSpec spec,
-                                     PcieConfig pcie, RootComplexConfig root) {
+                                     PcieConfig pcie) {
   KF_REQUIRE_AS(::kf::InvalidArgument, device_count > 0)
       << "device_count must be positive, got " << device_count;
   std::vector<DeviceSpec> specs(static_cast<std::size_t>(device_count), spec);
-  return DeviceGroup(std::move(specs), pcie, std::move(root));
+  return DeviceGroup(std::move(specs), pcie);
 }
 
 double DeviceGroup::DeviceLinkPeakGbs(int i) const {
@@ -50,7 +46,7 @@ double DeviceGroup::TransferDerating(int concurrent) const {
   std::sort(peaks.begin(), peaks.end(), std::greater<>());
   double demand = 0.0;
   for (int i = 0; i < concurrent; ++i) demand += peaks[static_cast<std::size_t>(i)];
-  return std::max(1.0, demand / root_.aggregate_bandwidth_gbs);
+  return std::max(1.0, demand / kAggregateBandwidthGbs);
 }
 
 DeviceSimulator DeviceGroup::ContendedView(int i, int concurrent) const {

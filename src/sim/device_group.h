@@ -19,35 +19,29 @@
 #define KF_SIM_DEVICE_GROUP_H_
 
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "sim/device_simulator.h"
 
 namespace kf::sim {
 
-// The shared host-side transfer fabric. The default aggregate is calibrated
-// for a dual-IOH board of the paper's era: two x16 Gen2 slots run at full
-// tilt (2 x 6.3 GB/s), four slots oversubscribe the complex by ~15%.
-struct RootComplexConfig {
-  double aggregate_bandwidth_gbs = 22.0;
-  std::string name = "PCIe 2.0 root complex";
-};
-
 class DeviceGroup {
  public:
+  // Aggregate host-side bandwidth of the shared PCIe 2.0 root complex,
+  // calibrated for a dual-IOH board of the paper's era: two x16 Gen2 slots
+  // run at full tilt (2 x 6.3 GB/s), four slots oversubscribe the complex by
+  // ~15%.
+  static constexpr double kAggregateBandwidthGbs = 22.0;
+
   // One entry in `specs` per device; every device shares `pcie` link
   // parameters and the root complex. The group records nothing: runs on it
   // record into their executor options' registry.
-  explicit DeviceGroup(std::vector<DeviceSpec> specs,
-                       PcieConfig pcie = PcieConfig{},
-                       RootComplexConfig root = RootComplexConfig{});
+  explicit DeviceGroup(std::vector<DeviceSpec> specs, PcieConfig pcie = PcieConfig{});
 
   // N identical devices (the common homogeneous-fleet case).
   static DeviceGroup Homogeneous(int device_count,
                                  DeviceSpec spec = DeviceSpec::TeslaC2070(),
-                                 PcieConfig pcie = PcieConfig{},
-                                 RootComplexConfig root = RootComplexConfig{});
+                                 PcieConfig pcie = PcieConfig{});
 
   int device_count() const { return static_cast<int>(devices_.size()); }
 
@@ -58,7 +52,6 @@ class DeviceGroup {
     return *devices_.at(static_cast<std::size_t>(i));
   }
 
-  const RootComplexConfig& root_complex() const { return root_; }
   const PcieConfig& pcie_config() const { return pcie_; }
 
   // Peak PCIe demand of device `i`'s link in GB/s (pinned, faster direction).
@@ -79,7 +72,6 @@ class DeviceGroup {
   // unique_ptr for address stability: executors hold `const DeviceSimulator&`.
   std::vector<std::unique_ptr<DeviceSimulator>> devices_;
   PcieConfig pcie_;
-  RootComplexConfig root_;
 };
 
 }  // namespace kf::sim

@@ -13,10 +13,10 @@ using relational::Table;
 using relational::Value;
 
 TpchData MakeTpchData(const TpchConfig& config) {
-  KF_REQUIRE(config.order_count > 0 && config.supplier_count > 0)
-      << "empty TPC-H configuration";
-  KF_REQUIRE(config.max_lines_per_order >= 1 && config.max_lines_per_order <= 7)
-      << "TPC-H orders have 1-7 lineitems";
+  // Each order's lineitems draw distinct suppliers, so an order of
+  // kMaxLinesPerOrder lines needs that many.
+  KF_REQUIRE(config.order_count > 0 && config.supplier_count >= kMaxLinesPerOrder)
+      << "TPC-H needs an order and at least " << kMaxLinesPerOrder << " suppliers";
   TpchData data;
   data.config = config;
   Rng rng(config.seed);
@@ -67,7 +67,7 @@ TpchData MakeTpchData(const TpchConfig& config) {
   std::int64_t rowid = 0;
   std::vector<std::int64_t> suppliers_of_order;
   for (std::uint64_t o = 0; o < config.order_count; ++o) {
-    const int lines = static_cast<int>(rng.UniformInt(1, config.max_lines_per_order));
+    const int lines = static_cast<int>(rng.UniformInt(1, kMaxLinesPerOrder));
     // Distinct suppliers within one order (Q21's multi-supplier condition
     // counts suppliers per order).
     suppliers_of_order.clear();

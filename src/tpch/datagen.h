@@ -28,13 +28,15 @@ inline constexpr std::int32_t kDateLo = 8036;    // 1992-01-01
 inline constexpr std::int32_t kDateHi = 10560;   // 1998-12-01
 // Q1 cutoff: 1998-12-01 minus 90 days.
 inline constexpr std::int32_t kQ1Cutoff = kDateHi - 90;
+// TPC-H orders have 1-7 lineitems.
+inline constexpr int kMaxLinesPerOrder = 7;
+// Q21's nation: "SAUDI ARABIA" in the spec's numbering.
+inline constexpr std::int32_t kTargetNation = 20;
 
 struct TpchConfig {
   std::uint64_t order_count = 1000;
-  std::uint64_t supplier_count = 100;
-  int max_lines_per_order = 7;
+  std::uint64_t supplier_count = 100;  // at least kMaxLinesPerOrder
   std::uint64_t seed = 20120521;  // IPDPS-W 2012
-  std::int32_t target_nation = 20;  // "SAUDI ARABIA" in the spec's numbering
 };
 
 struct TpchData {

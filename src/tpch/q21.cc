@@ -36,7 +36,7 @@ QueryPlan BuildQ21Plan(const TpchData& data) {
   // Build-side chains first, so their clusters execute before the consumers.
   const NodeId nat = plan.graph.AddOperator(
       OperatorDesc::Select(Expr::Eq(Expr::FieldRef(1),
-                                    Expr::Lit(Value::Int32(data.config.target_nation))),
+                                    Expr::Lit(Value::Int32(kTargetNation))),
                            "select_nation"),
       src_nation);
   const NodeId supnat = plan.graph.AddOperator(OperatorDesc::Join(1, 0, "join_supnat"),
@@ -123,7 +123,7 @@ Table ReferenceQ21(const TpchData& data) {
     const auto& keys = data.supplier.column("s_suppkey").AsInt64();
     const auto& nations = data.supplier.column("s_nationkey").AsInt32();
     for (std::size_t r = 0; r < data.supplier.row_count(); ++r) {
-      if (nations[r] == data.config.target_nation) nation_suppliers.insert(keys[r]);
+      if (nations[r] == kTargetNation) nation_suppliers.insert(keys[r]);
     }
   }
 

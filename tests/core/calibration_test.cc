@@ -377,21 +377,6 @@ TEST(Calibration, ExecutorFeedsCalibratorAndStaysByteIdentical) {
   EXPECT_GT(calib.epoch(), 1u);
 }
 
-TEST(Calibration, ExecutorFeedsCalibratorEvenWhenTheDeadlineThrows) {
-  // The main run's observations reach the calibrator before recovery's
-  // deadline check rejects the query: the device did run those commands.
-  const RandomQuery q = MakeRandomQuery(20260808);
-  sim::DeviceSimulator device;
-  QueryExecutor executor(device);
-  CostModelCalibrator calib(device.spec(), ScaledPcie(2.0));
-  ExecutorOptions options;
-  options.strategy = Strategy::kFused;
-  options.calibration = &calib;
-  options.resilience.deadline = 1e-12;
-  EXPECT_THROW(executor.Execute(q.graph, q.sources, options), kf::Timeout);
-  EXPECT_GT(calib.observations(), 0u);
-}
-
 TEST(Calibration, CalibratedTimingMatchesStaticWhenBeliefIsTrue) {
   // With a correctly believed spec and a converged calibrator, the adaptive
   // executor's *results* are identical and its makespan is finite and sane.

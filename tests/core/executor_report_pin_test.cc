@@ -314,7 +314,6 @@ SequenceDigests SequenceDigest(Arm arm, Strategy strategy, obs::Tracer* tracer,
       options.tracer = tracer;
       if (faults.AnyEnabled()) options.fault_injector = &injector;
       if (arm == Arm::kRoundTrip) options.intermediates = IntermediatePolicy::kRoundTrip;
-      if (arm == Arm::kDegrade) options.resilience.max_retries = 1;
       if (arm == Arm::kVerifiedCorruption) {
         options.integrity.verify_transfers = true;
         options.integrity.audit_fraction = 0.5;
@@ -394,12 +393,12 @@ constexpr Pin kPins[] = {
      {0x3c7793dda6659dd9ull, 0xf964c3cf999e2d91ull,
       0x7c8f27319495e19full, 0xb58d706d26fbc6adull}},
     {Arm::kDegrade,
-     {0x7cc3ed2933fb1b05ull, 0x44be0430a73df205ull,
-      0x89ad562c466881cdull, 0x1c0916bb05ee7ca3ull},
-     {0xab07994ae6bf777dull, 0x13d826728107bb0aull,
-      0xed8940bf14ed37f7ull, 0x9c0c1ea1d9aa78c5ull},
-     {0x82b07616d3174b6ull, 0xb35c36eab43fe348ull,
-      0xc6827a47a061de32ull, 0x2d66224bbdaac120ull}},
+     {0x5f62962e4d476565ull, 0x4d898d1706ce7109ull,
+      0x791d90b289d6baa1ull, 0xc7843fb825ce7fdfull},
+     {0x534c0d1d70b4b788ull, 0x3aa0fa4faf488c16ull,
+      0x6b5f0de52e22b8d3ull, 0xaedf037c00fd522full},
+     {0xa4ed82a4e70621f6ull, 0x2e6fdc21c33c8a74ull,
+      0xc2df169ff579474aull, 0xe243272cd18773c4ull}},
     {Arm::kVerifiedCorruption,
      {0x2bfe8baa2eafb066ull, 0xf6fd02976f964ab5ull,
       0xc175d83a43601ff4ull, 0xbac7164529459a57ull},

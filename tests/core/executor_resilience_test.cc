@@ -1,7 +1,6 @@
 // Fault injection through the executor: transient faults are retried at
-// fission-segment granularity, persistent faults degrade to the host engine,
-// deadlines become typed timeouts — and results stay byte-identical to the
-// fault-free run in every recovered case.
+// fission-segment granularity, persistent faults degrade to the host engine
+// — and results stay byte-identical to the fault-free run in every case.
 #include <gtest/gtest.h>
 
 #include "core/query_executor.h"
@@ -120,52 +119,20 @@ TEST_F(ExecutorResilienceTest, PersistentFaultsDegradeToHost) {
   sim::FaultInjector injector(config);
   ExecutorOptions options = Options();
   options.fault_injector = &injector;
-  options.resilience.max_retries = 2;
   const ExecutionReport report =
       executor_.Execute(chain.graph, sources, options);
 
   EXPECT_TRUE(report.degraded);
   EXPECT_GT(report.degraded_clusters, 0u);
+  // Every failing unit spent its whole budget before degrading.
+  EXPECT_EQ(report.retry_attempts,
+            report.retried_units * ResilienceOptions::kMaxRetries);
   EXPECT_EQ(SinkCsv(report), SinkCsv(clean));
   EXPECT_EQ(report.leaked_device_bytes, 0u);
   EXPECT_GE(registry_.GetCounter("resilience.degraded_clusters",
                                  {{"strategy", "fusion+fission"}})
                 .value(),
             report.degraded_clusters);
-}
-
-TEST_F(ExecutorResilienceTest, DegradeDisabledThrowsTypedDeviceFault) {
-  SelectChain chain = MakeSelectChain(20000, std::vector<double>{0.5});
-  const std::map<NodeId, Table> sources{{chain.source,
-                                         MakeUniformInt32Table(20000)}};
-  sim::FaultConfig config;
-  config.seed = 1;
-  config.kernel_fault_rate = 1.0;
-  sim::FaultInjector injector(config);
-  ExecutorOptions options = Options();
-  options.fault_injector = &injector;
-  options.resilience.max_retries = 1;
-  options.resilience.degrade_to_host = false;
-  try {
-    (void)executor_.Execute(chain.graph, sources, options);
-    FAIL() << "expected kf::DeviceFault";
-  } catch (const Error& e) {
-    EXPECT_EQ(e.code(), ErrorCode::kDeviceFault);
-  }
-}
-
-TEST_F(ExecutorResilienceTest, DeadlineThrowsTypedTimeout) {
-  SelectChain chain = MakeSelectChain(20000, std::vector<double>{0.5});
-  const std::map<NodeId, Table> sources{{chain.source,
-                                         MakeUniformInt32Table(20000)}};
-  ExecutorOptions options = Options();
-  options.resilience.deadline = 1e-12;  // no run fits in a picosecond
-  try {
-    (void)executor_.Execute(chain.graph, sources, options);
-    FAIL() << "expected kf::Timeout";
-  } catch (const Error& e) {
-    EXPECT_EQ(e.code(), ErrorCode::kTimeout);
-  }
 }
 
 TEST_F(ExecutorResilienceTest, ForceHostRunsEverythingOnCpu) {

@@ -190,9 +190,13 @@ TEST(FissionEdgeCases, SegmentBoundaryExactlyAtDeviceCapacity) {
 
   ExecutorOptions options;
   options.strategy = Strategy::kFission;
-  options.device_memory_budget = 0.5;
-  // 0.5 x 64 MiB = 32 MiB; int32 rows -> exactly 8M rows on the boundary.
-  const std::uint64_t boundary_rows = (tiny.spec().mem_capacity_bytes / 2) / 4;
+  // 0.45 x 64 MiB = 30,198,988 bytes; int32 rows -> exactly 7,549,747 rows
+  // on the boundary.
+  const auto budget = static_cast<std::uint64_t>(
+      static_cast<double>(tiny.spec().mem_capacity_bytes) *
+      ExecutorOptions::kDeviceMemoryBudget);
+  const std::uint64_t boundary_rows = budget / 4;
+  ASSERT_EQ(boundary_rows * 4, budget);
 
   for (std::uint64_t rows : {boundary_rows, boundary_rows + 1}) {
     std::map<NodeId, std::uint64_t> counts;

@@ -188,7 +188,6 @@ TEST_F(ExecutorTracingTest, DegradeAnnotatesAndAddsHostRerunSpans) {
       {chain.source, MakeUniformInt32Table(20000)}};
   ExecutorOptions options = Options(Strategy::kFusedFission);
   options.fault_injector = &injector;
-  options.resilience.max_retries = 2;
   const ExecutionReport report =
       executor_.Execute(chain.graph, sources, options);
   ASSERT_TRUE(report.degraded);

@@ -311,11 +311,39 @@ TEST(MultiDeviceEdge, GroupWideOomFallsBackToHost) {
   EXPECT_EQ(group.device(1).memory().used(), 0u);
   ExpectAllSinksByteIdentical(q.graph, report.combined.sink_results, truth,
                               "host fallback");
+}
 
-  // With the fallback disabled the capacity error surfaces typed.
-  options.allow_host_fallback = false;
-  EXPECT_THROW(executor.Execute(q.graph, q.sources, options),
-               kf::CapacityExceeded);
+TEST(MultiDeviceEdge, UnshardableCapacityFailureFallsBackToHost) {
+  // A SORT does not shard, so it runs whole on one device; on a device too
+  // small for its input and output at once, the group reruns the query on
+  // the host engine.
+  RandomQuery q;
+  const Table fact = MakeFact(4000, 31);
+  const NodeId src = q.graph.AddSource("fact", fact.schema(), fact.row_count());
+  q.sources.emplace(src, fact);
+  q.graph.AddOperator(OperatorDesc::Sort({0}), src);
+  ASSERT_FALSE(MultiDeviceExecutor::Shardable(q.graph));
+  const std::map<NodeId, Table> truth = ReferenceResults(q);
+
+  sim::DeviceSpec tiny = sim::DeviceSpec::TinyTestDevice();
+  tiny.mem_capacity_bytes = 64 * 1024;  // fact alone is 4000 * 16 B = 62.5 KiB
+  ASSERT_LT(tiny.mem_capacity_bytes, 2 * fact.byte_size());
+  sim::DeviceGroup group = sim::DeviceGroup::Homogeneous(2, tiny);
+  MultiDeviceExecutor executor(group);
+  obs::MetricsRegistry registry;
+  MultiDeviceOptions options;
+  options.base.metrics = &registry;
+  const MultiDeviceReport report = executor.Execute(q.graph, q.sources, options);
+
+  EXPECT_TRUE(report.host_fallback);
+  EXPECT_FALSE(report.sharded);
+  EXPECT_TRUE(report.combined.ran_on_host);
+  EXPECT_EQ(report.combined.leaked_device_bytes, 0u);
+  EXPECT_EQ(registry.GetCounter("sim.group.host_fallbacks").value(), 1u);
+  EXPECT_EQ(group.device(0).memory().used(), 0u);
+  EXPECT_EQ(group.device(1).memory().used(), 0u);
+  ExpectAllSinksByteIdentical(q.graph, report.combined.sink_results, truth,
+                              "single-device host fallback");
 }
 
 TEST(MultiDeviceEdge, DeviceSubsetAndValidation) {
@@ -341,9 +369,9 @@ TEST(MultiDeviceEdge, DeviceSubsetAndValidation) {
 }
 
 TEST(MultiDeviceEdge, HostPlacementsSumAcrossShards) {
-  // Two learning calibrators with the true spec: once each has explored its
-  // device, both shards place the bandwidth-bound SELECT on the host, and
-  // the combined report counts both placements.
+  // One learning calibrator with the true spec, shared by both shards: once
+  // it has explored the device, both shards place the bandwidth-bound SELECT
+  // on the host, and the combined report counts both placements.
   const std::uint64_t rows = std::uint64_t{1} << 20;
   OpGraph graph;
   const NodeId source = graph.AddSource(
@@ -354,11 +382,10 @@ TEST(MultiDeviceEdge, HostPlacementsSumAcrossShards) {
 
   sim::DeviceGroup group = sim::DeviceGroup::Homogeneous(2);
   MultiDeviceExecutor executor(group);
-  CostModelCalibrator first;
-  CostModelCalibrator second;
+  CostModelCalibrator calibrator;
   MultiDeviceOptions options;
   options.base.strategy = Strategy::kFused;
-  options.per_device_calibrations = {&first, &second};
+  options.base.calibration = &calibrator;
 
   for (int call = 0; call < 3; ++call) {
     const MultiDeviceReport report = executor.EstimateOnly(graph, row_counts, options);

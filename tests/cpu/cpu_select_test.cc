@@ -31,13 +31,6 @@ TEST(CpuSelectModel, SmallInputsRampDown) {
   EXPECT_LT(model.ThroughputGBs(10'000, 0.5), model.ThroughputGBs(100'000'000, 0.5));
 }
 
-TEST(CpuSelectModel, FewerThreadsAreSlower) {
-  CpuSelectModel::Config half;
-  half.threads = 8;
-  EXPECT_LT(CpuSelectModel(half).ThroughputGBs(100'000'000, 0.5),
-            CpuSelectModel().ThroughputGBs(100'000'000, 0.5));
-}
-
 TEST(CpuSelectModel, SelectTimeConsistentWithThroughput) {
   CpuSelectModel model;
   const std::uint64_t n = 50'000'000;

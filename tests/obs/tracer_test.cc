@@ -115,26 +115,25 @@ TEST(Tracer, SetSpanIntervalRewritesTheWindow) {
 }
 
 TEST(Tracer, FlightRecorderIsBoundedOldestFirst) {
-  TracerOptions options;
-  options.flight_capacity = 4;
-  Tracer tracer(options);
-  for (int i = 0; i < 10; ++i) {
+  static_assert(Tracer::kFlightCapacity == 64);
+  Tracer tracer;
+  for (int i = 0; i < 70; ++i) {
     TraceContext ctx;
     ctx.query_id = tracer.NextQueryId();
     const SpanId root = tracer.BeginSpan(ctx, 0, "query", "scheduler", 0.0);
     tracer.EndSpan(ctx, root, 1.0);
     tracer.FinishQuery(ctx, /*failed=*/false, "");
   }
-  EXPECT_EQ(tracer.finished_count(), 10u);
+  EXPECT_EQ(tracer.finished_count(), 70u);
   EXPECT_EQ(tracer.dropped_count(), 6u);
   const std::vector<QueryTrace> flight = tracer.FlightRecorder();
-  ASSERT_EQ(flight.size(), 4u);
+  ASSERT_EQ(flight.size(), 64u);
   EXPECT_EQ(flight.front().query_id, 7u);
-  EXPECT_EQ(flight.back().query_id, 10u);
+  EXPECT_EQ(flight.back().query_id, 70u);
   // Evicted queries are gone; retained ones still snapshot.
-  EXPECT_TRUE(tracer.Snapshot(1).empty());
-  EXPECT_FALSE(tracer.Snapshot(10).empty());
-  EXPECT_TRUE(tracer.Snapshot(10).finished);
+  EXPECT_TRUE(tracer.Snapshot(6).empty());
+  EXPECT_FALSE(tracer.Snapshot(7).empty());
+  EXPECT_TRUE(tracer.Snapshot(70).finished);
 }
 
 TEST(Tracer, FinishQueryOnUnknownIdIsANoOp) {

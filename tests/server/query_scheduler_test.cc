@@ -207,10 +207,11 @@ TEST(QueryScheduler, DifferentOptionsDoNotMerge) {
   const sim::FaultInjector injector(sim::FaultConfig{});
   core::CostModelCalibrator calibrator;
 
-  // Submits the base request (fused+fission, merge class "chains") and a copy
-  // changed by `edit`; returns whether each ran merged.
+  // Submits the base request (merge class "chains", `strategy`, then
+  // `both`) and a copy changed by `edit`; returns whether each ran merged.
   using Edit = std::function<void(ExecutorOptions&)>;
-  const auto merged = [&](Strategy strategy, const Edit& edit) {
+  const auto merged = [&](Strategy strategy, const Edit& edit,
+                          const Edit& both = nullptr) {
     sim::DeviceSimulator device;
     SchedulerOptions sched_options;
     sched_options.worker_count = 1;
@@ -218,6 +219,7 @@ TEST(QueryScheduler, DifferentOptionsDoNotMerge) {
     QueryScheduler scheduler(device, sched_options);
     QueryRequest base = ChainRequest(chain, input, "chains");
     base.options.strategy = strategy;
+    if (both) both(base.options);
     QueryRequest changed = base;
     edit(changed.options);
     auto f1 = scheduler.Submit(std::move(base));
@@ -246,23 +248,14 @@ TEST(QueryScheduler, DifferentOptionsDoNotMerge) {
       {"fission_segments", kFF, [](ExecutorOptions& o) { o.fission_segments = 6; }},
       {"stream_count", kFF, [](ExecutorOptions& o) { o.stream_count = 4; }},
       {"chunk_count", kFF, [](ExecutorOptions& o) { o.chunk_count = 32; }},
-      {"device_memory_budget", kFF,
-       [](ExecutorOptions& o) { o.device_memory_budget = 0.3; }},
       {"fault_injector", kFF, [&](ExecutorOptions& o) { o.fault_injector = &injector; }},
       {"force_host", kFF, [](ExecutorOptions& o) { o.force_host = true; }},
-      {"resilience.max_retries", kFF,
-       [](ExecutorOptions& o) { o.resilience.max_retries = 5; }},
-      {"resilience.degrade_to_host", kFF,
-       [](ExecutorOptions& o) { o.resilience.degrade_to_host = false; }},
-      {"resilience.deadline", kFF, [](ExecutorOptions& o) { o.resilience.deadline = 1e6; }},
       {"calibration", kFF, [&](ExecutorOptions& o) { o.calibration = &calibrator; }},
       {"integrity.verify_transfers", kFF,
        [](ExecutorOptions& o) { o.integrity.verify_transfers = true; }},
       {"integrity.audit_fraction", kFF,
        [](ExecutorOptions& o) { o.integrity.audit_fraction = 0.5; }},
       {"integrity.audit_seed", kFF, [](ExecutorOptions& o) { o.integrity.audit_seed = 7; }},
-      {"integrity.max_reexecutions", kFF,
-       [](ExecutorOptions& o) { o.integrity.max_reexecutions = 5; }},
       {"fusion.register_budget", kFF,
        [](ExecutorOptions& o) { o.fusion.register_budget = 32; }},
   };
@@ -271,6 +264,13 @@ TEST(QueryScheduler, DifferentOptionsDoNotMerge) {
     EXPECT_FALSE(first) << field.name;
     EXPECT_FALSE(second) << field.name;
   }
+  // The key renders doubles exactly: audit fractions 0.1 and 0.1000001 agree
+  // to six significant digits and must still split.
+  const auto near_equal =
+      merged(kFF, [](ExecutorOptions& o) { o.integrity.audit_fraction = 0.1000001; },
+             [](ExecutorOptions& o) { o.integrity.audit_fraction = 0.1; });
+  EXPECT_FALSE(near_equal.first);
+  EXPECT_FALSE(near_equal.second);
 
   const auto same = merged(kFF, [](ExecutorOptions&) {});
   EXPECT_TRUE(same.first);
@@ -328,7 +328,8 @@ TEST(QueryScheduler, ShutdownDrainsQueuedQueries) {
   scheduler.Shutdown();  // never Start()ed — Shutdown still drains the queue
   EXPECT_EQ(f1.get().results.size(), 1u);
   EXPECT_EQ(f2.get().results.size(), 1u);
-  EXPECT_THROW(scheduler.Submit(ChainRequest(chain, input, "")), kf::Error);
+  // Submitting after shutdown fails typed.
+  EXPECT_THROW(scheduler.Submit(ChainRequest(chain, input, "")), kf::Cancelled);
 }
 
 TEST(QueryScheduler, FailedQueryPropagatesThroughFuture) {
@@ -419,17 +420,20 @@ TEST(QueryScheduler, RepeatedTemplateHitsPlanCache) {
 }
 
 TEST(QueryScheduler, AdmissionControlSerializesOversizedBatches) {
-  // With a tiny admission allowance every batch exceeds the budget, so
-  // batches run strictly one at a time even with many workers — and all of
-  // them still complete (an oversized batch runs when nothing else does).
+  // On a device smaller than one batch's sources every batch exceeds the
+  // admission allowance (the device's capacity), so batches run strictly one
+  // at a time even with many workers — and all of them still complete (an
+  // oversized batch runs when nothing else does).
   const std::vector<double> selectivities = {0.5};
   const core::SelectChain chain = core::MakeSelectChain(10'000, selectivities);
   const Table input = core::MakeUniformInt32Table(10'000);
 
-  sim::DeviceSimulator device;
+  sim::DeviceSpec spec = sim::DeviceSpec::TinyTestDevice();
+  spec.mem_capacity_bytes = 32 * 1024;  // below the 40,000-byte source
+  ASSERT_LT(spec.mem_capacity_bytes, input.byte_size());
+  sim::DeviceSimulator device(spec);
   SchedulerOptions sched_options;
   sched_options.worker_count = 4;
-  sched_options.admission_memory_fraction = 1e-9;  // ~6 bytes of allowance
   QueryScheduler scheduler(device, sched_options);
 
   std::vector<std::future<QueryResult>> futures;
@@ -482,27 +486,26 @@ TEST(QueryScheduler, CalibrationEpochBumpInvalidatesCachedPlans) {
   SchedulerOptions sched_options;
   sched_options.worker_count = 1;
   sched_options.metrics = &registry;
-  sched_options.calibration = &calib;
   QueryScheduler scheduler(device, sched_options);
+  // Each request brings the calibrator its run uses.
+  const auto hit = [&] {
+    QueryRequest request = Q1Request(plan, Strategy::kFused);
+    request.options.calibration = &calib;
+    return scheduler.Submit(std::move(request)).get().plan_cache_hit;
+  };
 
-  EXPECT_FALSE(
-      scheduler.Submit(Q1Request(plan, Strategy::kFused)).get().plan_cache_hit);
-  EXPECT_TRUE(
-      scheduler.Submit(Q1Request(plan, Strategy::kFused)).get().plan_cache_hit);
+  EXPECT_FALSE(hit());
+  EXPECT_TRUE(hit());
 
   calib.AdvanceEpoch();  // the cost model drifted: the cached plan is stale
-  EXPECT_FALSE(
-      scheduler.Submit(Q1Request(plan, Strategy::kFused)).get().plan_cache_hit)
-      << "pre-drift plan was served after the calibration epoch bumped";
-  EXPECT_TRUE(
-      scheduler.Submit(Q1Request(plan, Strategy::kFused)).get().plan_cache_hit)
-      << "re-planned entry under the new epoch must be reusable";
+  EXPECT_FALSE(hit()) << "pre-drift plan was served after the calibration epoch bumped";
+  EXPECT_TRUE(hit()) << "re-planned entry under the new epoch must be reusable";
 }
 
 TEST(QueryScheduler, SharedCalibratorAcrossWorkersLearnsAndStaysCorrect) {
-  // Several workers execute concurrently against ONE calibrator (the
-  // production shape: scheduler-level calibration). Results must match the
-  // uncalibrated reference and the calibrator must have actually learned.
+  // Several workers execute concurrently against ONE calibrator that every
+  // request carries. Results must match the uncalibrated reference and the
+  // calibrator must have actually learned.
   const tpch::TpchData data = SmallData();
   const tpch::QueryPlan plan = BuildQ1Plan(data);
 
@@ -523,13 +526,13 @@ TEST(QueryScheduler, SharedCalibratorAcrossWorkersLearnsAndStaysCorrect) {
   SchedulerOptions sched_options;
   sched_options.worker_count = 3;
   sched_options.metrics = &registry;
-  sched_options.calibration = &calib;
   QueryScheduler scheduler(device, sched_options);
 
   std::vector<std::future<QueryResult>> futures;
   for (int i = 0; i < 12; ++i) {
-    futures.push_back(
-        scheduler.Submit(Q1Request(plan, Strategy::kFusedFission)));
+    QueryRequest request = Q1Request(plan, Strategy::kFusedFission);
+    request.options.calibration = &calib;
+    futures.push_back(scheduler.Submit(std::move(request)));
   }
   for (auto& future : futures) {
     QueryResult result = future.get();

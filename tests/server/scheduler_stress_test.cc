@@ -110,14 +110,12 @@ TEST(SchedulerStress, ConcurrentClientsInterleavedWorkloadsAllResolve) {
   const Workload w = MakeWorkload();
 
   sim::DeviceSimulator device;
-  ThreadPool pool(4);
   obs::MetricsRegistry registry;
   SchedulerOptions options;
   options.worker_count = 3;
   options.max_queue_depth = 16;  // small queue -> real backpressure
   options.max_batch = 4;
   options.metrics = &registry;
-  options.execution_pool = &pool;
   QueryScheduler scheduler(device, options);
 
   constexpr int kClients = 8;

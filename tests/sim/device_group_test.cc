@@ -26,15 +26,11 @@ TEST(DeviceGroupTest, HomogeneousBuildsLabeledIndependentDevices) {
 TEST(DeviceGroupTest, RejectsEmptyAndBadConfigs) {
   EXPECT_THROW(DeviceGroup(std::vector<DeviceSpec>{}), kf::InvalidArgument);
   EXPECT_THROW(DeviceGroup::Homogeneous(0), kf::InvalidArgument);
-  RootComplexConfig bad;
-  bad.aggregate_bandwidth_gbs = 0.0;
-  EXPECT_THROW(DeviceGroup::Homogeneous(2, DeviceSpec::TeslaC2070(),
-                                        PcieConfig{}, bad),
-               kf::InvalidArgument);
 }
 
 TEST(DeviceGroupTest, TransferDeratingFollowsRootComplexOversubscription) {
   // Defaults: link peak = max(5.9, 6.3) = 6.3 GB/s, aggregate 22 GB/s.
+  EXPECT_DOUBLE_EQ(DeviceGroup::kAggregateBandwidthGbs, 22.0);
   DeviceGroup group = DeviceGroup::Homogeneous(4);
   EXPECT_DOUBLE_EQ(group.DeviceLinkPeakGbs(0), 6.3);
   EXPECT_DOUBLE_EQ(group.TransferDerating(1), 1.0);

@@ -14,7 +14,6 @@ TpchData SmallData() {
   TpchConfig config;
   config.order_count = 600;
   config.supplier_count = 50;
-  config.target_nation = 20;
   return MakeTpchData(config);
 }
 
